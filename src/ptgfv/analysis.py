@@ -42,6 +42,7 @@ __all__ = [
     "stability_check",
     "random_triangle",
     "random_acute_triangle",
+    "random_triangles",
     "random_triangle_min_angle",
     "circumcenter_edge_distances",
 ]
@@ -225,6 +226,24 @@ def random_acute_triangle(rng: np.random.Generator, min_angle: float = MIN_SAMPL
             return geom
 
 
+def random_triangles(
+    rng: np.random.Generator, count: int, min_angle: float = MIN_SAMPLE_ANGLE
+) -> TriangleGeometry:
+    """A batch of ``count`` triangles: the ones ``count`` calls of
+    :func:`random_triangle` return, drawn from the generator as they are."""
+    accepted = []
+    found = 0
+    while found < count:
+        # (k, 3, 2) uniforms are k draws of (3, 2) from the same stream
+        candidates = rng.uniform(size=(count - found, 3, 2))
+        candidates = candidates[~TriangleGeometry.degenerate(candidates)]
+        geom = TriangleGeometry.from_vertices(candidates)
+        keep = geom.vertices[geom.angles.min(axis=-1) >= min_angle]
+        accepted.append(keep)
+        found += len(keep)
+    return TriangleGeometry.from_vertices(np.concatenate(accepted))
+
+
 def random_triangle_min_angle(rng: np.random.Generator, theta_star: float) -> TriangleGeometry:
     """Constructive sampler of a triangle whose minimum angle is >= theta_star.
 
@@ -251,49 +270,18 @@ def circumcenter_edge_distances(geometry: TriangleGeometry) -> np.ndarray:
 
     Entry i belongs to the edge opposite vertex i and equals
     |a_i| * cot(angle_i) / 2 for any triangle (the distance itself on acute
-    triangles, negative where the opposite angle is obtuse).
+    triangles, negative where the opposite angle is obtuse).  Shape (3,), or
+    (B, 3) for a batch.
     """
     v = geometry.vertices
-    out = np.empty(3)
-    for i in range(3):
-        p = v[(i + 1) % 3]
-        q = v[(i + 2) % 3]
-        mid = 0.5 * (p + q)
-        tangent = (q - p) / np.hypot(*(q - p))
-        inward = v[i] - mid
-        inward -= tangent * float(inward @ tangent)
-        inward /= np.hypot(*inward)
-        out[i] = float((geometry.circumcenter - mid) @ inward)
-    return out
-
-
-class _Check:
-    """Accumulates the worst slack and its witness for one named check.
-
-    Slack >= 0 means the sample passed; the tolerance of equality-style
-    checks is folded into the slack.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.samples = 0
-        self.worst = math.inf
-        self.witness: list | None = None
-
-    def update(self, slack: float, geometry: TriangleGeometry) -> None:
-        self.samples += 1
-        if slack < self.worst:
-            self.worst = slack
-            self.witness = geometry.vertices.tolist()
-
-    def result(self) -> "CheckResult":
-        return CheckResult(
-            check=self.name,
-            samples=self.samples,
-            passed=bool(self.worst >= 0.0),
-            worst_slack=self.worst,
-            witness=self.witness,
-        )
+    p = np.roll(v, -1, axis=-2)
+    q = np.roll(v, -2, axis=-2)
+    mid = 0.5 * (p + q)
+    tangent = (q - p) / np.hypot(q[..., 0] - p[..., 0], q[..., 1] - p[..., 1])[..., None]
+    inward = v - mid
+    inward = inward - tangent * np.sum(inward * tangent, axis=-1, keepdims=True)
+    inward = inward / np.hypot(inward[..., 0], inward[..., 1])[..., None]
+    return np.sum((geometry.circumcenter[..., None, :] - mid) * inward, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -333,103 +321,112 @@ class LemmaSuiteReport:
         }
 
 
+# Triangles per batch of the lemma suite: as fast as one batch of 10 000,
+# with a tenth of its temporary memory.
+BLOCK = 1000
+
+def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-triangle slack of every named check, and the energy ratio I / nu.
+
+    Slack >= 0 means the triangle passed; the tolerance of equality-style
+    checks is folded into the slack.
+    """
+    theta_min = geom.angles.min(axis=-1)
+    tan_min = np.tan(theta_min)
+    ratio = geom.rho2 / geom.area
+    gyration = np.minimum(ratio - 1.0 / 6.0, 1.0 / (3.0 * tan_min) - ratio) + 1e-12
+
+    gram = local_gram_closed_form(geom)
+    eig = np.linalg.eigvalsh(gram)
+    lam_lo = tan_min**2 / 48.0
+    lam_hi = 5.0 / (4.0 * tan_min)
+    eigen = np.minimum(eig.min(axis=-1) - lam_lo, lam_hi - eig.max(axis=-1)) + 1e-12
+
+    tr_expected = 15.0 * ratio / 4.0
+    trace = 1e-10 - np.abs(np.trace(gram, axis1=-2, axis2=-1) - tr_expected) / tr_expected
+    det_expected = geom.rho2 / (16.0 * geom.area)
+    determinant = 1e-10 - np.abs(np.linalg.det(gram) - det_expected) / det_expected
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    upper = gram[..., [0, 1, 2], [1, 2, 0]]
+    pairwise = np.sum(diag * np.roll(diag, -1, axis=-1) - upper**2, axis=-1)
+    pairwise_expected = 1.0 / 12.0 + 2.25 * ratio**2
+    minors = 1e-10 - np.abs(pairwise - pairwise_expected) / pairwise_expected
+
+    cot = 1.0 / np.tan(geom.angles)
+    cotan_sum = 1e-11 - np.abs(cot.sum(axis=-1) - 9.0 * ratio) / (9.0 * ratio)
+    cotan_prod = 1e-11 - np.abs(np.sum(cot * np.roll(cot, -1, axis=-1), axis=-1) - 1.0)
+
+    energy = solve_delta_k(geom).energy
+    energy_ratio = energy / nu_bound(theta_min)
+    closed = delta_energy_closed_form(geom)
+    energy_match = 1e-8 - np.abs(energy - closed) / closed
+
+    sigma2 = np.sum(geom.edge_lengths**2, axis=-1)
+    denom_bound = delta_denominator(geom) / sigma2**2 - 5.0 / 12.0 + 1e-12
+    numer_bound = 23.0 - delta_numerator(geom) / sigma2**6
+
+    dist = circumcenter_edge_distances(geom)
+    err = np.abs(0.5 / np.tan(geom.angles) - dist / geom.edge_lengths)
+    circum = 1e-11 - err.max(axis=-1)
+
+    slacks = {
+        "gyration-radius-bounds": gyration,
+        "mass-matrix-eigenvalue-bounds": eigen,
+        "mass-matrix-trace-identity": trace,
+        "mass-matrix-determinant-identity": determinant,
+        "mass-matrix-pairwise-minor-identity": minors,
+        "cotangent-sum-identity": cotan_sum,
+        "cotangent-product-identity": cotan_prod,
+        "divergence-profile-energy-bound": 1.0 - energy_ratio,
+        "divergence-profile-closed-form": energy_match,
+        "denominator-lower-bound": denom_bound,
+        "numerator-upper-bound": numer_bound,
+        "circumcenter-distance-identity": circum,
+    }
+    return slacks, energy_ratio
+
+
 def lemma_suite(samples: int = 10000, seed: int = 42, triangles=None) -> LemmaSuiteReport:
     """Run every closed-form identity and bound on random triangles.
 
-    ``triangles`` may supply an explicit list of geometries instead of the
-    random sampler (the sample count is then ignored).
+    The triangles are checked in batches of BLOCK.  ``triangles`` may supply
+    an explicit list of geometries instead of the random sampler (the sample
+    count is then ignored).  A NaN slack counts as a failed sample.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     if triangles is None:
-        triangles = (random_triangle(rng) for _ in range(samples))
+        rng = np.random.default_rng(seed)
+        blocks = (
+            random_triangles(rng, min(BLOCK, samples - start))
+            for start in range(0, samples, BLOCK)
+        )
+    else:
+        corners = np.stack([g.vertices for g in triangles])
+        blocks = (
+            TriangleGeometry.from_vertices(corners[start:start + BLOCK])
+            for start in range(0, len(corners), BLOCK)
+        )
 
-    gyration = _Check("gyration-radius-bounds")
-    eigen = _Check("mass-matrix-eigenvalue-bounds")
-    trace = _Check("mass-matrix-trace-identity")
-    determinant = _Check("mass-matrix-determinant-identity")
-    minors = _Check("mass-matrix-pairwise-minor-identity")
-    cotan_sum = _Check("cotangent-sum-identity")
-    cotan_prod = _Check("cotangent-product-identity")
-    energy_bound = _Check("divergence-profile-energy-bound")
-    energy_match = _Check("divergence-profile-closed-form")
-    denom_bound = _Check("denominator-lower-bound")
-    numer_bound = _Check("numerator-upper-bound")
-    circum = _Check("circumcenter-distance-identity")
+    count = 0
+    worst: dict[str, float] = {}
+    witness: dict[str, list] = {}
     max_ratio = 0.0
-
-    for geom in triangles:
-        theta_min = float(geom.angles.min())
-        ratio = geom.rho2 / geom.area
-        gyration.update(
-            min(ratio - 1.0 / 6.0, 1.0 / (3.0 * math.tan(theta_min)) - ratio) + 1e-12,
-            geom,
-        )
-
-        gram = local_gram_closed_form(geom)
-        eig = np.linalg.eigvalsh(gram)
-        lam_lo = math.tan(theta_min) ** 2 / 48.0
-        lam_hi = 5.0 / (4.0 * math.tan(theta_min))
-        eigen.update(
-            min(float(eig.min()) - lam_lo, lam_hi - float(eig.max())) + 1e-12, geom
-        )
-
-        tr = float(np.trace(gram))
-        tr_expected = 15.0 * ratio / 4.0
-        trace.update(1e-10 - abs(tr - tr_expected) / tr_expected, geom)
-        det = float(np.linalg.det(gram))
-        det_expected = geom.rho2 / (16.0 * geom.area)
-        determinant.update(1e-10 - abs(det - det_expected) / det_expected, geom)
-        pairwise = sum(
-            gram[i, i] * gram[(i + 1) % 3, (i + 1) % 3] - gram[i, (i + 1) % 3] ** 2
-            for i in range(3)
-        )
-        pairwise_expected = 1.0 / 12.0 + 2.25 * ratio**2
-        minors.update(1e-10 - abs(pairwise - pairwise_expected) / pairwise_expected, geom)
-
-        cot = 1.0 / np.tan(geom.angles)
-        cotan_sum.update(
-            1e-11 - abs(float(cot.sum()) - 9.0 * ratio) / (9.0 * ratio), geom
-        )
-        cotan_prod.update(
-            1e-11 - abs(float(cot[0] * cot[1] + cot[1] * cot[2] + cot[2] * cot[0]) - 1.0),
-            geom,
-        )
-
-        energy = solve_delta_k(geom).energy
-        nu = nu_bound(theta_min)
-        energy_bound.update(1.0 - energy / nu, geom)
-        max_ratio = max(max_ratio, energy / nu)
-        closed = delta_energy_closed_form(geom)
-        energy_match.update(1e-8 - abs(energy - closed) / closed, geom)
-
-        sigma2 = float(np.sum(geom.edge_lengths**2))
-        denom_bound.update(
-            delta_denominator(geom) / sigma2**2 - 5.0 / 12.0 + 1e-12, geom
-        )
-        numer_bound.update(23.0 - delta_numerator(geom) / sigma2**6, geom)
-
-        dist = circumcenter_edge_distances(geom)
-        err = np.abs(0.5 / np.tan(geom.angles) - dist / geom.edge_lengths)
-        circum.update(1e-11 - float(err.max()), geom)
+    for geom in blocks:
+        count += len(geom.vertices)
+        slacks, energy_ratio = _lemma_slacks(geom)
+        max_ratio = max(max_ratio, float(energy_ratio.max()))
+        for name, slack in slacks.items():
+            slack = np.where(np.isnan(slack), -math.inf, slack)
+            i = int(np.argmin(slack))
+            if name not in worst or slack[i] < worst[name]:
+                worst[name] = float(slack[i])
+                witness[name] = geom.vertices[i].tolist()
 
     checks = tuple(
-        c.result()
-        for c in (
-            gyration,
-            eigen,
-            trace,
-            determinant,
-            minors,
-            cotan_sum,
-            cotan_prod,
-            energy_bound,
-            energy_match,
-            denom_bound,
-            numer_bound,
-            circum,
-        )
+        CheckResult(check=name, samples=count, passed=bool(w >= 0.0), worst_slack=w,
+                    witness=witness[name])
+        for name, w in worst.items()
     )
     return LemmaSuiteReport(seed=seed, checks=checks, max_energy_ratio=max_ratio)
 
@@ -497,16 +494,19 @@ def stability_check(
     triangle (its actual mean for the identity, its energy for the upper
     bound).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     report = quality_report(mesh)
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
     coeffs = coeffs or cotan_coefficients(mesh, report)
     rng = np.random.default_rng(seed)
 
-    grams = np.stack([local_gram_closed_form(mesh.geometry(t)) for t in range(mesh.num_triangles)])
-    deltas = [solve_delta_k(mesh.geometry(t)) for t in range(mesh.num_triangles)]
-    energies = np.array([d.energy for d in deltas])
-    means = np.array([d.moments()[0] for d in deltas])
+    geom = TriangleGeometry.from_vertices(mesh.vertices[mesh.triangles])
+    grams = local_gram_closed_form(geom)                       # (nt, 3, 3)
+    delta = solve_delta_k(geom)
+    energies = delta.energy
+    means = delta.moments()[:, 0]
     areas = mesh.areas
 
     h1_min = math.inf

@@ -60,6 +60,17 @@ def _default_seed() -> int:
     return int(os.environ.get("PTG_SEED", "42"))
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"--tol must be a positive finite number, got {tol!r}")
+
+
+def _print_inadmissible(report) -> int:
+    offending = {"admissible": False, "offending_edges": report.offending_edges()}
+    print(json.dumps(offending, sort_keys=True))
+    return EXIT_INADMISSIBLE
+
+
 def _load_mesh(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -128,16 +139,13 @@ def cmd_solve(args) -> int:
         raise UsageError("exactly one of --case or --rhs-const is required")
     if args.case is not None and args.case not in CASES:
         raise UsageError(f"unknown case {args.case!r} (known: {', '.join(sorted(CASES))})")
+    if args.rhs_const is not None and not math.isfinite(args.rhs_const):
+        raise UsageError(f"--rhs-const must be finite, got {args.rhs_const!r}")
+    _check_tol(args.tol)
     mesh = _load_mesh(args.mesh)
     report = quality_report(mesh)
     if not report.admissible:
-        print(
-            json.dumps(
-                {"admissible": False, "offending_edges": report.offending_edges()},
-                sort_keys=True,
-            )
-        )
-        return EXIT_INADMISSIBLE
+        return _print_inadmissible(report)
     coeffs = cotan_coefficients(mesh, report)
     if args.case is not None:
         case = CASES[args.case]
@@ -180,6 +188,7 @@ def cmd_convergence(args) -> int:
         raise UsageError("levels must be strictly increasing")
     if args.case not in CASES:
         raise UsageError(f"unknown case {args.case!r} (known: {', '.join(sorted(CASES))})")
+    _check_tol(args.tol)
     report = convergence_study(CASES[args.case], levels, tol=args.tol)
     rates = [math.nan] + report.rates("combined")
     lines = ["n,h,eu,ep,ediv,combined,rate_combined"]
@@ -201,19 +210,17 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
     mesh = None
     if args.mesh:
         mesh = _load_mesh(args.mesh)
         report = quality_report(mesh)
         if not report.admissible:
-            print(
-                json.dumps(
-                    {"admissible": False, "offending_edges": report.offending_edges()},
-                    sort_keys=True,
-                )
-            )
-            return EXIT_INADMISSIBLE
+            return _print_inadmissible(report)
     suite = lemma_suite(samples=args.samples, seed=seed)
     output = {"lemmas": suite.to_dict()}
     ok = suite.all_passed
@@ -272,9 +279,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MeshFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

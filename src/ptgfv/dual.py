@@ -102,39 +102,38 @@ def g_moments(rule: IntervalRule | None = None) -> tuple[float, float, float]:
     )
 
 
+def _moment_basis(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """{1, |x-W_1|^2, |x-W_2|^2, |x-W_3|^2} at ``points`` (..., nq, 2) of
+    triangles with corners ``vertices`` (..., 3, 2); shape (..., 4, nq)."""
+    basis = np.ones(points.shape[:-2] + (4, points.shape[-2]))
+    for i in range(3):
+        w = vertices[..., i, None, :]
+        basis[..., 1 + i, :] = (points[..., 0] - w[..., 0]) ** 2 + (points[..., 1] - w[..., 1]) ** 2
+    return basis
+
+
 @dataclass(frozen=True)
 class DeltaK:
-    """Divergence profile on one triangle.
+    """Divergence profile on one triangle, or on a batch of them.
 
     ``coefficients`` expands delta in the basis {1, |x-W_1|^2, |x-W_2|^2,
-    |x-W_3|^2}; ``energy`` is the dimensionless |K| * int(delta^2).
+    |x-W_3|^2}; ``energy`` is the dimensionless |K| * int(delta^2).  For a
+    batch both carry the batch on their leading axis.
     """
 
     geometry: TriangleGeometry
     coefficients: np.ndarray
     energy: float
 
-    def __call__(self, x, y):
-        v = self.geometry.vertices
-        out = np.full_like(np.asarray(x, dtype=float), self.coefficients[0])
-        for i in range(3):
-            out = out + self.coefficients[1 + i] * (
-                (x - v[i, 0]) ** 2 + (y - v[i, 1]) ** 2
-            )
-        return out
-
     def moments(self, rule: TriangleRule | None = None) -> np.ndarray:
-        """(int delta, int delta*|x-W_i|^2 for i=1..3) by quadrature."""
+        """(int delta, int delta*|x-W_i|^2 for i=1..3) by quadrature; shape
+        (4,), or (B, 4) for a batch."""
         rule = rule or triangle_rule()
-        x = rule.points @ self.geometry.vertices
-        vals = self(x[:, 0], x[:, 1])
         v = self.geometry.vertices
-        out = np.empty(4)
-        out[0] = self.geometry.area * float(rule.weights @ vals)
-        for i in range(3):
-            q = (x[:, 0] - v[i, 0]) ** 2 + (x[:, 1] - v[i, 1]) ** 2
-            out[1 + i] = self.geometry.area * float(rule.weights @ (vals * q))
-        return out
+        basis = _moment_basis(v, np.einsum("qk,...kd->...qd", rule.points, v))
+        vals = np.einsum("...i,...iq->...q", self.coefficients, basis)
+        area = np.asarray(self.geometry.area)[..., None]
+        return area * np.einsum("q,...iq,...q->...i", rule.weights, basis, vals)
 
 
 def solve_delta_k(geometry: TriangleGeometry, rule: TriangleRule | None = None) -> DeltaK:
@@ -144,54 +143,49 @@ def solve_delta_k(geometry: TriangleGeometry, rule: TriangleRule | None = None) 
     the solution of the 4x4 Gram system of {1, |x-W_i|^2}.  The basis is
     rescaled by the area to keep the system's conditioning independent of
     the triangle size.  Requires a rule of degree >= 4 (quartic products).
+    A batch of triangles is one stacked solve of its 4x4 systems.
     """
     rule = rule or triangle_rule()
     if rule.degree < 4:
         raise ValueError("delta solve needs a quadrature rule of degree >= 4")
-    area = geometry.area
-    x = rule.points @ geometry.vertices
     v = geometry.vertices
-    basis = np.empty((4, len(rule.weights)))
-    basis[0] = 1.0
-    for i in range(3):
-        basis[1 + i] = ((x[:, 0] - v[i, 0]) ** 2 + (x[:, 1] - v[i, 1]) ** 2) / area
-    gram = np.einsum("q,iq,jq->ij", rule.weights, basis, basis) * area
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
+    area = np.asarray(geometry.area)[..., None]                          # (..., 1)
+    basis = _moment_basis(v, np.einsum("qk,...kd->...qd", rule.points, v))
+    basis[..., 1:, :] /= area[..., None]
+    gram = np.einsum("q,...iq,...jq->...ij", rule.weights, basis, basis) * area[..., None]
     try:
-        scaled = np.linalg.solve(gram, rhs)
+        scaled = np.linalg.solve(gram, np.array([1.0, 0.0, 0.0, 0.0]))
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular moment system for triangle {v.tolist()}") from exc
-    coeffs = np.concatenate([scaled[:1], scaled[1:] / area])
-    vals = basis.T @ scaled
-    energy = area * (area * float(rule.weights @ vals**2))
+        raise ValueError(f"singular moment system for triangle(s) {v.tolist()}") from exc
+    coeffs = np.concatenate([scaled[..., :1], scaled[..., 1:] / area], axis=-1)
+    vals = np.einsum("...iq,...i->...q", basis, scaled)
+    energy = area[..., 0] * (area[..., 0] * (vals**2 @ rule.weights))
     coeffs.flags.writeable = False
     return DeltaK(geometry=geometry, coefficients=coeffs, energy=energy)
 
 
-def _symmetric_sum(lengths: np.ndarray, pattern: tuple[int, int, int]) -> float:
+def _symmetric_sum(lengths: np.ndarray, pattern: tuple[int, int, int]):
     # sum over distinct monomials |a_i|^n |a_j|^m |a_k|^p; a repeated exponent
     # pattern contributes each monomial once (so (1,1,1) gives the plain
     # product and (2,2,0) the three pairwise products)
-    return float(
-        sum(
-            lengths[0] ** e[0] * lengths[1] ** e[1] * lengths[2] ** e[2]
-            for e in set(itertools.permutations(pattern))
-        )
+    return sum(
+        lengths[..., 0] ** e[0] * lengths[..., 1] ** e[1] * lengths[..., 2] ** e[2]
+        for e in set(itertools.permutations(pattern))
     )
 
 
-def delta_denominator(geometry: TriangleGeometry) -> float:
+def delta_denominator(geometry: TriangleGeometry):
     """Degree-4 symmetric polynomial D = (7/4) sigma_4 - (1/2) Sigma_{2,2,0}."""
     lengths = geometry.edge_lengths
-    return 1.75 * float(np.sum(lengths**4)) - 0.5 * _symmetric_sum(lengths, (2, 2, 0))
+    return 1.75 * np.sum(lengths**4, axis=-1) - 0.5 * _symmetric_sum(lengths, (2, 2, 0))
 
 
-def delta_numerator(geometry: TriangleGeometry) -> float:
+def delta_numerator(geometry: TriangleGeometry):
     """Degree-12 symmetric polynomial pairing with D in the energy formula."""
     lengths = geometry.edge_lengths
-    product4 = float(np.prod(lengths)) ** 4
+    product4 = np.prod(lengths, axis=-1) ** 4
     return (
-        9.0 * float(np.sum(lengths**12))
+        9.0 * np.sum(lengths**12, axis=-1)
         - 15.0 * _symmetric_sum(lengths, (10, 2, 0))
         + 15.0 * _symmetric_sum(lengths, (8, 4, 0))
         - 33.0 * _symmetric_sum(lengths, (8, 2, 2))
@@ -201,7 +195,7 @@ def delta_numerator(geometry: TriangleGeometry) -> float:
     )
 
 
-def delta_energy_closed_form(geometry: TriangleGeometry) -> float:
+def delta_energy_closed_form(geometry: TriangleGeometry):
     """Closed-form energy I = N / (128 |K|^4 D) of the divergence profile."""
     return delta_numerator(geometry) / (
         128.0 * geometry.area**4 * delta_denominator(geometry)
@@ -211,6 +205,6 @@ def delta_energy_closed_form(geometry: TriangleGeometry) -> float:
 def nu_bound(theta_star: float) -> float:
     """Upper bound nu = 8942.4 / tan^4(theta) on the divergence-profile energy
     over all triangles with minimum angle at least ``theta_star``."""
-    if not 0.0 < theta_star < np.pi / 2:
+    if not np.all((0.0 < theta_star) & (theta_star < np.pi / 2)):
         raise ValueError("theta_star must lie in (0, pi/2)")
     return NU_SCALE / np.tan(theta_star) ** 4

@@ -53,18 +53,40 @@ class MeshFormatError(MeshError):
         self.line = line
 
 
-def _cross(u, v) -> float:
-    return u[0] * v[1] - u[1] * v[0]
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _signed_areas(v: np.ndarray):
+    """Signed areas of triangles with corners ``v`` (..., 3, 2); positive if CCW."""
+    return 0.5 * _cross(v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :])
+
+
+# Local index of vertex i+1 and vertex i+2 (mod 3): edge i joins them.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _edge_lengths(v: np.ndarray) -> np.ndarray:
+    """Edge lengths (..., 3); entry i is the edge opposite vertex i."""
+    d = v[..., _PREV, :] - v[..., _NEXT, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _degenerate(area: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    return area <= DEGENERATE_REL * lengths.max(axis=-1) ** 2
 
 
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """Geometric quantities of one counter-clockwise triangle.
+    """Geometric quantities of one counter-clockwise triangle, or of a batch.
 
     Vertex i is opposite edge i, so ``edge_lengths[i]`` and ``angles[i]``
     follow the same opposite-vertex indexing.  ``rho2`` is the squared
     gyration radius: the mean squared distance to the centroid, which equals
-    the sum of the squared edge lengths divided by 36.
+    the sum of the squared edge lengths divided by 36.  A batch of B
+    triangles carries B on the leading axis of every field (``area`` and
+    ``rho2`` become arrays of shape (B,)).
     """
 
     vertices: np.ndarray      # (3, 2)
@@ -75,45 +97,57 @@ class TriangleGeometry:
     rho2: float
     centroid: np.ndarray      # (2,)
 
+    @staticmethod
+    def degenerate(vertices) -> np.ndarray:
+        """Per-triangle flag: area at most DEGENERATE_REL * (longest edge)^2.
+
+        ``vertices`` has shape (..., 3, 2); either orientation is accepted.
+        """
+        v = np.asarray(vertices, dtype=float)
+        return _degenerate(np.abs(_signed_areas(v)), _edge_lengths(v))
+
     @classmethod
     def from_vertices(cls, vertices) -> "TriangleGeometry":
-        """Build from three 2D points, reordering to counter-clockwise."""
-        v = np.asarray(vertices, dtype=float).reshape(3, 2).copy()
-        signed = 0.5 * _cross(v[1] - v[0], v[2] - v[0])
-        if signed < 0.0:
-            v[[1, 2]] = v[[2, 1]]
-            signed = -signed
-        lengths = np.array(
-            [float(np.hypot(*(v[(i + 2) % 3] - v[(i + 1) % 3]))) for i in range(3)]
-        )
-        if signed <= DEGENERATE_REL * float(np.max(lengths)) ** 2:
-            raise MeshError(f"degenerate triangle with vertices {v.tolist()}")
-        angles = np.empty(3)
-        for i in range(3):
-            a = v[(i + 1) % 3] - v[i]
-            b = v[(i + 2) % 3] - v[i]
-            c = float(a @ b) / (float(np.hypot(*a)) * float(np.hypot(*b)))
-            angles[i] = math.acos(min(1.0, max(-1.0, c)))
-        d1 = v[1] - v[0]
-        d2 = v[2] - v[0]
+        """Build from three 2D points, or from a (B, 3, 2) batch of them,
+        reordering each triangle to counter-clockwise.
+
+        Raises :class:`MeshError` naming the first degenerate triangle.
+        """
+        v = np.array(vertices, dtype=float)
+        batched = v.ndim == 3
+        v = v.reshape(-1, 3, 2)
+        cw = _signed_areas(v) < 0.0
+        v[cw] = v[cw][:, [0, 2, 1]]
+        area = _signed_areas(v)
+        lengths = _edge_lengths(v)
+        bad = np.flatnonzero(_degenerate(area, lengths))
+        if bad.size:
+            where = f" {bad[0]}" if batched else ""
+            raise MeshError(f"degenerate triangle{where} with vertices {v[bad[0]].tolist()}")
+        # angle i lies between the edges to vertices i+1 and i+2, which are
+        # the edges opposite vertices i+2 and i+1
+        a = v[:, _NEXT] - v
+        b = v[:, _PREV] - v
+        cos = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / (lengths[:, _PREV] * lengths[:, _NEXT])
+        angles = np.arccos(np.clip(cos, -1.0, 1.0))
+        d1 = v[:, 1] - v[:, 0]
+        d2 = v[:, 2] - v[:, 0]
         denom = 2.0 * _cross(d1, d2)
-        n1 = float(d1 @ d1)
-        n2 = float(d2 @ d2)
-        center = v[0] + np.array(
-            [(d2[1] * n1 - d1[1] * n2) / denom, (d1[0] * n2 - d2[0] * n1) / denom]
+        n1 = np.sum(d1 * d1, axis=-1)
+        n2 = np.sum(d2 * d2, axis=-1)
+        center = v[:, 0] + np.stack(
+            [(d2[:, 1] * n1 - d1[:, 1] * n2) / denom, (d1[:, 0] * n2 - d2[:, 0] * n1) / denom],
+            axis=-1,
         )
-        rho2 = float(np.sum(lengths**2)) / 36.0
-        for arr in (v, lengths, angles, center):
+        rho2 = np.sum(lengths**2, axis=-1) / 36.0
+        centroid = v.mean(axis=-2)
+        fields = (v, area, lengths, angles, center, rho2, centroid)
+        for arr in fields:
             arr.flags.writeable = False
-        return cls(
-            vertices=v,
-            area=float(signed),
-            edge_lengths=lengths,
-            angles=angles,
-            circumcenter=center,
-            rho2=rho2,
-            centroid=v.mean(axis=0),
-        )
+        if batched:
+            return cls(*fields)
+        v, area, lengths, angles, center, rho2, centroid = (arr[0] for arr in fields)
+        return cls(v, float(area), lengths, angles, center, float(rho2), centroid)
 
 
 @dataclass(frozen=True)
@@ -244,21 +278,33 @@ def build_mesh(vertices, triangles) -> Mesh:
     if len(tris) == 0:
         raise MeshError("a mesh needs at least one triangle")
 
+    clockwise = _signed_areas(verts[tris]) < 0.0
+    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    corners = verts[tris]
+    degenerate = TriangleGeometry.degenerate(corners)
     seen: set[tuple[int, int, int]] = set()
-    geometries = []
-    for t, (i, j, k) in enumerate(tris):
-        if len({i, j, k}) != 3:
+    for t, tri in enumerate(tris.tolist()):
+        if len(set(tri)) != 3:
             raise MeshError(f"triangle {t} repeats a vertex")
-        key = tuple(sorted((int(i), int(j), int(k))))
+        key = tuple(sorted(tri))
         if key in seen:
             raise MeshError(f"duplicate triangle {key}")
         seen.add(key)
-        if _cross(verts[j] - verts[i], verts[k] - verts[i]) < 0.0:
-            tris[t] = (i, k, j)
-        try:
-            geometries.append(TriangleGeometry.from_vertices(verts[tris[t]]))
-        except MeshError:
-            raise MeshError(f"triangle {t} is degenerate") from None
+        if degenerate[t]:
+            raise MeshError(f"triangle {t} is degenerate")
+    batch = TriangleGeometry.from_vertices(corners)
+    geometries = [
+        TriangleGeometry(*row)
+        for row in zip(
+            batch.vertices,
+            batch.area.tolist(),
+            batch.edge_lengths,
+            batch.angles,
+            batch.circumcenter,
+            batch.rho2.tolist(),
+            batch.centroid,
+        )
+    ]
 
     incidence: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for t, tri in enumerate(tris):

@@ -21,7 +21,6 @@ from .quadrature import IntervalRule, TriangleRule, interval_rule, triangle_rule
 __all__ = [
     "P0Field",
     "RTField",
-    "LocalGram",
     "local_fluxes",
     "eval_local_basis",
     "eval_rt_field",
@@ -31,10 +30,6 @@ __all__ = [
     "local_gram_closed_form",
     "local_gram_quadrature",
 ]
-
-# The local flux mass matrix is a plain symmetric (3, 3) array.
-LocalGram = np.ndarray
-
 
 @dataclass
 class P0Field:
@@ -126,26 +121,27 @@ def interpolate_rt(v, mesh: Mesh, rule: IntervalRule | None = None) -> RTField:
     return RTField(fluxes)
 
 
-def local_gram_closed_form(geometry: TriangleGeometry) -> LocalGram:
+# Index of the cotangent in each entry of the closed-form local mass matrix:
+# angle i on the diagonal, the third angle k (k not in {i, j}) off it.
+_GRAM_COT = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+_GRAM_SIGN = 2.0 * np.eye(3) - 1.0
+
+
+def local_gram_closed_form(geometry: TriangleGeometry) -> np.ndarray:
     """Local flux mass matrix from the cotangent/gyration-radius formulas.
 
     Diagonal: cot(theta_i)/6 + (3/4) rho^2/|K|.  Off-diagonal (i, j): uses
     the cotangent of the angle at the third vertex k (k not in {i, j}).
+    Shape (3, 3), or (B, 3, 3) for a batch of triangles.
     """
-    ratio = geometry.rho2 / geometry.area
+    ratio = np.asarray(geometry.rho2 / geometry.area)[..., None, None]
     cot = 1.0 / np.tan(geometry.angles)
-    gram = np.empty((3, 3))
-    for i in range(3):
-        gram[i, i] = cot[i] / 6.0 + 0.75 * ratio
-        for j in range(i + 1, 3):
-            k = 3 - i - j
-            gram[i, j] = gram[j, i] = -0.75 * ratio + cot[k] / 6.0
-    return gram
+    return cot[..., _GRAM_COT] / 6.0 + 0.75 * ratio * _GRAM_SIGN
 
 
 def local_gram_quadrature(
     geometry: TriangleGeometry, rule: TriangleRule | None = None
-) -> LocalGram:
+) -> np.ndarray:
     """Local flux mass matrix by quadrature (exact: quadratic integrands)."""
     rule = rule or triangle_rule()
     if rule.degree < 2:

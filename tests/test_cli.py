@@ -258,3 +258,28 @@ def test_solve_determinism_files(tmp_path, capsys):
         outputs.append((stdout, out.read_bytes()))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+def test_verify_rejects_empty_runs(rhombus_file, capsys):
+    for flags in (["--samples", "0"], ["--samples", "-3"], ["--trials", "0", "--mesh", str(rhombus_file)]):
+        code, out, err = run(capsys, "verify", *flags)
+        assert code == 1, flags
+        assert out == ""
+        assert "usage error" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_solve_and_convergence_reject_bad_tol(rhombus_file, capsys, tol):
+    code, out, err = run(capsys, "solve", "--mesh", str(rhombus_file), "--rhs-const", "1", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert "--tol" in err
+    code, out, err = run(capsys, "convergence", "--levels", "4,8", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_rejects_non_finite_rhs(rhombus_file, capsys, value):
+    code, out, err = run(capsys, "solve", "--mesh", str(rhombus_file), "--rhs-const", value)
+    assert (code, out) == (1, "")
+    assert "--rhs-const" in err

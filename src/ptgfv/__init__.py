@@ -26,7 +26,6 @@ from .dual import (
     solve_delta_k,
 )
 from .mesh import (
-    Edge,
     Mesh,
     MeshError,
     MeshFormatError,
@@ -36,7 +35,6 @@ from .mesh import (
     generate_rhombus_equilateral,
     quality_report,
     read_mesh,
-    triangle_geometry,
     write_mesh,
 )
 from .quadrature import (

@@ -23,7 +23,13 @@ from .dual import (
     nu_bound,
     solve_delta_k,
 )
-from .mesh import Mesh, TriangleGeometry, generate_rhombus_equilateral, quality_report
+from .mesh import (
+    Mesh,
+    MeshQualityReport,
+    TriangleGeometry,
+    generate_rhombus_equilateral,
+    quality_report,
+)
 from .quadrature import TriangleRule, triangle_rule
 from .solver import Solution
 from .spaces import local_fluxes, local_gram_closed_form
@@ -484,6 +490,7 @@ def stability_check(
     trials: int = 100,
     seed: int = 42,
     coeffs: DualCoefficients | None = None,
+    report: MeshQualityReport | None = None,
 ) -> StabilityReport:
     """Probe the three computable stability inequalities with random fluxes.
 
@@ -492,17 +499,17 @@ def stability_check(
     basis; the squared field norm comes from the local mass matrices; the
     divergence-side quantities use the solved divergence profile of each
     triangle (its actual mean for the identity, its energy for the upper
-    bound).
+    bound).  ``report`` is the mesh's quality report, computed when absent.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    report = quality_report(mesh)
+    report = report or quality_report(mesh)
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
     coeffs = coeffs or cotan_coefficients(mesh, report)
     rng = np.random.default_rng(seed)
 
-    geom = TriangleGeometry.from_vertices(mesh.vertices[mesh.triangles])
+    geom = mesh.geometries
     grams = local_gram_closed_form(geom)                       # (nt, 3, 3)
     delta = solve_delta_k(geom)
     energies = delta.energy

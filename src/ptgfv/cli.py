@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
     output = {"lemmas": suite.to_dict()}
     ok = suite.all_passed
     if mesh is not None:
-        stability = stability_check(mesh, trials=args.trials, seed=seed)
+        stability = stability_check(mesh, trials=args.trials, seed=seed, report=report)
         output["stability"] = stability.to_dict()
         ok = ok and stability.all_passed
     output["all_passed"] = ok

@@ -69,13 +69,10 @@ def cotan_coefficients(mesh: Mesh, report=None) -> DualCoefficients:
     non-positive coefficient breaks uniqueness of the discrete problem.
     """
     report = report or quality_report(mesh)
-    values = np.empty(mesh.num_edges)
-    for e in range(mesh.num_edges):
-        theta_k, theta_l = mesh.edge_opposite_angles(e)
-        c = 0.5 / np.tan(theta_k)
-        if theta_l is not None:
-            c += 0.5 / np.tan(theta_l)
-        values[e] = c
+    theta_k, theta_l = mesh.opposite_angles()
+    values = 0.5 / np.tan(theta_k)
+    internal = mesh.internal_edges
+    values[internal] += 0.5 / np.tan(theta_l[internal])
     if not report.admissible:
         warnings.warn(
             "mesh fails the angle conditions; some coupling coefficients are "

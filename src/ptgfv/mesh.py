@@ -1,6 +1,7 @@
 """Conformal triangular meshes with oriented edges and coboundary maps.
 
-A mesh stores vertices, counter-clockwise triangles and a derived edge list.
+A mesh stores vertices, counter-clockwise triangles, their geometry as one
+batch of arrays and a derived edge table (a record array, one row per edge).
 Every edge carries a canonical unit normal: for an internal edge the normal
 points from the incident triangle of smaller index (the *owner*) towards the
 other one (the *neighbor*); for a boundary edge it points out of the domain.
@@ -23,11 +24,9 @@ __all__ = [
     "MeshError",
     "MeshFormatError",
     "TriangleGeometry",
-    "Edge",
     "Mesh",
     "MeshQualityReport",
     "build_mesh",
-    "triangle_geometry",
     "quality_report",
     "generate_rhombus_equilateral",
     "read_mesh",
@@ -150,31 +149,19 @@ class TriangleGeometry:
         return cls(v, float(area), lengths, angles, center, float(rho2), centroid)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One oriented mesh edge.
-
-    ``owner`` is the triangle the normal points away from; for an internal
-    edge ``neighbor`` is the triangle it points into, for a boundary edge it
-    is None and the normal points out of the domain.  ``owner_local`` /
-    ``neighbor_local`` give the local edge index (= local index of the
-    opposite vertex) inside each triangle.
-    """
-
-    tail: int
-    head: int
-    normal: np.ndarray
-    length: float
-    owner: int
-    owner_local: int
-    opposite_owner: int
-    neighbor: int | None = None
-    neighbor_local: int | None = None
-    opposite_neighbor: int | None = None
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.neighbor is None
+# One row per edge of ``Mesh.edges``; see :class:`Mesh`.
+_EDGE_DTYPE = np.dtype(
+    [
+        ("tail", int),
+        ("head", int),
+        ("owner", int),
+        ("owner_local", int),
+        ("neighbor", int),
+        ("neighbor_local", int),
+        ("normal", float, (2,)),
+        ("length", float),
+    ]
+)
 
 
 class Mesh:
@@ -184,39 +171,41 @@ class Mesh:
     ----------
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counter-clockwise
-    edges : tuple of Edge
+    edges : read-only record array with fields ``tail``, ``head``,
+        ``owner``, ``owner_local``, ``neighbor``, ``neighbor_local`` (ints),
+        ``normal`` (a (2,) float subfield) and ``length``, one row per edge,
+        ordered by the vertex pair (min, max).  ``owner`` is the triangle the
+        normal points away from and ``neighbor`` the one it points into; on
+        the boundary ``neighbor`` and ``neighbor_local`` are -1 and the
+        normal points out of the domain.  ``owner_local`` / ``neighbor_local`` give
+        the local edge index (= local index of the opposite vertex) inside
+        each triangle.  ``mesh.edges[e].tail`` reads one edge,
+        ``mesh.edges.owner`` a whole column.
+    geometries : TriangleGeometry batch with one row per triangle
     tri_edges : (nt, 3) int array, edge id of local edge i (opposite vertex i)
     tri_signs : (nt, 3) int array, +1 where the canonical normal is outward
         for that triangle, -1 otherwise
     internal_edges, boundary_edges : int arrays of edge ids
-    boundary_position : per-edge index into ``boundary_edges`` (-1 internal)
     """
 
     def __init__(self, vertices, triangles, edges, tri_edges, tri_signs, geometries):
         self.vertices = vertices
         self.triangles = triangles
-        self.edges = tuple(edges)
+        self.edges = edges
         self.tri_edges = tri_edges
         self.tri_signs = tri_signs
-        self._geometries = tuple(geometries)
-        self.internal_edges = np.array(
-            [e for e, edge in enumerate(self.edges) if not edge.is_boundary], dtype=int
-        )
-        self.boundary_edges = np.array(
-            [e for e, edge in enumerate(self.edges) if edge.is_boundary], dtype=int
-        )
-        self.boundary_position = np.full(len(self.edges), -1, dtype=int)
-        self.boundary_position[self.boundary_edges] = np.arange(len(self.boundary_edges))
-        self._areas = np.array([g.area for g in self._geometries])
+        self.geometries = geometries
+        internal = edges.neighbor >= 0
+        self.internal_edges = np.flatnonzero(internal)
+        self.boundary_edges = np.flatnonzero(~internal)
         for arr in (
             self.vertices,
             self.triangles,
+            self.edges,
             self.tri_edges,
             self.tri_signs,
             self.internal_edges,
             self.boundary_edges,
-            self.boundary_position,
-            self._areas,
         ):
             arr.flags.writeable = False
 
@@ -235,135 +224,140 @@ class Mesh:
     @property
     def h_max(self) -> float:
         """Largest edge length."""
-        return max(e.length for e in self.edges)
+        return float(self.edges.length.max())
 
     @property
     def areas(self) -> np.ndarray:
-        return self._areas
+        return self.geometries.area
 
     def geometry(self, t: int) -> TriangleGeometry:
-        return self._geometries[t]
+        """Geometry of triangle ``t``: row ``t`` of :attr:`geometries`."""
+        g = self.geometries
+        return TriangleGeometry(
+            g.vertices[t],
+            float(g.area[t]),
+            g.edge_lengths[t],
+            g.angles[t],
+            g.circumcenter[t],
+            float(g.rho2[t]),
+            g.centroid[t],
+        )
 
-    def edge_opposite_angles(self, e: int) -> tuple[float, float | None]:
-        """Angles opposite edge ``e`` in its owner and (if any) neighbor."""
-        edge = self.edges[e]
-        theta_k = float(self._geometries[edge.owner].angles[edge.owner_local])
-        if edge.is_boundary:
-            return theta_k, None
-        theta_l = float(self._geometries[edge.neighbor].angles[edge.neighbor_local])
-        return theta_k, theta_l
+    def opposite_angles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per edge, the angle opposite it in its owner and in its neighbor
+        (NaN on the boundary)."""
+        angles = self.geometries.angles
+        e = self.edges
+        theta_l = np.full(len(e), np.nan)
+        internal = self.internal_edges
+        theta_l[internal] = angles[e.neighbor[internal], e.neighbor_local[internal]]
+        return angles[e.owner, e.owner_local], theta_l
 
 
-def triangle_geometry(mesh: Mesh, t: int) -> TriangleGeometry:
-    """Geometry of triangle ``t`` (precomputed at build time)."""
-    if not 0 <= t < mesh.num_triangles:
-        raise IndexError(f"triangle id {t} out of range")
-    return mesh.geometry(t)
+def _first_offender(tris: np.ndarray, degenerate: np.ndarray) -> str | None:
+    """Message for the lowest-index triangle that repeats a vertex, repeats
+    an earlier triangle or is degenerate (checked in that order), or None."""
+    ordered = np.sort(tris, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    # a stable sort keeps equal triangles in index order, so every one but
+    # the first of a run is a duplicate of an earlier triangle
+    order = np.lexsort(ordered.T[::-1])
+    duplicate = np.zeros(len(tris), dtype=bool)
+    duplicate[order[1:]] = (ordered[order[1:]] == ordered[order[:-1]]).all(axis=1)
+    found = [
+        (int(np.argmax(mask)), rank) for rank, mask in enumerate((repeats, duplicate, degenerate))
+        if mask.any()
+    ]
+    if not found:
+        return None
+    t, rank = min(found)
+    if rank == 0:
+        return f"triangle {t} repeats a vertex"
+    if rank == 1:
+        return f"duplicate triangle {tuple(ordered[t].tolist())}"
+    return f"triangle {t} is degenerate"
 
 
 def build_mesh(vertices, triangles) -> Mesh:
     """Build a mesh from vertex coordinates and vertex-index triples.
 
-    Triangles given clockwise are silently reoriented.  Raises
-    :class:`MeshError` for out-of-range indices, duplicate or degenerate
-    triangles, and non-conforming connectivity (an edge shared by more than
-    two triangles).
+    Triangles given clockwise are reoriented.  Raises :class:`MeshError` for
+    non-finite coordinates, out-of-range indices, duplicate or degenerate
+    triangles, non-conforming connectivity (an edge shared by more than two
+    triangles) and folded meshes (two triangles on the same side of their
+    shared edge).  Each error names the lowest-index offender.
     """
     verts = np.array(vertices, dtype=float).reshape(-1, 2)
     tris = np.array(triangles, dtype=int).reshape(-1, 3)
-    if len(verts) < 3:
+    nv, nt = len(verts), len(tris)
+    if nv < 3:
         raise MeshError("a mesh needs at least 3 vertices")
-    if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
-        raise MeshError("triangle vertex index out of range")
-    if len(tris) == 0:
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if bad.size:
+        raise MeshError(f"vertex {bad[0]} has a non-finite coordinate {verts[bad[0]].tolist()}")
+    bad = np.flatnonzero(((tris < 0) | (tris >= nv)).any(axis=1))
+    if bad.size:
+        raise MeshError(f"triangle {bad[0]} has a vertex index out of range 0..{nv - 1}")
+    if nt == 0:
         raise MeshError("a mesh needs at least one triangle")
 
     clockwise = _signed_areas(verts[tris]) < 0.0
     tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
     corners = verts[tris]
-    degenerate = TriangleGeometry.degenerate(corners)
-    seen: set[tuple[int, int, int]] = set()
-    for t, tri in enumerate(tris.tolist()):
-        if len(set(tri)) != 3:
-            raise MeshError(f"triangle {t} repeats a vertex")
-        key = tuple(sorted(tri))
-        if key in seen:
-            raise MeshError(f"duplicate triangle {key}")
-        seen.add(key)
-        if degenerate[t]:
-            raise MeshError(f"triangle {t} is degenerate")
-    batch = TriangleGeometry.from_vertices(corners)
-    geometries = [
-        TriangleGeometry(*row)
-        for row in zip(
-            batch.vertices,
-            batch.area.tolist(),
-            batch.edge_lengths,
-            batch.angles,
-            batch.circumcenter,
-            batch.rho2.tolist(),
-            batch.centroid,
+    message = _first_offender(tris, TriangleGeometry.degenerate(corners))
+    if message:
+        raise MeshError(message)
+    geometries = TriangleGeometry.from_vertices(corners)
+
+    # half-edge 3t + m joins vertices m+1 and m+2 of triangle t; a stable
+    # sort on the key of its vertex pair groups the (at most two) halves of
+    # each edge, lower triangle first, with edge ids in increasing key order
+    start_v = tris[:, _NEXT].ravel()
+    end_v = tris[:, _PREV].ravel()
+    keys = np.minimum(start_v, end_v) * nv + np.maximum(start_v, end_v)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    counts = np.diff(np.r_[first, len(keys)])
+    bad = np.flatnonzero(counts > 2)
+    if bad.size:
+        key = divmod(int(sorted_keys[first[bad[0]]]), nv)
+        raise MeshError(
+            f"non-conforming mesh: edge {key} belongs to {counts[bad[0]]} triangles"
         )
-    ]
+    shared = counts == 2
+    own = order[first]
+    other = np.full(len(first), -1)
+    other[shared] = order[first[shared] + 1]
+    # counter-clockwise triangles on opposite sides of an edge traverse it
+    # in opposite directions
+    folded = np.flatnonzero(start_v[other[shared]] == start_v[own[shared]])
+    if folded.size:
+        e = np.flatnonzero(shared)[folded[0]]
+        key = divmod(int(sorted_keys[first[e]]), nv)
+        raise MeshError(
+            f"folded mesh: triangles {own[e] // 3} and {other[e] // 3} lie on the "
+            f"same side of edge {key}"
+        )
 
-    incidence: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t, tri in enumerate(tris):
-        for m in range(3):
-            p = int(tri[(m + 1) % 3])
-            q = int(tri[(m + 2) % 3])
-            incidence.setdefault((min(p, q), max(p, q)), []).append((t, m))
-
-    edges = []
-    nt = len(tris)
-    tri_edges = np.full((nt, 3), -1, dtype=int)
-    tri_signs = np.zeros((nt, 3), dtype=int)
-    for eid, key in enumerate(sorted(incidence)):
-        inc = sorted(incidence[key])
-        if len(inc) > 2:
-            raise MeshError(
-                f"non-conforming mesh: edge {key} belongs to {len(inc)} triangles"
-            )
-        owner, m = inc[0]
-        tri = tris[owner]
-        tail = int(tri[(m + 1) % 3])
-        head = int(tri[(m + 2) % 3])
-        tangent = verts[head] - verts[tail]
-        length = float(np.hypot(*tangent))
-        normal = np.array([tangent[1], -tangent[0]]) / length
-        normal.flags.writeable = False
-        tri_edges[owner, m] = eid
-        tri_signs[owner, m] = 1
-        if len(inc) == 2:
-            neighbor, ml = inc[1]
-            tri_edges[neighbor, ml] = eid
-            tri_signs[neighbor, ml] = -1
-            edges.append(
-                Edge(
-                    tail=tail,
-                    head=head,
-                    normal=normal,
-                    length=length,
-                    owner=owner,
-                    owner_local=m,
-                    opposite_owner=int(tri[m]),
-                    neighbor=neighbor,
-                    neighbor_local=ml,
-                    opposite_neighbor=int(tris[neighbor][ml]),
-                )
-            )
-        else:
-            edges.append(
-                Edge(
-                    tail=tail,
-                    head=head,
-                    normal=normal,
-                    length=length,
-                    owner=owner,
-                    owner_local=m,
-                    opposite_owner=int(tri[m]),
-                )
-            )
-    return Mesh(verts, tris, edges, tri_edges, tri_signs, geometries)
+    tail = start_v[own]
+    head = end_v[own]
+    tangent = verts[head] - verts[tail]
+    length = np.hypot(tangent[:, 0], tangent[:, 1])
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
+    neighbor = np.where(shared, other // 3, -1)
+    neighbor_local = np.where(shared, other % 3, -1)
+    edges = np.rec.fromarrays(
+        [tail, head, own // 3, own % 3, neighbor, neighbor_local, normal, length],
+        dtype=_EDGE_DTYPE,
+    )
+    tri_edges = np.empty(3 * nt, dtype=int)
+    tri_edges[order] = np.repeat(np.arange(len(first)), counts)
+    tri_signs = np.full(3 * nt, -1, dtype=int)
+    tri_signs[own] = 1
+    return Mesh(
+        verts, tris, edges, tri_edges.reshape(nt, 3), tri_signs.reshape(nt, 3), geometries
+    )
 
 
 @dataclass(frozen=True)
@@ -382,7 +376,7 @@ class MeshQualityReport:
     admissible: bool
 
     def offending_edges(self) -> list[int]:
-        return [int(e) for e in np.flatnonzero(~self.edge_ok)]
+        return np.flatnonzero(~self.edge_ok).tolist()
 
     def to_dict(self) -> dict:
         return {
@@ -398,14 +392,13 @@ class MeshQualityReport:
 
 def quality_report(mesh: Mesh) -> MeshQualityReport:
     """Check the strict Delaunay and boundary-acuteness angle conditions."""
-    angles = np.array([mesh.geometry(t).angles for t in range(mesh.num_triangles)])
-    edge_ok = np.empty(mesh.num_edges, dtype=bool)
-    for e in range(mesh.num_edges):
-        theta_k, theta_l = mesh.edge_opposite_angles(e)
-        if theta_l is None:
-            edge_ok[e] = theta_k < math.pi / 2 - ANGLE_GUARD
-        else:
-            edge_ok[e] = theta_k + theta_l < math.pi - ANGLE_GUARD
+    angles = mesh.geometries.angles
+    theta_k, theta_l = mesh.opposite_angles()
+    edge_ok = np.where(
+        mesh.edges.neighbor >= 0,
+        theta_k + theta_l < math.pi - ANGLE_GUARD,
+        theta_k < math.pi / 2 - ANGLE_GUARD,
+    )
     edge_ok.flags.writeable = False
     return MeshQualityReport(
         theta_min=float(angles.min()),
@@ -421,24 +414,18 @@ def generate_rhombus_equilateral(n: int) -> Mesh:
     congruent equilateral triangles of side 1/n.
 
     Every angle is pi/3, so the mesh is admissible at any subdivision level.
+    Vertex (i, j) of the grid has id j (n + 1) + i; cell (i, j) holds the
+    triangles (i, j), (i+1, j), (i, j+1) and (i+1, j), (i+1, j+1), (i, j+1).
     """
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
     s3 = math.sqrt(3.0)
-    verts = [
-        (i / n + j / (2 * n), j * s3 / (2 * n))
-        for j in range(n + 1)
-        for i in range(n + 1)
-    ]
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
-            tris.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    j, i = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    verts = np.column_stack([i / n + j / (2 * n), j * s3 / (2 * n)])
+    jj, ii = np.divmod(np.arange(n * n), n)
+    a = jj * (n + 1) + ii
+    b, c = a + 1, a + n + 1
+    tris = np.stack([a, b, c, b, c + 1, c], axis=-1).reshape(-1, 3)
     return build_mesh(verts, tris)
 
 
@@ -500,9 +487,12 @@ def read_mesh(text: str) -> Mesh:
         if len(parts) != 2:
             raise MeshFormatError("expected 'x y'", lineno)
         try:
-            verts.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise MeshFormatError("coordinates must be decimal floats", lineno) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MeshFormatError("coordinates must be finite", lineno)
+        verts.append((x, y))
     tris = []
     for _ in range(nt):
         lineno, line = take("triangle indices")

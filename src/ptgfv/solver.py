@@ -80,13 +80,11 @@ def discrete_gradient(
     zero = np.flatnonzero(np.abs(coeffs.values) < COEFF_TOL)
     if zero.size:
         raise ValueError(f"zero coupling coefficient on edge {int(zero[0])}")
-    fluxes = np.empty(mesh.num_edges)
-    for e, edge in enumerate(mesh.edges):
-        if edge.is_boundary:
-            trace = bc.values[mesh.boundary_position[e]]
-            fluxes[e] = (trace - u.values[edge.owner]) / coeffs.values[e]
-        else:
-            fluxes[e] = (u.values[edge.neighbor] - u.values[edge.owner]) / coeffs.values[e]
+    far = np.empty(mesh.num_edges)
+    internal = mesh.internal_edges
+    far[internal] = u.values[mesh.edges.neighbor[internal]]
+    far[mesh.boundary_edges] = bc.values
+    fluxes = (far - u.values[mesh.edges.owner]) / coeffs.values
     return RTField(fluxes)
 
 
@@ -122,24 +120,23 @@ def assemble(
             "the mesh fails the angle conditions"
         )
     nt = mesh.num_triangles
-    diag = np.zeros(nt)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    w = 1.0 / coeffs.values
+    owner, neighbor = mesh.edges.owner, mesh.edges.neighbor
+    boundary = mesh.boundary_edges
     rhs = mesh.areas * f_t.values
-    for e, edge in enumerate(mesh.edges):
-        w = 1.0 / coeffs.values[e]
-        diag[edge.owner] += w
-        if edge.is_boundary:
-            rhs[edge.owner] += bc.values[mesh.boundary_position[e]] * w
-        else:
-            diag[edge.neighbor] += w
-            rows += [edge.owner, edge.neighbor]
-            cols += [edge.neighbor, edge.owner]
-            vals += [-w, -w]
-    rows += list(range(nt))
-    cols += list(range(nt))
-    vals += list(diag)
+    np.add.at(rhs, owner[boundary], bc.values * w[boundary])
+    # the diagonal sums 1/c over each triangle's edges; the owner and
+    # neighbor entries are interleaved in edge order so that every row adds
+    # its terms in the same order as an edge-by-edge loop
+    pairs = np.stack([owner, neighbor], axis=-1).ravel()
+    weights = np.repeat(w, 2)
+    present = pairs >= 0
+    diag = np.bincount(pairs[present], weights[present], minlength=nt)
+    internal = mesh.internal_edges
+    couple = np.stack([owner[internal], neighbor[internal]], axis=-1)
+    rows = np.concatenate([couple.ravel(), np.arange(nt)])
+    cols = np.concatenate([couple[:, ::-1].ravel(), np.arange(nt)])
+    vals = np.concatenate([np.repeat(-w[internal], 2), diag])
     matrix = csr_matrix((vals, (rows, cols)), shape=(nt, nt))
     return SparseSystem(matrix=matrix, rhs=rhs, mesh=mesh, coeffs=coeffs, bc=bc)
 

@@ -109,15 +109,14 @@ def interpolate_p0(f, mesh: Mesh, rule: TriangleRule | None = None) -> P0Field:
 def interpolate_rt(v, mesh: Mesh, rule: IntervalRule | None = None) -> RTField:
     """Edge fluxes of a vector field ``v(x, y) -> (vx, vy)`` by edge quadrature."""
     rule = rule or interval_rule()
-    fluxes = np.empty(mesh.num_edges)
-    for e, edge in enumerate(mesh.edges):
-        a = mesh.vertices[edge.tail]
-        b = mesh.vertices[edge.head]
-        pts = a[None, :] + rule.points[:, None] * (b - a)[None, :]
-        vx, vy = v(pts[:, 0], pts[:, 1])
-        fluxes[e] = edge.length * float(
-            rule.weights @ (np.asarray(vx) * edge.normal[0] + np.asarray(vy) * edge.normal[1])
-        )
+    edges = mesh.edges
+    a = mesh.vertices[edges.tail]
+    b = mesh.vertices[edges.head]
+    pts = a[:, None, :] + rule.points[:, None] * (b - a)[:, None, :]     # (ne, nq, 2)
+    vx, vy = v(pts[..., 0], pts[..., 1])
+    normal = edges.normal[:, None, :]
+    normal_v = np.asarray(vx) * normal[..., 0] + np.asarray(vy) * normal[..., 1]
+    fluxes = edges.length * (normal_v @ rule.weights)
     return RTField(fluxes)
 
 

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from ptgfv import analysis, cli, dual
 from ptgfv.cli import main
-from ptgfv.mesh import read_mesh, write_mesh
+from ptgfv.mesh import quality_report, read_mesh, write_mesh
 
 from conftest import diagonal_square_mesh
 
@@ -283,3 +284,36 @@ def test_solve_rejects_non_finite_rhs(rhombus_file, capsys, value):
     code, out, err = run(capsys, "solve", "--mesh", str(rhombus_file), "--rhs-const", value)
     assert (code, out) == (1, "")
     assert "--rhs-const" in err
+
+
+def test_folded_mesh_exit_2(tmp_path, capsys):
+    path = tmp_path / "folded.msh"
+    path.write_text("ptg-mesh 1\n4 2\n0 0\n1 0\n0.5 1\n0.5 0.5\n0 1 2\n0 1 3\n")
+    for args in (["mesh-info", str(path)], ["solve", "--mesh", str(path), "--rhs-const", "1"]):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert "folded mesh" in err and "(0, 1)" in err
+
+
+def test_non_finite_coordinate_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.msh"
+    path.write_text("ptg-mesh 1\n3 1\nnan 0\n1 0\n0 1\n0 1 2\n")
+    code, out, err = run(capsys, "solve", "--mesh", str(path), "--rhs-const", "1")
+    assert (code, out) == (2, "")
+    assert "line 3: coordinates must be finite" in err
+
+
+def test_verify_makes_one_quality_report(rhombus_file, capsys, monkeypatch):
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh)
+        return quality_report(mesh)
+
+    for module in (analysis, cli, dual):
+        monkeypatch.setattr(module, "quality_report", counted)
+    code, _, _ = run(
+        capsys, "verify", "--samples", "10", "--trials", "3", "--mesh", str(rhombus_file)
+    )
+    assert code == 0
+    assert len(calls) == 1

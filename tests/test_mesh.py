@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from ptgfv.mesh import (
     generate_rhombus_equilateral,
     quality_report,
     read_mesh,
-    triangle_geometry,
     write_mesh,
 )
 from ptgfv.quadrature import integrate_triangle, triangle_rule
@@ -53,6 +53,23 @@ def test_square_with_diagonal_edge_count():
     assert mesh.num_edges == 5
     assert len(mesh.boundary_edges) == 4
     assert len(mesh.internal_edges) == 1
+    # ids follow the vertex-pair key (0,1) (0,2) (0,3) (1,2) (2,3); the
+    # diagonal (0,2) is the one internal edge, owned by the lower triangle
+    edges = mesh.edges
+    assert edges.tail.tolist() == [0, 2, 3, 1, 2]
+    assert edges.head.tolist() == [1, 0, 0, 2, 3]
+    assert edges.owner.tolist() == [0, 0, 1, 0, 1]
+    assert edges.owner_local.tolist() == [2, 1, 1, 0, 0]
+    assert edges.neighbor.tolist() == [-1, 1, -1, -1, -1]
+    assert edges.neighbor_local.tolist() == [-1, 2, -1, -1, -1]
+    assert np.all(edges.owner[mesh.internal_edges] < edges.neighbor[mesh.internal_edges])
+    assert np.array_equal(mesh.boundary_edges, np.flatnonzero(edges.neighbor < 0))
+    r = math.sqrt(0.5)
+    assert np.allclose(edges.normal, [[0, -1], [-r, r], [-1, 0], [1, 0], [0, 1]], atol=1e-15)
+    assert np.allclose(edges.length, [1, math.sqrt(2.0), 1, 1, 1], atol=1e-15)
+    assert mesh.tri_edges.tolist() == [[3, 1, 0], [4, 2, 1]]
+    assert mesh.tri_signs.tolist() == [[1, 1, 1], [1, 1, -1]]
+    assert mesh.edges[1].tail == 2 and mesh.edges[1].neighbor == 1
 
 
 def test_build_errors():
@@ -71,6 +88,77 @@ def test_build_errors():
         )
     with pytest.raises(MeshError):
         build_mesh([(0, 0), (1, 0)], [])
+    # both triangles lie above their shared edge (0, 1)
+    with pytest.raises(MeshError, match=r"folded mesh: triangles 0 and 1 .* edge \(0, 1\)"):
+        build_mesh([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], [(0, 1, 2), (0, 1, 3)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MeshError, match="vertex 1 has a non-finite coordinate"):
+            build_mesh([(0, 0), (bad, 0), (0, 1)], [(0, 1, 2)])
+
+
+def test_build_errors_name_the_lowest_offender():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0)]
+    with pytest.raises(MeshError, match="triangle 1 has a vertex index out of range 0..4"):
+        build_mesh(square, [(0, 1, 2), (0, 1, 7), (0, 1, -1)])
+    with pytest.raises(MeshError, match=r"duplicate triangle \(0, 2, 3\)"):
+        build_mesh(square, [(0, 2, 3), (0, 1, 2), (3, 2, 0), (2, 1, 0)])
+    with pytest.raises(MeshError, match="triangle 1 is degenerate"):
+        build_mesh(square, [(1, 2, 3), (0, 1, 4), (0, 2, 2)])
+    with pytest.raises(MeshError, match="triangle 1 repeats a vertex"):
+        build_mesh(square, [(1, 2, 3), (0, 2, 2), (0, 1, 4)])
+    # edges (0, 2) and (0, 1) each belong to three triangles
+    star = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1), (-1, 1)]
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) belongs to 3"):
+        build_mesh(star, [(0, 2, 5), (0, 2, 4), (0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    # folds at edge (1, 2) (triangles 0 and 3) and at edge (0, 1) (1 and 2)
+    with pytest.raises(MeshError, match=r"triangles 1 and 2 .* edge \(0, 1\)"):
+        build_mesh(
+            square + [(0.5, 0.5), (0.8, 0.5)], [(1, 2, 5), (0, 1, 3), (0, 1, 5), (1, 2, 6)]
+        )
+
+
+def _reference_edges(mesh):
+    """The edge table built one edge at a time from an incidence dict."""
+    incidence = {}
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for m in range(3):
+            p, q = tri[(m + 1) % 3], tri[(m + 2) % 3]
+            incidence.setdefault((min(p, q), max(p, q)), []).append((t, m))
+    rows = []
+    for key in sorted(incidence):
+        (owner, m), *rest = sorted(incidence[key])
+        tail = mesh.triangles[owner, (m + 1) % 3]
+        head = mesh.triangles[owner, (m + 2) % 3]
+        tangent = mesh.vertices[head] - mesh.vertices[tail]
+        length = float(np.hypot(*tangent))
+        normal = np.array([tangent[1], -tangent[0]]) / length
+        neighbor, ml = rest[0] if rest else (-1, -1)
+        rows.append((tail, head, owner, m, neighbor, ml, *normal, length))
+    return np.array(rows)
+
+
+def test_edge_table_matches_one_edge_at_a_time():
+    for mesh in (diagonal_square_mesh(), jittered_rhombus(6, seed=5)):
+        edges = mesh.edges
+        table = np.column_stack(
+            [edges.tail, edges.head, edges.owner, edges.owner_local,
+             edges.neighbor, edges.neighbor_local, edges.normal, edges.length]
+        )
+        assert np.array_equal(table, _reference_edges(mesh))
+
+
+def test_mesh_object_count_does_not_grow_with_size():
+    def held(n):
+        gc.collect()
+        before = len(gc.get_objects())
+        mesh = generate_rhombus_equilateral(n)
+        gc.collect()
+        count = len(gc.get_objects()) - before
+        del mesh
+        return count
+
+    held(2)  # first-use caches
+    assert held(4) == held(16)
 
 
 def test_equilateral_geometry_values():
@@ -120,12 +208,6 @@ def test_gyration_radius_bounds_random():
         ratio = geom.rho2 / geom.area
         assert ratio >= 1.0 / 6.0 - 1e-12
         assert ratio <= 1.0 / (3.0 * math.tan(theta_min)) * (1.0 + 1e-12)
-
-
-def test_triangle_geometry_id_check(rhombus1):
-    with pytest.raises(IndexError):
-        triangle_geometry(rhombus1, 2)
-    assert triangle_geometry(rhombus1, 0).area == pytest.approx(math.sqrt(3.0) / 4.0)
 
 
 def test_angle_sums():
@@ -243,6 +325,8 @@ def test_mesh_arrays_immutable(rhombus1):
         rhombus1.vertices[0, 0] = 99.0
     with pytest.raises(ValueError):
         rhombus1.tri_signs[0, 0] = -5
+    with pytest.raises(ValueError):
+        rhombus1.edges.owner[0] = 1
 
 
 MINIMAL = """ptg-mesh 1
@@ -295,3 +379,6 @@ def test_read_errors_carry_line_numbers():
         read_mesh(MINIMAL + "extra stuff\n")
     with pytest.raises(MeshFormatError, match="decimal"):
         read_mesh(MINIMAL.replace("1 0", "one 0"))
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(MeshFormatError, match="line 4: coordinates must be finite"):
+            read_mesh(MINIMAL.replace("1 0", f"{bad} 0"))

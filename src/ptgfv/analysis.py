@@ -32,7 +32,7 @@ from .mesh import (
 )
 from .quadrature import TriangleRule, triangle_rule
 from .solver import Solution
-from .spaces import local_fluxes, local_gram_closed_form
+from .spaces import local_fluxes, local_gram_closed_form, quadrature_blocks
 
 __all__ = [
     "ManufacturedCase",
@@ -123,26 +123,29 @@ def error_norms(
     rule = rule or triangle_rule()
     if rule.degree < 6:
         raise ValueError("error norms need a quadrature rule of degree >= 6")
-    corners = mesh.vertices[mesh.triangles]                       # (nt, 3, 2)
-    x = np.einsum("qk,tkd->tqd", rule.points, corners)            # (nt, nq, 2)
     areas = mesh.areas
     w = rule.weights
-
-    u_vals = np.asarray(case.u(x[..., 0], x[..., 1]), dtype=float)
-    eu2 = float(areas @ (((u_vals - solution.u.values[:, None]) ** 2) @ w))
-
     # affine flux per triangle: p(x) = a_t * x - b_t
     loc = local_fluxes(mesh, solution.p)                          # (nt, 3)
-    a_t = loc.sum(axis=1) / (2.0 * areas)
-    b_t = np.einsum("ti,tid->td", loc, corners) / (2.0 * areas[:, None])
-    px = a_t[:, None] * x[..., 0] - b_t[:, None, 0]
-    py = a_t[:, None] * x[..., 1] - b_t[:, None, 1]
-    gx, gy = case.grad_u(x[..., 0], x[..., 1])
-    ep2 = float(areas @ (((np.asarray(gx) - px) ** 2 + (np.asarray(gy) - py) ** 2) @ w))
+    net = loc.sum(axis=1)
+    a_t = net / (2.0 * areas)
+    b_t = np.einsum("ti,tid->td", loc, mesh.geometries.vertices) / (2.0 * areas[:, None])
+    div_t = net / areas
 
-    div_t = loc.sum(axis=1) / areas
-    f_vals = np.asarray(case.f(x[..., 0], x[..., 1]), dtype=float)
-    ediv2 = float(areas @ (((-f_vals - div_t[:, None]) ** 2) @ w))
+    eu2 = ep2 = ediv2 = 0.0
+    for block, x in quadrature_blocks(mesh, rule):              # x: (b, nq, 2)
+        xs, ys = x[..., 0], x[..., 1]
+        area = areas[block]
+        u_vals = np.asarray(case.u(xs, ys), dtype=float)
+        eu2 += float(area @ (((u_vals - solution.u.values[block, None]) ** 2) @ w))
+
+        px = a_t[block, None] * xs - b_t[block, None, 0]
+        py = a_t[block, None] * ys - b_t[block, None, 1]
+        gx, gy = case.grad_u(xs, ys)
+        ep2 += float(area @ (((np.asarray(gx) - px) ** 2 + (np.asarray(gy) - py) ** 2) @ w))
+
+        f_vals = np.asarray(case.f(xs, ys), dtype=float)
+        ediv2 += float(area @ (((-f_vals - div_t[block, None]) ** 2) @ w))
     return math.sqrt(eu2), math.sqrt(ep2), math.sqrt(ediv2)
 
 

@@ -18,7 +18,6 @@ is a fixed quartic with unit mass, zero second moment and endpoint zeros.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,21 +63,15 @@ def cotan_coefficients(mesh: Mesh, report=None) -> DualCoefficients:
     """Cotangent coupling coefficients for every edge of the mesh.
 
     Internal edge: (cot(theta_K) + cot(theta_L)) / 2 over the two opposite
-    angles; boundary edge: cot(theta_K) / 2.  Computed for any mesh; a
-    warning is attached when the mesh fails the angle conditions, since a
-    non-positive coefficient breaks uniqueness of the discrete problem.
+    angles; boundary edge: cot(theta_K) / 2.  Computed for any mesh;
+    ``admissible`` is False when the mesh fails the angle conditions, since
+    a non-positive coefficient breaks uniqueness of the discrete problem.
     """
     report = report or quality_report(mesh)
     theta_k, theta_l = mesh.opposite_angles()
     values = 0.5 / np.tan(theta_k)
     internal = mesh.internal_edges
     values[internal] += 0.5 / np.tan(theta_l[internal])
-    if not report.admissible:
-        warnings.warn(
-            "mesh fails the angle conditions; some coupling coefficients are "
-            "not positive and the discrete problem may be singular",
-            stacklevel=2,
-        )
     return DualCoefficients(values=values, admissible=bool(report.admissible))
 
 

@@ -31,6 +31,12 @@ __all__ = [
     "local_gram_quadrature",
 ]
 
+# Triangles per block of quadrature points.  Cell integrals are evaluated a
+# block at a time so that their (block, nq) temporaries stay a few hundred kB
+# whatever the mesh size, rather than tens of MB that the allocator keeps.
+QUAD_BLOCK = 2048
+
+
 @dataclass
 class P0Field:
     """One value per triangle."""
@@ -98,12 +104,22 @@ def divergence(mesh: Mesh, p: RTField) -> P0Field:
     return P0Field(local_fluxes(mesh, p).sum(axis=1) / mesh.areas)
 
 
+def quadrature_blocks(mesh: Mesh, rule: TriangleRule):
+    """Yield ``(block, x)`` over the mesh in slices of QUAD_BLOCK triangles,
+    with ``x`` the (len(block), nq, 2) quadrature points of those triangles."""
+    corners = mesh.geometries.vertices                           # (nt, 3, 2)
+    for start in range(0, mesh.num_triangles, QUAD_BLOCK):
+        block = slice(start, start + QUAD_BLOCK)
+        yield block, np.einsum("qk,tkd->tqd", rule.points, corners[block])
+
+
 def interpolate_p0(f, mesh: Mesh, rule: TriangleRule | None = None) -> P0Field:
     """Cell means of ``f(x, y)`` (vectorized over numpy arrays) by quadrature."""
     rule = rule or triangle_rule()
-    corners = mesh.vertices[mesh.triangles]                      # (nt, 3, 2)
-    x = np.einsum("qk,tkd->tqd", rule.points, corners)           # (nt, nq, 2)
-    return P0Field(np.asarray(f(x[..., 0], x[..., 1]), dtype=float) @ rule.weights)
+    means = np.empty(mesh.num_triangles)
+    for block, x in quadrature_blocks(mesh, rule):
+        means[block] = np.asarray(f(x[..., 0], x[..., 1]), dtype=float) @ rule.weights
+    return P0Field(means)
 
 
 def interpolate_rt(v, mesh: Mesh, rule: IntervalRule | None = None) -> RTField:

@@ -9,20 +9,27 @@ import pytest
 from ptgfv import analysis
 from ptgfv.analysis import (
     BLOCK,
+    CASES,
     circumcenter_edge_distances,
+    error_norms,
     lemma_suite,
     random_triangle,
     random_triangles,
     stability_check,
 )
 from ptgfv.dual import (
+    cotan_coefficients,
     delta_denominator,
     delta_energy_closed_form,
     delta_numerator,
     solve_delta_k,
 )
 from ptgfv.mesh import MeshError, TriangleGeometry, build_mesh
-from ptgfv.spaces import local_gram_closed_form
+from ptgfv.quadrature import triangle_rule
+from ptgfv.solver import assemble, solve
+from ptgfv.spaces import QUAD_BLOCK, interpolate_p0, local_fluxes, local_gram_closed_form
+
+from conftest import jittered_rhombus
 
 GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "angles", "circumcenter", "rho2", "centroid")
 
@@ -125,3 +132,33 @@ def test_lemma_suite_counts_nan_slack_as_failure(monkeypatch):
 def test_stability_check_needs_a_trial(rhombus4):
     with pytest.raises(ValueError, match="trials"):
         stability_check(rhombus4, trials=0)
+
+
+def test_quadrature_blocks_match_one_shot():
+    # 5 000 cells: two full blocks of quadrature points and a partial one;
+    # the reference evaluates every cell in one (nt, nq) array
+    mesh = jittered_rhombus(50, seed=3)
+    assert 2 * QUAD_BLOCK < mesh.num_triangles < 3 * QUAD_BLOCK
+    case = CASES["rhombus-sine"]
+    rule = triangle_rule()
+    corners = mesh.vertices[mesh.triangles]
+    x = np.einsum("qk,tkd->tqd", rule.points, corners)
+    xs, ys = x[..., 0], x[..., 1]
+    f_t = interpolate_p0(case.f, mesh)
+    np.testing.assert_allclose(f_t.values, case.f(xs, ys) @ rule.weights, rtol=1e-13, atol=0)
+
+    solution = solve(assemble(mesh, cotan_coefficients(mesh), f_t), tol=1e-10)
+    areas, w = mesh.areas, rule.weights
+    eu2 = areas @ (((case.u(xs, ys) - solution.u.values[:, None]) ** 2) @ w)
+    loc = local_fluxes(mesh, solution.p)
+    a_t = loc.sum(axis=1) / (2.0 * areas)
+    b_t = np.einsum("ti,tid->td", loc, corners) / (2.0 * areas[:, None])
+    gx, gy = case.grad_u(xs, ys)
+    px = a_t[:, None] * xs - b_t[:, None, 0]
+    py = a_t[:, None] * ys - b_t[:, None, 1]
+    ep2 = areas @ (((gx - px) ** 2 + (gy - py) ** 2) @ w)
+    div_t = loc.sum(axis=1) / areas
+    ediv2 = areas @ (((-case.f(xs, ys) - div_t[:, None]) ** 2) @ w)
+    np.testing.assert_allclose(
+        error_norms(mesh, solution, case), np.sqrt([eu2, ep2, ediv2]), rtol=1e-13, atol=0
+    )

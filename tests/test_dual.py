@@ -37,8 +37,8 @@ def test_internal_coefficient_between_equilaterals(rhombus1):
 
 def test_boundary_coefficient_opposite_45_degrees():
     mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    with pytest.warns(UserWarning):  # the right angle makes the mesh inadmissible
-        coeffs = cotan_coefficients(mesh)
+    coeffs = cotan_coefficients(mesh)
+    assert coeffs.admissible is False  # the right angle makes the mesh inadmissible
     values = sorted(coeffs.values)
     # hypotenuse faces the right angle (cot = 0), the legs face 45 degrees
     assert values[0] == pytest.approx(0.0, abs=1e-15)
@@ -48,9 +48,8 @@ def test_boundary_coefficient_opposite_45_degrees():
 
 def test_cocircular_diagonal_flagged():
     mesh = diagonal_square_mesh()
-    with pytest.warns(UserWarning, match="angle conditions"):
-        coeffs = cotan_coefficients(mesh)
-    assert not coeffs.admissible
+    coeffs = cotan_coefficients(mesh)
+    assert coeffs.admissible is False
     e = int(mesh.internal_edges[0])
     assert abs(coeffs.values[e]) < 1e-12
 

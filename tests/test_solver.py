@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptgfv
+from ptgfv.analysis import CASES
 from ptgfv.dual import cotan_coefficients
 from ptgfv.mesh import build_mesh, generate_rhombus_equilateral
 from ptgfv.solver import (
@@ -50,8 +56,8 @@ def test_gradient_boundary_branch():
 
 def test_gradient_rejects_zero_coefficient():
     mesh = diagonal_square_mesh()
-    with pytest.warns(UserWarning):
-        coeffs = cotan_coefficients(mesh)
+    coeffs = cotan_coefficients(mesh)
+    assert coeffs.admissible is False
     with pytest.raises(ValueError, match="edge"):
         discrete_gradient(mesh, coeffs, P0Field(np.zeros(2)))
 
@@ -91,8 +97,8 @@ def test_assemble_row_structure_random_mesh():
 
 def test_assemble_rejects_nonpositive_coefficients():
     mesh = diagonal_square_mesh()
-    with pytest.warns(UserWarning):
-        coeffs = cotan_coefficients(mesh)
+    coeffs = cotan_coefficients(mesh)
+    assert coeffs.admissible is False
     with pytest.raises(ValueError, match="non-positive"):
         assemble(mesh, coeffs, P0Field(np.zeros(2)))
 
@@ -132,12 +138,33 @@ def test_solve_conservation_identity():
     assert residual.max() <= 10.0 * tol * float(np.linalg.norm(f_t.values))
 
 
-def test_solve_max_iter_error(rhombus4):
+def test_solve_below_the_floor_stagnates(rhombus4):
+    # 1e-17 is below double precision: the LU solve and its one refinement
+    # step both stay above it, and the error names the floor it reached
     coeffs = cotan_coefficients(rhombus4)
     system = assemble(rhombus4, coeffs, P0Field(np.ones(rhombus4.num_triangles)))
-    with pytest.raises(ConvergenceError) as err:
-        solve(system, tol=1e-14, max_iter=1)
-    assert len(err.value.history) == 1
+    tol = 1e-17
+    with pytest.raises(ConvergenceError, match="stagnated") as err:
+        solve(system, tol=tol)
+    assert len(err.value.history) == 2
+    assert all(r > tol for r in err.value.history)
+    assert f"{err.value.history[-1]:.3e}" in str(err.value)
+
+
+def test_solve_n256_ends_at_the_conditioning_floor():
+    # at n=256 the true relative residual cannot reach 1e-12 (LU with one
+    # refinement step stops near 2.8e-12), so the default tolerance ends in
+    # an error naming the floor; 1e-11 lies above the floor and succeeds
+    case = CASES["rhombus-sine"]
+    mesh = generate_rhombus_equilateral(256)
+    system = assemble(mesh, cotan_coefficients(mesh), interpolate_p0(case.f, mesh))
+    with pytest.raises(ConvergenceError, match="did not reach") as err:
+        solve(system, tol=1e-12)
+    assert len(err.value.history) == 2
+    assert min(err.value.history) > 1e-12
+    solution = solve(system, tol=1e-11)
+    assert solution.residual <= 1e-11
+    assert solution.iterations == 1
 
 
 def test_solution_flux_equals_discrete_gradient(rhombus4):
@@ -244,10 +271,23 @@ def test_near_threshold_delaunay_edges():
 
     crossed = kite(-1e-6)
     assert not quality_report(crossed).admissible
-    with pytest.warns(UserWarning):
-        bad_coeffs = cotan_coefficients(crossed)
+    bad_coeffs = cotan_coefficients(crossed)
+    assert bad_coeffs.admissible is False
     with pytest.raises(ValueError, match="non-positive"):
         assemble(crossed, bad_coeffs, P0Field(np.ones(2)))
+
+
+def test_import_leaves_the_lu_solver_unloaded():
+    # the sparse LU module is imported by the first solve, so commands that
+    # never solve (verify, mesh-info) do not pay its memory and start-up cost
+    src = str(Path(ptgfv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, ptgfv; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_solver_determinism(rhombus4):

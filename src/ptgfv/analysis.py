@@ -24,6 +24,7 @@ from .dual import (
     solve_delta_k,
 )
 from .mesh import (
+    ANGLE_GUARD,
     Mesh,
     MeshQualityReport,
     TriangleGeometry,
@@ -443,10 +444,17 @@ def lemma_suite(samples: int = 10000, seed: int = 42, triangles=None) -> LemmaSu
 @dataclass(frozen=True)
 class StabilityReport:
     """Observed stability ratios for random flux fields against the explicit
-    constants of the convergence analysis."""
+    constants of the convergence analysis.
+
+    The h1 bound is <= 0 once an angle reaches a right angle, where every
+    ratio passes it: ``passed_h1`` is then None (not applicable), with
+    ``theta_max_triangle`` as the witness, and ``h1_min_ratio`` is still
+    reported.
+    """
 
     theta_min: float
     theta_max: float
+    theta_max_triangle: int  # a triangle with the angle theta_max
     trials: int
     bound_h1: float          # (2/5) cot(theta_max) tan(theta_min)
     bound_h3: float          # exactly 1
@@ -455,23 +463,27 @@ class StabilityReport:
     h3_max_deviation: float  # max |ratio - 1|
     h4_max_ratio: float
     max_energy: float        # max per-triangle |K| int(delta^2)
-    passed_h1: bool = field(init=False)
+    passed_h1: bool | None = field(init=False)
     passed_h3: bool = field(init=False)
     passed_h4: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "passed_h1", bool(self.h1_min_ratio >= self.bound_h1 - 1e-12))
+        h1 = None
+        if self.theta_max < math.pi / 2 - ANGLE_GUARD:
+            h1 = bool(self.h1_min_ratio >= self.bound_h1 - 1e-12)
+        object.__setattr__(self, "passed_h1", h1)
         object.__setattr__(self, "passed_h3", bool(self.h3_max_deviation <= 1e-12))
         object.__setattr__(self, "passed_h4", bool(self.h4_max_ratio <= self.bound_h4))
 
     @property
     def all_passed(self) -> bool:
-        return self.passed_h1 and self.passed_h3 and self.passed_h4
+        return self.passed_h1 is not False and self.passed_h3 and self.passed_h4
 
     def to_dict(self) -> dict:
         return {
             "theta_min": self.theta_min,
             "theta_max": self.theta_max,
+            "theta_max_triangle": self.theta_max_triangle,
             "trials": self.trials,
             "bound_h1": self.bound_h1,
             "bound_h3": self.bound_h3,
@@ -537,6 +549,7 @@ def stability_check(
     return StabilityReport(
         theta_min=theta_min,
         theta_max=theta_max,
+        theta_max_triangle=int(geom.angles.max(axis=1).argmax()),
         trials=trials,
         bound_h1=0.4 * math.tan(theta_min) / math.tan(theta_max),
         bound_h3=1.0,

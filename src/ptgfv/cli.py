@@ -117,12 +117,19 @@ def cmd_mesh_info(args) -> int:
     return EXIT_OK
 
 
+def _csv_section(header: str, values: np.ndarray) -> str:
+    """``header`` and one ``index,value`` line per value, the value as ``_fmt``
+    writes it; all lines are formatted by one ``%`` call."""
+    n = len(values)
+    items = [0] * (2 * n)
+    items[0::2] = range(n)
+    items[1::2] = values.tolist()
+    return f"{header}\n" + ("%d,%.17g\n" * n) % tuple(items)
+
+
 def _write_solution(path: str, solution, tol: float, mesh_file: str) -> None:
-    lines = ["cell,u"]
-    lines += [f"{t},{_fmt(v)}" for t, v in enumerate(solution.u.values)]
-    lines.append("edge,flux")
-    lines += [f"{e},{_fmt(v)}" for e, v in enumerate(solution.p.values)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = _csv_section("cell,u", solution.u.values) + _csv_section("edge,flux", solution.p.values)
+    Path(path).write_text(text, encoding="utf-8")
     sidecar = {
         "mesh_file": mesh_file,
         "tol": tol,

@@ -434,42 +434,68 @@ FORMAT_HEADER = "ptg-mesh 1"
 
 def write_mesh(mesh: Mesh) -> str:
     """Serialize to the line-oriented text format (17 significant digits)."""
-    lines = [FORMAT_HEADER, f"{mesh.num_vertices} {mesh.num_triangles}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    return "\n".join(lines) + "\n"
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    return (
+        f"{FORMAT_HEADER}\n{nv} {nt}\n"
+        + ("%.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist())
+        + ("%d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist())
+    )
+
+
+# Ends each row when a block is split in one piece: it is neither whitespace
+# nor a numeral, so it stays a token of its own and fails any conversion.
+_ROW_END = "\0"
+
+
+def _parse_block(rows, width: int, dtype, valid, check_line) -> np.ndarray:
+    """Convert ``rows`` of (line number, text) to a (len(rows), width) array.
+
+    The block is split once, with ``_ROW_END`` after every row, and converted
+    by one ``np.array`` call.  A row of another width moves some ``_ROW_END``
+    off the slots that follow every ``width`` tokens: either the slot check
+    fails, or that token stays among the values and fails the conversion.
+    ``valid`` checks the values with array operations.  Only a block that
+    fails any of these goes through ``check_line(lineno, parts)`` line by
+    line, which raises on the first bad line with its message.
+    """
+    try:
+        tokens = "".join([f"{line} {_ROW_END} " for _, line in rows]).split()
+        if tokens[width :: width + 1] == [_ROW_END] * len(rows):
+            del tokens[width :: width + 1]
+            values = np.array(tokens, dtype=dtype).reshape(len(rows), width)
+            if valid(values):
+                return values
+    except (ValueError, OverflowError):
+        pass
+    for lineno, line in rows:
+        check_line(lineno, line.split())
+    raise AssertionError("a block failed its bulk parse but no line check")
 
 
 def read_mesh(text: str) -> Mesh:
     """Parse the text format produced by :func:`write_mesh`.
 
-    Blank lines and lines starting with ``#`` are ignored.  Errors carry the
-    offending 1-based line number.
+    Blank lines and lines starting with ``#`` are ignored.  The vertex and
+    the triangle lines are each parsed in bulk; errors carry the offending
+    1-based line number.
     """
     numbered = [
-        (lineno, line.strip())
+        (lineno, stripped)
         for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
+        if (stripped := line.strip()) and stripped[0] != "#"
     ]
     if not numbered:
         raise MeshFormatError("empty mesh file", 1)
-    pos = 0
 
-    def take(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(numbered):
-            last = numbered[-1][0] if numbered else 1
-            raise MeshFormatError(f"unexpected end of file, expected {what}", last + 1)
-        item = numbered[pos]
-        pos += 1
-        return item
+    def end_of_file(what: str) -> MeshFormatError:
+        return MeshFormatError(f"unexpected end of file, expected {what}", numbered[-1][0] + 1)
 
-    lineno, header = take("header")
+    lineno, header = numbered[0]
     if header != FORMAT_HEADER:
         raise MeshFormatError(f"bad header {header!r}, expected {FORMAT_HEADER!r}", lineno)
-    lineno, counts = take("vertex and triangle counts")
+    if len(numbered) < 2:
+        raise end_of_file("vertex and triangle counts")
+    lineno, counts = numbered[1]
     parts = counts.split()
     if len(parts) != 2:
         raise MeshFormatError("expected '<nv> <nt>'", lineno)
@@ -480,10 +506,7 @@ def read_mesh(text: str) -> Mesh:
     if nv < 3 or nt < 1:
         raise MeshFormatError(f"implausible counts nv={nv} nt={nt}", lineno)
 
-    verts = []
-    for _ in range(nv):
-        lineno, line = take("vertex coordinates")
-        parts = line.split()
+    def check_vertex(lineno: int, parts: list[str]) -> None:
         if len(parts) != 2:
             raise MeshFormatError("expected 'x y'", lineno)
         try:
@@ -492,11 +515,8 @@ def read_mesh(text: str) -> Mesh:
             raise MeshFormatError("coordinates must be decimal floats", lineno) from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise MeshFormatError("coordinates must be finite", lineno)
-        verts.append((x, y))
-    tris = []
-    for _ in range(nt):
-        lineno, line = take("triangle indices")
-        parts = line.split()
+
+    def check_triangle(lineno: int, parts: list[str]) -> None:
         if len(parts) != 3:
             raise MeshFormatError("expected 'i j k'", lineno)
         try:
@@ -506,9 +526,21 @@ def read_mesh(text: str) -> Mesh:
         for idx in tri:
             if not 0 <= idx < nv:
                 raise MeshFormatError(f"vertex index {idx} out of range 0..{nv - 1}", lineno)
-        tris.append(tri)
-    if pos != len(numbered):
-        raise MeshFormatError("unexpected content after the declared data", numbered[pos][0])
+
+    rows = numbered[2 : 2 + nv]
+    verts = _parse_block(rows, 2, float, lambda v: np.isfinite(v).all(), check_vertex)
+    if len(rows) < nv:
+        raise end_of_file("vertex coordinates")
+    rows = numbered[2 + nv : 2 + nv + nt]
+    tris = _parse_block(
+        rows, 3, np.int64, lambda t: ((t >= 0) & (t < nv)).all(), check_triangle
+    )
+    if len(rows) < nt:
+        raise end_of_file("triangle indices")
+    if len(numbered) > 2 + nv + nt:
+        raise MeshFormatError(
+            "unexpected content after the declared data", numbered[2 + nv + nt][0]
+        )
     try:
         return build_mesh(verts, tris)
     except MeshError as exc:

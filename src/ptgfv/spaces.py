@@ -110,7 +110,7 @@ def quadrature_blocks(mesh: Mesh, rule: TriangleRule):
     corners = mesh.geometries.vertices                           # (nt, 3, 2)
     for start in range(0, mesh.num_triangles, QUAD_BLOCK):
         block = slice(start, start + QUAD_BLOCK)
-        yield block, np.einsum("qk,tkd->tqd", rule.points, corners[block])
+        yield block, rule.points @ corners[block]
 
 
 def interpolate_p0(f, mesh: Mesh, rule: TriangleRule | None = None) -> P0Field:

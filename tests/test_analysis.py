@@ -182,6 +182,7 @@ def test_stability_on_equilateral_rhombus(rhombus4):
     # every triangle is congruent, so the divergence-energy ratio is constant
     assert report.h4_max_ratio == pytest.approx(math.sqrt(128.0 / 3.0), rel=1e-9)
     assert report.max_energy == pytest.approx(128.0 / 3.0, rel=1e-9)
+    assert report.passed_h1 is True
     assert report.all_passed
 
 
@@ -199,6 +200,28 @@ def test_stability_on_nonuniform_admissible_mesh():
     assert report.bound_h1 == pytest.approx(expected_h1, rel=1e-12)
     assert report.all_passed
     assert report.h4_max_ratio <= math.sqrt(report.max_energy) * (1.0 + 1e-12)
+
+
+def test_stability_h1_not_applicable_past_a_right_angle():
+    # admissible, but one angle is 90.59 degrees: the paper's h1 bound is
+    # negative there and would pass any ratio
+    from conftest import jittered_rhombus
+    from ptgfv.mesh import quality_report
+
+    mesh = jittered_rhombus(24)
+    quality = quality_report(mesh)
+    assert quality.admissible and not quality.all_acute
+    report = stability_check(mesh, trials=20, seed=3)
+    assert report.bound_h1 < 0.0
+    assert report.passed_h1 is None
+    witness = mesh.geometries.angles[report.theta_max_triangle]
+    assert witness.max() == report.theta_max == quality.theta_max
+    assert math.degrees(report.theta_max) == pytest.approx(90.589, abs=1e-3)
+    assert report.passed_h3 and report.passed_h4 and report.all_passed
+    record = report.to_dict()
+    assert record["passed_h1"] is None
+    assert record["theta_max_triangle"] == report.theta_max_triangle
+    assert record["h1_min_ratio"] == report.h1_min_ratio > 0.0
 
 
 def test_stability_rejects_inadmissible_mesh():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ptgfv import analysis
+from ptgfv import analysis, spaces
 from ptgfv.analysis import (
     BLOCK,
     CASES,
@@ -134,15 +134,28 @@ def test_stability_check_needs_a_trial(rhombus4):
         stability_check(rhombus4, trials=0)
 
 
+def test_quadrature_points_match_barycentric_sum():
+    # the points are formed by a matrix product; against the barycentric sum
+    # sum_k lambda_qk V_k they differ only in the order of rounding: at most
+    # 4.4e-16, two ulps of the largest coordinate 1.5
+    mesh = jittered_rhombus(50, seed=3)
+    rule = triangle_rule()
+    corners = mesh.vertices[mesh.triangles]
+    x = np.concatenate([x for _, x in spaces.quadrature_blocks(mesh, rule)])
+    reference = np.einsum("qk,tkd->tqd", rule.points, corners)
+    np.testing.assert_allclose(x, reference, rtol=0, atol=1e-15)
+
+
 def test_quadrature_blocks_match_one_shot():
     # 5 000 cells: two full blocks of quadrature points and a partial one;
-    # the reference evaluates every cell in one (nt, nq) array
+    # the reference evaluates every cell in one (nt, nq) array of points made
+    # by the same formula, so the blocking is all that is tested
     mesh = jittered_rhombus(50, seed=3)
     assert 2 * QUAD_BLOCK < mesh.num_triangles < 3 * QUAD_BLOCK
     case = CASES["rhombus-sine"]
     rule = triangle_rule()
     corners = mesh.vertices[mesh.triangles]
-    x = np.einsum("qk,tkd->tqd", rule.points, corners)
+    x = rule.points @ corners
     xs, ys = x[..., 0], x[..., 1]
     f_t = interpolate_p0(case.f, mesh)
     np.testing.assert_allclose(f_t.values, case.f(xs, ys) @ rule.weights, rtol=1e-13, atol=0)

@@ -1,13 +1,17 @@
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ptgfv import analysis, cli, dual
 from ptgfv.cli import main
 from ptgfv.mesh import quality_report, read_mesh, write_mesh
+from ptgfv.solver import DirichletData, assemble, solve
+from ptgfv.spaces import P0Field
 
-from conftest import diagonal_square_mesh
+from conftest import diagonal_square_mesh, jittered_rhombus
 
 
 def run(capsys, *args):
@@ -317,3 +321,64 @@ def test_verify_makes_one_quality_report(rhombus_file, capsys, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def _reference_csv(solution) -> str:
+    lines = ["cell,u"] + [f"{i},{v:.17g}" for i, v in enumerate(solution.u.values)]
+    lines += ["edge,flux"] + [f"{i},{v:.17g}" for i, v in enumerate(solution.p.values)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rhs", ["-3", "0"])
+def test_solve_csv_matches_per_value_format(tmp_path, capsys, rhs):
+    # the solution of the same calls in-process is the reference, one value per line
+    mesh_path = tmp_path / "jittered.msh"
+    mesh_path.write_text(write_mesh(jittered_rhombus(6, seed=5)), encoding="utf-8")
+    out = tmp_path / "sol.csv"
+    code, _, _ = run(
+        capsys, "solve", "--mesh", str(mesh_path), f"--rhs-const={rhs}", "--tol", "1e-12",
+        "--out", str(out),
+    )
+    assert code == 0
+    mesh = read_mesh(mesh_path.read_text(encoding="utf-8"))
+    f_t = P0Field(np.full(mesh.num_triangles, float(rhs)))
+    system = assemble(mesh, dual.cotan_coefficients(mesh), f_t, DirichletData.zero(mesh))
+    solution = solve(system, tol=1e-12)
+    values = np.concatenate([solution.u.values, solution.p.values])
+    if rhs == "0":
+        assert (values == 0.0).all()
+    else:
+        assert values.min() < 0.0 < values.max()
+    assert out.read_text(encoding="utf-8") == _reference_csv(solution)
+    sidecar = {"mesh_file": str(mesh_path), "tol": 1e-12, "iterations": solution.iterations,
+               "residual": solution.residual}
+    assert (tmp_path / "sol.csv.json").read_text(encoding="utf-8") == (
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    )
+
+
+def test_write_solution_matches_per_value_format(tmp_path):
+    # signed zeros, subnormals, values below 1e-300 and non-finite values
+    u = np.array([0.0, -0.0, 1e-310, -5e-324, 2.5e-301, -1.0 / 3.0, 1e300, math.pi])
+    p = np.array([-7.0, 0.1, np.nan, np.inf, -np.inf, 123456789.0, -1e-320])
+    solution = SimpleNamespace(
+        u=SimpleNamespace(values=u), p=SimpleNamespace(values=p), iterations=1, residual=0.0
+    )
+    out = tmp_path / "sol.csv"
+    cli._write_solution(str(out), solution, 1e-12, "m.msh")
+    assert out.read_text(encoding="utf-8") == _reference_csv(solution)
+
+
+def test_verify_h1_not_applicable_past_a_right_angle(tmp_path, capsys):
+    path = tmp_path / "jittered24.msh"
+    path.write_text(write_mesh(jittered_rhombus(24)), encoding="utf-8")
+    code, stdout, _ = run(
+        capsys, "verify", "--samples", "10", "--trials", "5", "--mesh", str(path)
+    )
+    assert code == 0
+    stability = json.loads(stdout)["stability"]
+    assert stability["bound_h1"] < 0.0
+    assert stability["passed_h1"] is None
+    assert stability["all_passed"] is True
+    assert stability["h1_min_ratio"] > 0.0
+    assert math.degrees(stability["theta_max"]) > 90.0

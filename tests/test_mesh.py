@@ -362,6 +362,150 @@ def test_write_read_round_trip():
     assert write_mesh(again) == text  # canonical form is a fixed point
 
 
+def test_read_round_trip_is_bit_identical():
+    mesh = jittered_rhombus(64, seed=9)
+    text = write_mesh(mesh)
+    again = read_mesh(text)
+    assert again.vertices.tobytes() == mesh.vertices.tobytes()
+    assert again.triangles.tobytes() == mesh.triangles.tobytes()
+    assert write_mesh(again) == text
+
+
+def _reference_read_mesh(text):
+    """The text parser checked one line at a time, as ``read_mesh`` was first
+    written; the bulk parser must accept and reject exactly the same files."""
+    numbered = [
+        (lineno, line.strip())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if not numbered:
+        raise MeshFormatError("empty mesh file", 1)
+    pos = 0
+
+    def take(what):
+        nonlocal pos
+        if pos >= len(numbered):
+            raise MeshFormatError(
+                f"unexpected end of file, expected {what}", numbered[-1][0] + 1
+            )
+        pos += 1
+        return numbered[pos - 1]
+
+    lineno, header = take("header")
+    if header != "ptg-mesh 1":
+        raise MeshFormatError(f"bad header {header!r}, expected 'ptg-mesh 1'", lineno)
+    lineno, counts = take("vertex and triangle counts")
+    parts = counts.split()
+    if len(parts) != 2:
+        raise MeshFormatError("expected '<nv> <nt>'", lineno)
+    try:
+        nv, nt = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MeshFormatError("counts must be integers", lineno) from None
+    if nv < 3 or nt < 1:
+        raise MeshFormatError(f"implausible counts nv={nv} nt={nt}", lineno)
+    verts = []
+    for _ in range(nv):
+        lineno, line = take("vertex coordinates")
+        parts = line.split()
+        if len(parts) != 2:
+            raise MeshFormatError("expected 'x y'", lineno)
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise MeshFormatError("coordinates must be decimal floats", lineno) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MeshFormatError("coordinates must be finite", lineno)
+        verts.append((x, y))
+    tris = []
+    for _ in range(nt):
+        lineno, line = take("triangle indices")
+        parts = line.split()
+        if len(parts) != 3:
+            raise MeshFormatError("expected 'i j k'", lineno)
+        try:
+            tri = tuple(int(p) for p in parts)
+        except ValueError:
+            raise MeshFormatError("indices must be integers", lineno) from None
+        for idx in tri:
+            if not 0 <= idx < nv:
+                raise MeshFormatError(f"vertex index {idx} out of range 0..{nv - 1}", lineno)
+        tris.append(tri)
+    if pos != len(numbered):
+        raise MeshFormatError("unexpected content after the declared data", numbered[pos][0])
+    try:
+        return build_mesh(verts, tris)
+    except MeshError as exc:
+        raise MeshError(f"invalid mesh in file: {exc}") from exc
+
+
+SQUARE = "ptg-mesh 1\n4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
+
+READ_CASES = {
+    "canonical": MINIMAL,
+    "canonical jittered": write_mesh(jittered_rhombus(6, seed=5)),
+    "comments and blanks": "# a\n\nptg-mesh 1\n  # b\n3 1\n\n0 0\n#c\n1 0\n \t\n0 1\n\n0 1 2\n#\n",
+    "crlf, tabs and spaces": "ptg-mesh 1\r\n3\t1\r\n  0   0 \r\n1\t\t0\r\n0 1\r\n0  1\t2\r\n",
+    "comment after data": MINIMAL + "# trailing comment\n\n",
+    "plus sign": SQUARE.replace("1 0\n", "+1 0\n").replace("0 1 2", "0 +1 2"),
+    "underscores": SQUARE.replace("1 1\n", "1_000 1\n"),
+    "arabic-indic digits": SQUARE.replace("0 2 3", "0 2 \u0663").replace("1 1\n", "\u0661 1\n"),
+    "3-token vertex then 1-token vertex": "ptg-mesh 1\n3 1\n0 0 5\n1\n0 1\n0 1 2\n",
+    "1-token vertex then 3-token vertex": "ptg-mesh 1\n3 1\n0 0\n1\n0 1 7\n0 1 2\n",
+    "4-token then 2-token triangle": SQUARE.replace("0 1 2", "0 1 2 3").replace("0 2 3", "0 2"),
+    "NUL in a coordinate": MINIMAL.replace("1 0", "1\0 0"),
+    "NUL token": MINIMAL.replace("1 0", "1 \0"),
+    "ragged rows aligned by a NUL token": "ptg-mesh 1\n3 1\n0\n\0 0 0\n0 1\n0 1 2\n",
+    "float index": MINIMAL.replace("0 1 2", "0 1.0 2"),
+    "2-token triangle": SQUARE.replace("0 2 3", "0 2"),
+    "4-token triangle": SQUARE.replace("0 2 3", "0 2 3 1"),
+    "nan coordinate": MINIMAL.replace("1 0", "nan 0"),
+    "inf coordinate": MINIMAL.replace("0 1\n", "0 inf\n"),
+    "overflowing coordinate": MINIMAL.replace("1 0", "1e400 0"),
+    "word coordinate": MINIMAL.replace("1 0", "one 0"),
+    "bad coordinate before a non-finite one": MINIMAL.replace("1 0", "x nan"),
+    "negative index": SQUARE.replace("0 2 3", "0 -2 3"),
+    "out-of-range index": SQUARE.replace("0 1 2", "0 4 2"),
+    "overflowing index": SQUARE.replace("0 1 2", "0 99999999999999999999 2"),
+    "second of two bad triangles": SQUARE.replace("0 2 3", "0 2 9"),
+    "truncated vertices": "ptg-mesh 1\n4 1\n0 0\n1 0\n0 1\n",
+    "truncated after a bad vertex": "ptg-mesh 1\n4 1\n0 0\n1 x\n0 1\n",
+    "truncated triangles": SQUARE[: SQUARE.rindex("0 2 3")],
+    "truncated after counts": "ptg-mesh 1\n3 1\n",
+    "truncated after header": "ptg-mesh 1\n# only a comment\n",
+    "trailing content": MINIMAL + "extra stuff\n",
+    "trailing vertex-shaped line": MINIMAL + "0 0\n",
+    "empty": "",
+    "only comments": "# nothing\n\n",
+    "bad header": "not-a-mesh 7\n3 1\n",
+    "one count": "ptg-mesh 1\n3\n",
+    "float counts": "ptg-mesh 1\n3.0 1\n",
+    "implausible counts": "ptg-mesh 1\n2 1\n0 0\n1 0\n0 1 1\n",
+    "repeated vertex": MINIMAL.replace("0 1 2", "0 1 1"),
+    "degenerate triangle": MINIMAL.replace("0 1\n", "2 0\n"),
+}
+
+
+def _outcome(parse, text):
+    """Mesh arrays of an accepted file; exception class, message and line of
+    a rejected one."""
+    try:
+        mesh = parse(text)
+    except MeshError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (
+        mesh.vertices.dtype, mesh.vertices.tobytes(),
+        mesh.triangles.dtype, mesh.triangles.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(READ_CASES))
+def test_read_mesh_matches_one_line_at_a_time(name):
+    text = READ_CASES[name]
+    assert _outcome(read_mesh, text) == _outcome(_reference_read_mesh, text)
+
+
 def test_read_errors_carry_line_numbers():
     with pytest.raises(MeshFormatError, match="line 1"):
         read_mesh("not-a-mesh 7\n3 1\n")

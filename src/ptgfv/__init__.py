@@ -6,6 +6,8 @@ geometric identities and stability constants behind the scheme.
 
 from .analysis import (
     CASES,
+    CheckResult,
+    ConvergenceLevel,
     ConvergenceReport,
     LemmaSuiteReport,
     ManufacturedCase,
@@ -17,11 +19,8 @@ from .analysis import (
 )
 from .dual import (
     DeltaK,
-    DualCoefficients,
     cotan_coefficients,
     delta_energy_closed_form,
-    g_eval,
-    g_moments,
     nu_bound,
     solve_delta_k,
 )
@@ -37,14 +36,7 @@ from .mesh import (
     read_mesh,
     write_mesh,
 )
-from .quadrature import (
-    IntervalRule,
-    TriangleRule,
-    integrate_interval,
-    integrate_triangle,
-    interval_rule,
-    triangle_rule,
-)
+from .quadrature import TriangleRule, triangle_rule
 from .solver import (
     ConvergenceError,
     DirichletData,
@@ -60,12 +52,8 @@ from .spaces import (
     P0Field,
     RTField,
     divergence,
-    eval_local_basis,
-    eval_rt_field,
     interpolate_p0,
-    interpolate_rt,
     local_gram_closed_form,
-    local_gram_quadrature,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import (
-    DualCoefficients,
     cotan_coefficients,
     delta_denominator,
     delta_energy_closed_form,
@@ -31,7 +30,7 @@ from .mesh import (
     generate_rhombus_equilateral,
     quality_report,
 )
-from .quadrature import TriangleRule, triangle_rule
+from .quadrature import triangle_rule
 from .solver import Solution
 from .spaces import local_fluxes, local_gram_closed_form, quadrature_blocks
 
@@ -47,11 +46,6 @@ __all__ = [
     "lemma_suite",
     "StabilityReport",
     "stability_check",
-    "random_triangle",
-    "random_acute_triangle",
-    "random_triangles",
-    "random_triangle_min_angle",
-    "circumcenter_edge_distances",
 ]
 
 MIN_SAMPLE_ANGLE = math.radians(5.0)
@@ -114,16 +108,13 @@ def error_norms(
     mesh: Mesh,
     solution: Solution,
     case: ManufacturedCase,
-    rule: TriangleRule | None = None,
 ) -> tuple[float, float, float]:
     """L2 errors (scalar, flux, flux divergence) of a discrete solution.
 
     The divergence error uses the identity div(grad u) = -f so the exact
     solution never has to be differentiated twice numerically.
     """
-    rule = rule or triangle_rule()
-    if rule.degree < 6:
-        raise ValueError("error norms need a quadrature rule of degree >= 6")
+    rule = triangle_rule()
     areas = mesh.areas
     w = rule.weights
     # affine flux per triangle: p(x) = a_t * x - b_t
@@ -217,30 +208,12 @@ def convergence_study(
     return ConvergenceReport(case=case.name, levels=tuple(rows))
 
 
-def random_triangle(rng: np.random.Generator, min_angle: float = MIN_SAMPLE_ANGLE) -> TriangleGeometry:
-    """Uniform-vertex triangle in the unit square with min angle >= min_angle."""
-    while True:
-        try:
-            geom = TriangleGeometry.from_vertices(rng.uniform(size=(3, 2)))
-        except ValueError:
-            continue
-        if geom.angles.min() >= min_angle:
-            return geom
-
-
-def random_acute_triangle(rng: np.random.Generator, min_angle: float = MIN_SAMPLE_ANGLE) -> TriangleGeometry:
-    """As :func:`random_triangle` but with all angles strictly below pi/2."""
-    while True:
-        geom = random_triangle(rng, min_angle)
-        if geom.angles.max() < math.pi / 2:
-            return geom
-
-
 def random_triangles(
     rng: np.random.Generator, count: int, min_angle: float = MIN_SAMPLE_ANGLE
 ) -> TriangleGeometry:
-    """A batch of ``count`` triangles: the ones ``count`` calls of
-    :func:`random_triangle` return, drawn from the generator as they are."""
+    """``count`` triangles with vertices uniform in the unit square and
+    minimum angle at least ``min_angle``, in the order a one-at-a-time
+    rejection sampler would draw them from the same generator."""
     accepted = []
     found = 0
     while found < count:
@@ -252,27 +225,6 @@ def random_triangles(
         accepted.append(keep)
         found += len(keep)
     return TriangleGeometry.from_vertices(np.concatenate(accepted))
-
-
-def random_triangle_min_angle(rng: np.random.Generator, theta_star: float) -> TriangleGeometry:
-    """Constructive sampler of a triangle whose minimum angle is >= theta_star.
-
-    Draws the angle triple from the simplex {angles >= theta_star, sum pi}
-    and builds the triangle from the law of sines under a random rotation
-    and scale (rejection sampling would never terminate near 60 degrees).
-    """
-    if not 0.0 < theta_star <= math.pi / 3:
-        raise ValueError("theta_star must lie in (0, pi/3]")
-    angles = theta_star + (math.pi - 3.0 * theta_star) * rng.dirichlet(np.ones(3))
-    rot = rng.uniform(0.0, 2.0 * math.pi)
-    scale = math.exp(rng.uniform(-2.0, 2.0))
-    a = np.array([0.0, 0.0])
-    b = np.array([math.sin(angles[2]), 0.0])
-    c = math.sin(angles[1]) * np.array([math.cos(angles[0]), math.sin(angles[0])])
-    cs, sn = math.cos(rot), math.sin(rot)
-    rmat = np.array([[cs, -sn], [sn, cs]])
-    verts = scale * np.stack([a, b, c]) @ rmat.T + rng.uniform(-1.0, 1.0, size=2)
-    return TriangleGeometry.from_vertices(verts)
 
 
 def circumcenter_edge_distances(geometry: TriangleGeometry) -> np.ndarray:
@@ -443,8 +395,8 @@ def lemma_suite(samples: int = 10000, seed: int = 42, triangles=None) -> LemmaSu
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Observed stability ratios for random flux fields against the explicit
-    constants of the convergence analysis.
+    """Stability constants of a mesh against the explicit bounds of the
+    convergence analysis; h3 and h4 are exact, h1 is sampled.
 
     The h1 bound is <= 0 once an angle reaches a right angle, where every
     ratio passes it: ``passed_h1`` is then None (not applicable), with
@@ -460,8 +412,8 @@ class StabilityReport:
     bound_h3: float          # exactly 1
     bound_h4: float          # sqrt(nu(theta_min))
     h1_min_ratio: float
-    h3_max_deviation: float  # max |ratio - 1|
-    h4_max_ratio: float
+    h3_max_deviation: float  # max over triangles of |int(delta) - 1|
+    h4_max_ratio: float      # sqrt(max_energy)
     max_energy: float        # max per-triangle |K| int(delta^2)
     passed_h1: bool | None = field(init=False)
     passed_h3: bool = field(init=False)
@@ -504,46 +456,39 @@ def stability_check(
     mesh: Mesh,
     trials: int = 100,
     seed: int = 42,
-    coeffs: DualCoefficients | None = None,
     report: MeshQualityReport | None = None,
 ) -> StabilityReport:
-    """Probe the three computable stability inequalities with random fluxes.
+    """Evaluate the three computable stability inequalities on a mesh.
 
-    For each trial the fluxes are i.i.d. standard normal.  The lower-bound
-    pairing reduces to sum(c_a p_a^2) by the orthogonality of the dual
-    basis; the squared field norm comes from the local mass matrices; the
-    divergence-side quantities use the solved divergence profile of each
-    triangle (its actual mean for the identity, its energy for the upper
-    bound).  ``report`` is the mesh's quality report, computed when absent.
+    The divergence-side ratios weigh a per-triangle quantity by |K| div(p)^2,
+    and the divergence maps the flux fields onto all cell fields, so their
+    suprema are per-triangle extrema: the largest deviation of the mean of
+    the solved divergence profile from 1 (h3), and the square root of the
+    largest profile energy (h4).  The h1 lower bound is probed with
+    ``trials`` flux fields of i.i.d. standard normal entries, whose smallest
+    ratio is an upper estimate of the infimum: the pairing reduces to
+    sum(c_a p_a^2) by the orthogonality of the dual basis, and the squared
+    field norm comes from the local mass matrices.  ``report`` is the mesh's
+    quality report, computed when absent.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     report = report or quality_report(mesh)
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
-    coeffs = coeffs or cotan_coefficients(mesh, report)
+    coeffs = cotan_coefficients(mesh)
     rng = np.random.default_rng(seed)
 
     geom = mesh.geometries
     grams = local_gram_closed_form(geom)                       # (nt, 3, 3)
     delta = solve_delta_k(geom)
-    energies = delta.energy
-    means = delta.moments()[:, 0]
-    areas = mesh.areas
-
+    max_energy = float(delta.energy.max())
     h1_min = math.inf
-    h3_dev = 0.0
-    h4_max = 0.0
     for _ in range(trials):
         p = rng.standard_normal(mesh.num_edges)
         loc = mesh.tri_signs * p[mesh.tri_edges]               # (nt, 3)
-        pairing = float(coeffs.values @ p**2)
         norm2 = float(np.einsum("ti,tij,tj->", loc, grams, loc))
-        h1_min = min(h1_min, pairing / norm2)
-        div_weight = loc.sum(axis=1) ** 2 / areas              # per-cell |K| div^2
-        div_norm2 = float(div_weight.sum())
-        h3_dev = max(h3_dev, abs(float(div_weight @ means) / div_norm2 - 1.0))
-        h4_max = max(h4_max, math.sqrt(float(div_weight @ energies) / div_norm2))
+        h1_min = min(h1_min, float(coeffs @ p**2) / norm2)
 
     theta_min, theta_max = report.theta_min, report.theta_max
     return StabilityReport(
@@ -555,7 +500,7 @@ def stability_check(
         bound_h3=1.0,
         bound_h4=math.sqrt(nu_bound(theta_min)),
         h1_min_ratio=h1_min,
-        h3_max_deviation=h3_dev,
-        h4_max_ratio=h4_max,
-        max_energy=float(energies.max()),
+        h3_max_deviation=float(np.abs(delta.moments()[:, 0] - 1.0).max()),
+        h4_max_ratio=math.sqrt(max_energy),
+        max_energy=max_energy,
     )

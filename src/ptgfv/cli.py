@@ -56,8 +56,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PTG_SEED", "42"))
+def _seed(flag: int | None) -> int:
+    """``--seed`` if given, else PTG_SEED, else 42; a seed is an integer >= 0."""
+    source = "PTG_SEED" if flag is None else "--seed"
+    value = os.environ.get(source, "42") if flag is None else flag
+    try:
+        seed = int(value)
+    except ValueError:
+        raise UsageError(f"{source} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _check_tol(tol: float) -> None:
@@ -99,7 +108,7 @@ def cmd_generate(args) -> int:
 def cmd_mesh_info(args) -> int:
     mesh = _load_mesh(args.mesh)
     report = quality_report(mesh)
-    coeffs = cotan_coefficients(mesh, report)
+    coeffs = cotan_coefficients(mesh)
     info = report.to_dict()
     info.update(
         {
@@ -109,8 +118,8 @@ def cmd_mesh_info(args) -> int:
             "internal_edges": len(mesh.internal_edges),
             "boundary_edges": len(mesh.boundary_edges),
             "h": mesh.h_max,
-            "coefficient_min": float(coeffs.values.min()),
-            "coefficient_max": float(coeffs.values.max()),
+            "coefficient_min": float(coeffs.min()),
+            "coefficient_max": float(coeffs.max()),
         }
     )
     print(json.dumps(info, indent=2, sort_keys=True))
@@ -153,7 +162,7 @@ def cmd_solve(args) -> int:
     report = quality_report(mesh)
     if not report.admissible:
         return _print_inadmissible(report)
-    coeffs = cotan_coefficients(mesh, report)
+    coeffs = cotan_coefficients(mesh)
     if args.case is not None:
         case = CASES[args.case]
         f_t = interpolate_p0(case.f, mesh)
@@ -163,7 +172,7 @@ def cmd_solve(args) -> int:
     system = assemble(mesh, coeffs, f_t, DirichletData.zero(mesh))
     solution = solve(system, tol=args.tol)
     balance = flux_balance_check(mesh, solution, f_t)
-    threshold = BALANCE_FACTOR * args.tol * float(np.linalg.norm(system.rhs))
+    threshold = BALANCE_FACTOR * args.tol * system.rhs_norm
     print(f"cells {mesh.num_triangles}")
     print(f"iterations {solution.iterations}")
     print(f"residual {_fmt(solution.residual)}")
@@ -193,6 +202,8 @@ def cmd_convergence(args) -> int:
         raise UsageError("need at least 2 levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise UsageError("levels must be strictly increasing")
+    if levels[0] < 1:
+        raise UsageError(f"levels must be >= 1, got {levels[0]}")
     if args.case not in CASES:
         raise UsageError(f"unknown case {args.case!r} (known: {', '.join(sorted(CASES))})")
     _check_tol(args.tol)
@@ -221,7 +232,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--samples must be >= 1")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     mesh = None
     if args.mesh:
         mesh = _load_mesh(args.mesh)

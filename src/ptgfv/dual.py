@@ -4,15 +4,14 @@ basis itself.
 The coupling coefficient of an edge is half the sum of the cotangents of the
 opposite angles (one angle for a boundary edge).  On a strictly Delaunay mesh
 with acute boundary angles every coefficient is positive, which is exactly
-what the cell-centered solver needs.
+what the cell-centered solver needs (``quality_report`` checks it).
 
 The remaining objects quantify the prescribed divergence profile of the dual
 test functions on one triangle: the minimum-norm quadratic ``delta`` with
 unit mean and zero pairing against the three squared vertex distances, its
 dimensionless energy ``I = |K| * int(delta^2)``, the closed-form evaluation
 of that energy as a ratio of symmetric edge-length polynomials, and the
-``nu`` upper bound used by the stability analysis.  The edge flux profile g
-is a fixed quartic with unit mass, zero second moment and endpoint zeros.
+``nu`` upper bound used by the stability analysis.
 """
 
 from __future__ import annotations
@@ -22,74 +21,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, TriangleGeometry, quality_report
-from .quadrature import (
-    IntervalRule,
-    TriangleRule,
-    integrate_interval,
-    interval_rule,
-    triangle_rule,
-)
+from .mesh import Mesh, TriangleGeometry
+from .quadrature import triangle_rule
 
 __all__ = [
-    "DualCoefficients",
     "DeltaK",
     "cotan_coefficients",
-    "g_eval",
-    "g_moments",
     "solve_delta_k",
     "delta_energy_closed_form",
     "nu_bound",
-    "NU_SCALE",
 ]
 
 # 8 * 3^5 * 23 / 5
 NU_SCALE = 8942.4
 
 
-@dataclass(frozen=True)
-class DualCoefficients:
-    """Per-edge coupling coefficients; ``admissible`` records whether the
-    mesh passed the angle conditions (all coefficients positive)."""
-
-    values: np.ndarray
-    admissible: bool
-
-    def __post_init__(self):
-        self.values.flags.writeable = False
-
-
-def cotan_coefficients(mesh: Mesh, report=None) -> DualCoefficients:
-    """Cotangent coupling coefficients for every edge of the mesh.
+def cotan_coefficients(mesh: Mesh) -> np.ndarray:
+    """Cotangent coupling coefficients for every edge of the mesh, as a
+    read-only array.
 
     Internal edge: (cot(theta_K) + cot(theta_L)) / 2 over the two opposite
-    angles; boundary edge: cot(theta_K) / 2.  Computed for any mesh;
-    ``admissible`` is False when the mesh fails the angle conditions, since
-    a non-positive coefficient breaks uniqueness of the discrete problem.
+    angles; boundary edge: cot(theta_K) / 2.  Computed for any mesh; a
+    coefficient is non-positive where the mesh fails the angle conditions,
+    which breaks uniqueness of the discrete problem.
     """
-    report = report or quality_report(mesh)
     theta_k, theta_l = mesh.opposite_angles()
     values = 0.5 / np.tan(theta_k)
     internal = mesh.internal_edges
     values[internal] += 0.5 / np.tan(theta_l[internal])
-    return DualCoefficients(values=values, admissible=bool(report.admissible))
-
-
-def g_eval(s):
-    """The fixed edge flux profile g(s) = 30 s (s-1) (21 s^2 - 21 s + 4)."""
-    s = np.asarray(s, dtype=float)
-    out = 30.0 * s * (s - 1.0) * (21.0 * s * s - 21.0 * s + 4.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def g_moments(rule: IntervalRule | None = None) -> tuple[float, float, float]:
-    """Moments (int g, int g s, int g s^2); exactly (1, 1/2, 0)."""
-    rule = rule or interval_rule()
-    return (
-        integrate_interval(rule, g_eval),
-        integrate_interval(rule, lambda s: g_eval(s) * s),
-        integrate_interval(rule, lambda s: g_eval(s) * s * s),
-    )
+    values.flags.writeable = False
+    return values
 
 
 def _moment_basis(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -115,10 +76,10 @@ class DeltaK:
     coefficients: np.ndarray
     energy: float
 
-    def moments(self, rule: TriangleRule | None = None) -> np.ndarray:
+    def moments(self) -> np.ndarray:
         """(int delta, int delta*|x-W_i|^2 for i=1..3) by quadrature; shape
         (4,), or (B, 4) for a batch."""
-        rule = rule or triangle_rule()
+        rule = triangle_rule()
         v = self.geometry.vertices
         basis = _moment_basis(v, np.einsum("qk,...kd->...qd", rule.points, v))
         vals = np.einsum("...i,...iq->...q", self.coefficients, basis)
@@ -126,18 +87,17 @@ class DeltaK:
         return area * np.einsum("q,...iq,...q->...i", rule.weights, basis, vals)
 
 
-def solve_delta_k(geometry: TriangleGeometry, rule: TriangleRule | None = None) -> DeltaK:
+def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     """Minimum-norm divergence profile meeting the four moment constraints.
 
     The minimizer lives in the span of the constraint functions, so it is
     the solution of the 4x4 Gram system of {1, |x-W_i|^2}.  The basis is
     rescaled by the area to keep the system's conditioning independent of
-    the triangle size.  Requires a rule of degree >= 4 (quartic products).
-    A batch of triangles is one stacked solve of its 4x4 systems.
+    the triangle size.  The Gram entries are quartic, which the degree-6
+    triangle rule integrates exactly.  A batch of triangles is one stacked
+    solve of its 4x4 systems.
     """
-    rule = rule or triangle_rule()
-    if rule.degree < 4:
-        raise ValueError("delta solve needs a quadrature rule of degree >= 4")
+    rule = triangle_rule()
     v = geometry.vertices
     area = np.asarray(geometry.area)[..., None]                          # (..., 1)
     basis = _moment_basis(v, np.einsum("qk,...kd->...qd", rule.points, v))

@@ -230,19 +230,6 @@ class Mesh:
     def areas(self) -> np.ndarray:
         return self.geometries.area
 
-    def geometry(self, t: int) -> TriangleGeometry:
-        """Geometry of triangle ``t``: row ``t`` of :attr:`geometries`."""
-        g = self.geometries
-        return TriangleGeometry(
-            g.vertices[t],
-            float(g.area[t]),
-            g.edge_lengths[t],
-            g.angles[t],
-            g.circumcenter[t],
-            float(g.rho2[t]),
-            g.centroid[t],
-        )
-
     def opposite_angles(self) -> tuple[np.ndarray, np.ndarray]:
         """Per edge, the angle opposite it in its owner and in its neighbor
         (NaN on the boundary)."""

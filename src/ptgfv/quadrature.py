@@ -1,11 +1,10 @@
-"""Fixed quadrature rules on the reference triangle and the unit interval.
+"""The fixed quadrature rule on the reference triangle.
 
-Both rules are embedded constant tables, normalized so the weights sum to 1,
-and self-test their declared polynomial exactness degree at construction.
-The triangle rule is the symmetric 12-point rule of degree 6 (quartics such
-as the squared divergence profile integrate exactly, with headroom for the
-degree-6 error-norm contract); the interval rule is 4-point Gauss-Legendre
-mapped to (0,1), exact through degree 7.
+The rule is an embedded constant table, normalized so the weights sum to 1,
+that self-tests its declared polynomial exactness degree at construction.
+It is the symmetric 12-point rule of degree 6: the quartic products of the
+divergence-profile solve integrate exactly, and degree 6 is what the error
+norms need.  Every cell integral of the package uses this one rule.
 """
 
 from __future__ import annotations
@@ -16,16 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleGeometry
-
-__all__ = [
-    "TriangleRule",
-    "IntervalRule",
-    "triangle_rule",
-    "interval_rule",
-    "integrate_triangle",
-    "integrate_interval",
-]
+__all__ = ["TriangleRule", "triangle_rule"]
 
 _REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -63,29 +53,6 @@ class TriangleRule:
         self.weights.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class IntervalRule:
-    """Nodes in (0,1) and weights summing to 1."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if abs(self.weights.sum() - 1.0) > 1e-14:
-            raise ValueError("interval rule weights must sum to 1")
-        if self.points.min() <= 0.0 or self.points.max() >= 1.0:
-            raise ValueError("interval rule nodes must lie strictly inside (0,1)")
-        for k in range(self.degree + 1):
-            approx = float(self.weights @ self.points**k)
-            if abs(approx - 1.0 / (k + 1)) > 1e-13:
-                raise ValueError(f"interval rule fails exactness for s^{k}")
-        self.points.flags.writeable = False
-        self.weights.flags.writeable = False
-
-
 def _dunavant6() -> TriangleRule:
     # Symmetric degree-6 rule: two 3-point orbits and one 6-point orbit.
     orbits3 = [
@@ -106,47 +73,9 @@ def _dunavant6() -> TriangleRule:
     return TriangleRule(np.array(points), np.array(weights), degree=6)
 
 
-def _gauss4_unit() -> IntervalRule:
-    # 4-point Gauss-Legendre on (0,1), degree 7.
-    r30 = math.sqrt(30.0)
-    t_inner = math.sqrt(3.0 / 7.0 - 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
-    t_outer = math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
-    nodes = np.array([-t_outer, -t_inner, t_inner, t_outer])
-    weights = np.array(
-        [(18.0 - r30) / 36.0, (18.0 + r30) / 36.0, (18.0 + r30) / 36.0, (18.0 - r30) / 36.0]
-    )
-    return IntervalRule((nodes + 1.0) / 2.0, weights / 2.0, degree=7)
-
-
 _TRIANGLE_RULE = _dunavant6()
-_INTERVAL_RULE = _gauss4_unit()
 
 
 def triangle_rule() -> TriangleRule:
-    """The default symmetric triangle rule (degree 6)."""
+    """The symmetric triangle rule of degree 6 that every cell integral uses."""
     return _TRIANGLE_RULE
-
-
-def interval_rule() -> IntervalRule:
-    """The default Gauss rule on (0,1) (degree 7)."""
-    return _INTERVAL_RULE
-
-
-def physical_points(rule: TriangleRule, geometry: TriangleGeometry) -> np.ndarray:
-    """Map the rule's barycentric nodes onto a physical triangle, shape (nq, 2)."""
-    return rule.points @ geometry.vertices
-
-
-def integrate_triangle(rule: TriangleRule, geometry: TriangleGeometry, f) -> float:
-    """Integrate ``f(x, y)`` over a triangle.
-
-    ``f`` must accept numpy arrays of coordinates.  Exact for polynomials up
-    to the rule's degree.
-    """
-    x = physical_points(rule, geometry)
-    return geometry.area * float(rule.weights @ np.asarray(f(x[:, 0], x[:, 1]), dtype=float))
-
-
-def integrate_interval(rule: IntervalRule, f) -> float:
-    """Integrate ``f(s)`` over (0,1); ``f`` must accept numpy arrays."""
-    return float(rule.weights @ np.asarray(f(rule.points), dtype=float))

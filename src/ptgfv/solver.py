@@ -14,12 +14,12 @@ through the discrete gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .dual import DualCoefficients
 from .mesh import Mesh
 from .spaces import P0Field, RTField, divergence
 
@@ -66,7 +66,7 @@ class DirichletData:
 
 def discrete_gradient(
     mesh: Mesh,
-    coeffs: DualCoefficients,
+    coeffs: np.ndarray,
     u: P0Field,
     bc: DirichletData | None = None,
 ) -> RTField:
@@ -78,15 +78,24 @@ def discrete_gradient(
     u.check(mesh)
     bc = bc or DirichletData.zero(mesh)
     bc.check(mesh)
-    zero = np.flatnonzero(np.abs(coeffs.values) < COEFF_TOL)
+    zero = np.flatnonzero(np.abs(coeffs) < COEFF_TOL)
     if zero.size:
         raise ValueError(f"zero coupling coefficient on edge {int(zero[0])}")
     far = np.empty(mesh.num_edges)
     internal = mesh.internal_edges
     far[internal] = u.values[mesh.edges.neighbor[internal]]
     far[mesh.boundary_edges] = bc.values
-    fluxes = (far - u.values[mesh.edges.owner]) / coeffs.values
+    fluxes = (far - u.values[mesh.edges.owner]) / coeffs
     return RTField(fluxes)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v``, taken of ``v`` divided by a power of two
+    near max|v|: squared entries below about 1e-154 underflow to zero.  The
+    scaling is exact, so this equals ``np.linalg.norm(v)`` wherever that
+    neither underflows nor overflows."""
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(v).max(initial=0.0)))[1])
+    return scale * float(np.linalg.norm(v / scale))
 
 
 @dataclass
@@ -96,13 +105,18 @@ class SparseSystem:
     matrix: csr_matrix
     rhs: np.ndarray
     mesh: Mesh
-    coeffs: DualCoefficients
+    coeffs: np.ndarray
     bc: DirichletData
+
+    @property
+    def rhs_norm(self) -> float:
+        """Euclidean norm of the right-hand side, free of underflow."""
+        return _norm(self.rhs)
 
 
 def assemble(
     mesh: Mesh,
-    coeffs: DualCoefficients,
+    coeffs: np.ndarray,
     f_t: P0Field,
     bc: DirichletData | None = None,
 ) -> SparseSystem:
@@ -114,14 +128,14 @@ def assemble(
     f_t.check(mesh)
     bc = bc or DirichletData.zero(mesh)
     bc.check(mesh)
-    bad = np.flatnonzero(coeffs.values < COEFF_TOL)
+    bad = np.flatnonzero(coeffs < COEFF_TOL)
     if bad.size:
         raise ValueError(
             f"non-positive coupling coefficient on edge {int(bad[0])}; "
             "the mesh fails the angle conditions"
         )
     nt = mesh.num_triangles
-    w = 1.0 / coeffs.values
+    w = 1.0 / coeffs
     owner, neighbor = mesh.edges.owner, mesh.edges.neighbor
     boundary = mesh.boundary_edges
     rhs = mesh.areas * f_t.values
@@ -168,17 +182,17 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
     from scipy.sparse.linalg import splu
 
     matrix, rhs = system.matrix, system.rhs
-    norm_rhs = float(np.linalg.norm(rhs))
     x = np.zeros(len(rhs))
     history: list[float] = []
-    if norm_rhs > 0.0:
+    if np.any(rhs):
+        norm_rhs = system.rhs_norm
         lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         x = lu.solve(rhs)
         r = rhs - matrix @ x
-        history.append(float(np.linalg.norm(r)) / norm_rhs)
+        history.append(_norm(r) / norm_rhs)
         if history[-1] > tol:
             x += lu.solve(r)
-            history.append(float(np.linalg.norm(rhs - matrix @ x)) / norm_rhs)
+            history.append(_norm(rhs - matrix @ x) / norm_rhs)
         if history[-1] > tol:
             raise ConvergenceError(
                 f"direct solve did not reach {tol}: stagnated at the floor "

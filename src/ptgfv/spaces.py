@@ -6,7 +6,8 @@ vector basis function attached to edge i of a triangle is
 ``(x - W_i) / (2|K|)`` with ``W_i`` the opposite vertex; it has unit flux
 through edge i and zero flux through the other two, and the field
 reconstructed from edge fluxes is affine per triangle with a constant
-divergence ``(sum of outward local fluxes) / |K|``.
+divergence ``(sum of outward local fluxes) / |K|``.  Its local mass matrix
+is evaluated in closed form; cell means use the one triangle rule.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, TriangleGeometry
-from .quadrature import IntervalRule, TriangleRule, interval_rule, triangle_rule
+from .quadrature import TriangleRule, triangle_rule
 
 __all__ = [
     "P0Field",
     "RTField",
-    "local_fluxes",
-    "eval_local_basis",
-    "eval_rt_field",
     "divergence",
     "interpolate_p0",
-    "interpolate_rt",
     "local_gram_closed_form",
-    "local_gram_quadrature",
 ]
 
 # Triangles per block of quadrature points.  Cell integrals are evaluated a
@@ -46,10 +42,6 @@ class P0Field:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
 
-    @classmethod
-    def zeros(cls, mesh: Mesh) -> "P0Field":
-        return cls(np.zeros(mesh.num_triangles))
-
     def check(self, mesh: Mesh) -> None:
         if len(self.values) != mesh.num_triangles:
             raise ValueError("scalar field length does not match the triangle count")
@@ -64,10 +56,6 @@ class RTField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
 
-    @classmethod
-    def zeros(cls, mesh: Mesh) -> "RTField":
-        return cls(np.zeros(mesh.num_edges))
-
     def check(self, mesh: Mesh) -> None:
         if len(self.values) != mesh.num_edges:
             raise ValueError("flux field length does not match the edge count")
@@ -76,26 +64,6 @@ class RTField:
 def local_fluxes(mesh: Mesh, p: RTField) -> np.ndarray:
     """Per-triangle outward fluxes, shape (nt, 3): sign * canonical flux."""
     return mesh.tri_signs * p.values[mesh.tri_edges]
-
-
-def eval_local_basis(geometry: TriangleGeometry, i: int, x) -> np.ndarray:
-    """Evaluate local basis function i at point(s) ``x`` inside the triangle.
-
-    ``x`` may be a single point of shape (2,) or an array (..., 2).
-    """
-    w = geometry.vertices[i]
-    return (np.asarray(x, dtype=float) - w) / (2.0 * geometry.area)
-
-
-def eval_rt_field(mesh: Mesh, p: RTField, t: int, x) -> np.ndarray:
-    """Evaluate the flux field inside triangle ``t`` at point(s) ``x``."""
-    geom = mesh.geometry(t)
-    coeffs = mesh.tri_signs[t] * p.values[mesh.tri_edges[t]]
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for i in range(3):
-        out += coeffs[i] * eval_local_basis(geom, i, x)
-    return out
 
 
 def divergence(mesh: Mesh, p: RTField) -> P0Field:
@@ -113,27 +81,13 @@ def quadrature_blocks(mesh: Mesh, rule: TriangleRule):
         yield block, rule.points @ corners[block]
 
 
-def interpolate_p0(f, mesh: Mesh, rule: TriangleRule | None = None) -> P0Field:
+def interpolate_p0(f, mesh: Mesh) -> P0Field:
     """Cell means of ``f(x, y)`` (vectorized over numpy arrays) by quadrature."""
-    rule = rule or triangle_rule()
+    rule = triangle_rule()
     means = np.empty(mesh.num_triangles)
     for block, x in quadrature_blocks(mesh, rule):
         means[block] = np.asarray(f(x[..., 0], x[..., 1]), dtype=float) @ rule.weights
     return P0Field(means)
-
-
-def interpolate_rt(v, mesh: Mesh, rule: IntervalRule | None = None) -> RTField:
-    """Edge fluxes of a vector field ``v(x, y) -> (vx, vy)`` by edge quadrature."""
-    rule = rule or interval_rule()
-    edges = mesh.edges
-    a = mesh.vertices[edges.tail]
-    b = mesh.vertices[edges.head]
-    pts = a[:, None, :] + rule.points[:, None] * (b - a)[:, None, :]     # (ne, nq, 2)
-    vx, vy = v(pts[..., 0], pts[..., 1])
-    normal = edges.normal[:, None, :]
-    normal_v = np.asarray(vx) * normal[..., 0] + np.asarray(vy) * normal[..., 1]
-    fluxes = edges.length * (normal_v @ rule.weights)
-    return RTField(fluxes)
 
 
 # Index of the cotangent in each entry of the closed-form local mass matrix:
@@ -152,18 +106,3 @@ def local_gram_closed_form(geometry: TriangleGeometry) -> np.ndarray:
     ratio = np.asarray(geometry.rho2 / geometry.area)[..., None, None]
     cot = 1.0 / np.tan(geometry.angles)
     return cot[..., _GRAM_COT] / 6.0 + 0.75 * ratio * _GRAM_SIGN
-
-
-def local_gram_quadrature(
-    geometry: TriangleGeometry, rule: TriangleRule | None = None
-) -> np.ndarray:
-    """Local flux mass matrix by quadrature (exact: quadratic integrands)."""
-    rule = rule or triangle_rule()
-    if rule.degree < 2:
-        raise ValueError("mass-matrix quadrature needs a rule of degree >= 2")
-    x = rule.points @ geometry.vertices                  # (nq, 2)
-    basis = np.stack(
-        [eval_local_basis(geometry, i, x) for i in range(3)]
-    )                                                    # (3, nq, 2)
-    gram = np.einsum("q,iqd,jqd->ij", rule.weights, basis, basis) * geometry.area
-    return 0.5 * (gram + gram.T)

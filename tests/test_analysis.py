@@ -9,15 +9,15 @@ from ptgfv.analysis import (
     convergence_study,
     error_norms,
     lemma_suite,
-    random_triangle_min_angle,
     stability_check,
 )
-from ptgfv.dual import cotan_coefficients, nu_bound
+from ptgfv.dual import cotan_coefficients, nu_bound, solve_delta_k
 from ptgfv.mesh import generate_rhombus_equilateral
 from ptgfv.solver import Solution, assemble, solve
-from ptgfv.spaces import interpolate_p0, interpolate_rt
+from ptgfv.spaces import interpolate_p0
 
 from conftest import diagonal_square_mesh, equilateral_geometry
+from oracles import interpolate_rt, random_triangle_min_angle
 
 CASE = CASES["rhombus-sine"]
 SQRT3 = math.sqrt(3.0)
@@ -222,6 +222,28 @@ def test_stability_h1_not_applicable_past_a_right_angle():
     assert record["passed_h1"] is None
     assert record["theta_max_triangle"] == report.theta_max_triangle
     assert record["h1_min_ratio"] == report.h1_min_ratio > 0.0
+
+
+def test_stability_h3_h4_are_exact_extrema():
+    # the divergence-weighted ratios are weighted means of per-cell values,
+    # so their suprema are per-cell extrema that no flux field exceeds
+    from conftest import jittered_rhombus
+
+    mesh = jittered_rhombus(24)
+    report = stability_check(mesh, trials=5, seed=3)
+    delta = solve_delta_k(mesh.geometries)
+    means = delta.moments()[:, 0]
+    assert report.h3_max_deviation == float(np.abs(means - 1.0).max())
+    assert report.h4_max_ratio == math.sqrt(delta.energy.max())
+    assert report.h4_max_ratio == pytest.approx(6.600, abs=1e-3)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = rng.standard_normal(mesh.num_edges)
+        weight = (mesh.tri_signs * p[mesh.tri_edges]).sum(axis=1) ** 2 / mesh.areas
+        h3 = abs(float(weight @ means) / weight.sum() - 1.0)
+        h4 = math.sqrt(float(weight @ delta.energy) / weight.sum())
+        assert h3 <= report.h3_max_deviation + 1e-15
+        assert h4 <= report.h4_max_ratio * (1.0 + 1e-14)
 
 
 def test_stability_rejects_inadmissible_mesh():

@@ -13,7 +13,6 @@ from ptgfv.analysis import (
     circumcenter_edge_distances,
     error_norms,
     lemma_suite,
-    random_triangle,
     random_triangles,
     stability_check,
 )
@@ -30,6 +29,7 @@ from ptgfv.solver import assemble, solve
 from ptgfv.spaces import QUAD_BLOCK, interpolate_p0, local_fluxes, local_gram_closed_form
 
 from conftest import jittered_rhombus
+from oracles import random_triangle
 
 GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "angles", "circumcenter", "rho2", "centroid")
 

@@ -173,6 +173,9 @@ def test_convergence_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "convergence", "--case", "nope", "--levels", "4,8")
     assert code == 1
+    code, out, err = run(capsys, "convergence", "--levels", "0,8")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "levels must be >= 1" in err
 
 
 def test_convergence_small_run(tmp_path, capsys):
@@ -273,6 +276,22 @@ def test_verify_rejects_empty_runs(rhombus_file, capsys):
         assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--seed", "-1"], None, "--seed must be >= 0"),
+        ([], "abc", "PTG_SEED must be an integer"),
+        ([], "-5", "PTG_SEED must be >= 0"),
+    ],
+)
+def test_verify_rejects_bad_seeds(capsys, monkeypatch, flags, env, message):
+    if env is not None:
+        monkeypatch.setenv("PTG_SEED", env)
+    code, out, err = run(capsys, "verify", "--samples", "5", *flags)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_solve_and_convergence_reject_bad_tol(rhombus_file, capsys, tol):
     code, out, err = run(capsys, "solve", "--mesh", str(rhombus_file), "--rhs-const", "1", "--tol", tol)
@@ -314,7 +333,7 @@ def test_verify_makes_one_quality_report(rhombus_file, capsys, monkeypatch):
         calls.append(mesh)
         return quality_report(mesh)
 
-    for module in (analysis, cli, dual):
+    for module in (analysis, cli):
         monkeypatch.setattr(module, "quality_report", counted)
     code, _, _ = run(
         capsys, "verify", "--samples", "10", "--trials", "3", "--mesh", str(rhombus_file)
@@ -355,6 +374,27 @@ def test_solve_csv_matches_per_value_format(tmp_path, capsys, rhs):
     assert (tmp_path / "sol.csv.json").read_text(encoding="utf-8") == (
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     )
+
+
+def test_solve_tiny_constant_rhs(tmp_path, capsys):
+    # squared entries below 1e-154 underflow, so unscaled norms read such a
+    # source as zero or its residual as 0; the solution is linear in the source
+    mesh_path = tmp_path / "jittered.msh"
+    mesh_path.write_text(write_mesh(jittered_rhombus(6, seed=5)), encoding="utf-8")
+    u = {}
+    for rhs in ("1", "1e-150", "1e-290"):
+        out = tmp_path / f"sol{rhs}.csv"
+        code, stdout, _ = run(
+            capsys, "solve", "--mesh", str(mesh_path), f"--rhs-const={rhs}", "--out", str(out)
+        )
+        assert code == 0, rhs
+        fields = dict(line.split() for line in stdout.splitlines())
+        assert fields["iterations"] == "1"
+        assert 0.0 < float(fields["residual"]) <= 1e-12
+        rows = out.read_text(encoding="utf-8").splitlines()
+        u[rhs] = np.array([float(row.split(",")[1]) for row in rows[1:rows.index("edge,flux")]])
+    for rhs in ("1e-150", "1e-290"):
+        np.testing.assert_allclose(u[rhs], float(rhs) * u["1"], rtol=1e-12, atol=0)
 
 
 def test_write_solution_matches_per_value_format(tmp_path):

@@ -49,8 +49,6 @@ from .solver import (
     solve,
 )
 from .spaces import (
-    P0Field,
-    RTField,
     divergence,
     interpolate_p0,
     local_gram_closed_form,

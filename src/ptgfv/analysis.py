@@ -129,7 +129,7 @@ def error_norms(
         xs, ys = x[..., 0], x[..., 1]
         area = areas[block]
         u_vals = np.asarray(case.u(xs, ys), dtype=float)
-        eu2 += float(area @ (((u_vals - solution.u.values[block, None]) ** 2) @ w))
+        eu2 += float(area @ (((u_vals - solution.u[block, None]) ** 2) @ w))
 
         px = a_t[block, None] * xs - b_t[block, None, 0]
         py = a_t[block, None] * ys - b_t[block, None, 1]
@@ -254,15 +254,6 @@ class CheckResult:
     worst_slack: float
     witness: list | None
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "samples": self.samples,
-            "passed": self.passed,
-            "worst_slack": self.worst_slack,
-            "witness": self.witness,
-        }
-
 
 @dataclass(frozen=True)
 class LemmaSuiteReport:
@@ -273,14 +264,6 @@ class LemmaSuiteReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "max_energy_ratio": self.max_energy_ratio,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 # Triangles per batch of the lemma suite: as fast as one batch of 10 000,
@@ -430,26 +413,6 @@ class StabilityReport:
     @property
     def all_passed(self) -> bool:
         return self.passed_h1 is not False and self.passed_h3 and self.passed_h4
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_min": self.theta_min,
-            "theta_max": self.theta_max,
-            "theta_max_triangle": self.theta_max_triangle,
-            "trials": self.trials,
-            "bound_h1": self.bound_h1,
-            "bound_h3": self.bound_h3,
-            "bound_h4": self.bound_h4,
-            "h1_min_ratio": self.h1_min_ratio,
-            "h3_max_deviation": self.h3_max_deviation,
-            "h4_max_ratio": self.h4_max_ratio,
-            "max_energy": self.max_energy,
-            "max_energy_sqrt": math.sqrt(self.max_energy),
-            "passed_h1": self.passed_h1,
-            "passed_h3": self.passed_h3,
-            "passed_h4": self.passed_h4,
-            "all_passed": self.all_passed,
-        }
 
 
 def stability_check(

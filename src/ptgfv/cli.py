@@ -13,6 +13,7 @@ the PTG_SEED environment variable overrides the default seed 42.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .mesh import (
     write_mesh,
 )
 from .solver import ConvergenceError, DirichletData, assemble, flux_balance_check, solve
-from .spaces import P0Field, interpolate_p0
+from .spaces import interpolate_p0
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,9 +83,19 @@ def _print_inadmissible(report) -> int:
 
 def _load_mesh(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise MeshFormatError(f"cannot read {path}: {exc.strerror}", 0) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line as read_mesh numbers lines; the sentinel makes
+        # the partial line before the byte count as a line
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise MeshFormatError(
+            f"cannot read {path}: byte 0x{data[exc.start]:02x} is not UTF-8", line
+        ) from None
+    del data  # held through the parse, the bytes add the file's size to peak memory
     return read_mesh(text)
 
 
@@ -137,7 +148,7 @@ def _csv_section(header: str, values: np.ndarray) -> str:
 
 
 def _write_solution(path: str, solution, tol: float, mesh_file: str) -> None:
-    text = _csv_section("cell,u", solution.u.values) + _csv_section("edge,flux", solution.p.values)
+    text = _csv_section("cell,u", solution.u) + _csv_section("edge,flux", solution.p)
     Path(path).write_text(text, encoding="utf-8")
     sidecar = {
         "mesh_file": mesh_file,
@@ -168,7 +179,7 @@ def cmd_solve(args) -> int:
         f_t = interpolate_p0(case.f, mesh)
     else:
         case = None
-        f_t = P0Field(np.full(mesh.num_triangles, args.rhs_const))
+        f_t = np.full(mesh.num_triangles, args.rhs_const)
     system = assemble(mesh, coeffs, f_t, DirichletData.zero(mesh))
     solution = solve(system, tol=args.tol)
     balance = flux_balance_check(mesh, solution, f_t)
@@ -240,11 +251,14 @@ def cmd_verify(args) -> int:
         if not report.admissible:
             return _print_inadmissible(report)
     suite = lemma_suite(samples=args.samples, seed=seed)
-    output = {"lemmas": suite.to_dict()}
+    output = {"lemmas": dataclasses.asdict(suite) | {"all_passed": suite.all_passed}}
     ok = suite.all_passed
     if mesh is not None:
         stability = stability_check(mesh, trials=args.trials, seed=seed, report=report)
-        output["stability"] = stability.to_dict()
+        output["stability"] = dataclasses.asdict(stability) | {
+            "all_passed": stability.all_passed,
+            "max_energy_sqrt": math.sqrt(stability.max_energy),
+        }
         ok = ok and stability.all_passed
     output["all_passed"] = ok
     print(json.dumps(output, indent=2, sort_keys=True))

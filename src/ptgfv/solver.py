@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .mesh import Mesh
-from .spaces import P0Field, RTField, divergence
+from .spaces import divergence
 
 __all__ = [
     "DirichletData",
@@ -38,6 +38,10 @@ __all__ = [
 # Coefficients this close to zero count as zero (a cocircular edge pair gives
 # an exact zero only up to the rounding of the two cotangents).
 COEFF_TOL = 1e-12
+
+# Smallest normal float: a right-hand side whose entries all lie below it
+# carries fewer significant digits than the solve needs.
+TINY = np.finfo(float).tiny
 
 
 class ConvergenceError(RuntimeError):
@@ -64,18 +68,23 @@ class DirichletData:
             raise ValueError("boundary data length does not match the boundary edge count")
 
 
+def _check_cells(mesh: Mesh, values: np.ndarray) -> None:
+    if len(values) != mesh.num_triangles:
+        raise ValueError("scalar field length does not match the triangle count")
+
+
 def discrete_gradient(
     mesh: Mesh,
     coeffs: np.ndarray,
-    u: P0Field,
+    u: np.ndarray,
     bc: DirichletData | None = None,
-) -> RTField:
-    """Edge fluxes of the discrete gradient of a cell field.
+) -> np.ndarray:
+    """Edge fluxes of the discrete gradient of the cell values ``u``.
 
     Internal edge (owner K, neighbor L): (u_L - u_K) / c; boundary edge:
     (trace - u_K) / c.  Requires every coefficient to be nonzero.
     """
-    u.check(mesh)
+    _check_cells(mesh, u)
     bc = bc or DirichletData.zero(mesh)
     bc.check(mesh)
     zero = np.flatnonzero(np.abs(coeffs) < COEFF_TOL)
@@ -83,10 +92,9 @@ def discrete_gradient(
         raise ValueError(f"zero coupling coefficient on edge {int(zero[0])}")
     far = np.empty(mesh.num_edges)
     internal = mesh.internal_edges
-    far[internal] = u.values[mesh.edges.neighbor[internal]]
+    far[internal] = u[mesh.edges.neighbor[internal]]
     far[mesh.boundary_edges] = bc.values
-    fluxes = (far - u.values[mesh.edges.owner]) / coeffs
-    return RTField(fluxes)
+    return (far - u[mesh.edges.owner]) / coeffs
 
 
 def _norm(v: np.ndarray) -> float:
@@ -117,15 +125,15 @@ class SparseSystem:
 def assemble(
     mesh: Mesh,
     coeffs: np.ndarray,
-    f_t: P0Field,
+    f_t: np.ndarray,
     bc: DirichletData | None = None,
 ) -> SparseSystem:
-    """Assemble the cell-centered system A u = b.
+    """Assemble the cell-centered system A u = b for the cell source means ``f_t``.
 
     Refuses meshes with a non-positive coupling coefficient anywhere, since
     positivity is what guarantees a unique solution.
     """
-    f_t.check(mesh)
+    _check_cells(mesh, f_t)
     bc = bc or DirichletData.zero(mesh)
     bc.check(mesh)
     bad = np.flatnonzero(coeffs < COEFF_TOL)
@@ -138,7 +146,7 @@ def assemble(
     w = 1.0 / coeffs
     owner, neighbor = mesh.edges.owner, mesh.edges.neighbor
     boundary = mesh.boundary_edges
-    rhs = mesh.areas * f_t.values
+    rhs = mesh.areas * f_t
     np.add.at(rhs, owner[boundary], bc.values * w[boundary])
     # the diagonal sums 1/c over each triangle's edges; the owner and
     # neighbor entries are interleaved in edge order so that every row adds
@@ -160,8 +168,8 @@ def assemble(
 class Solution:
     """Cell values, recovered edge fluxes and solver diagnostics."""
 
-    u: P0Field
-    p: RTField
+    u: np.ndarray   # one value per triangle
+    p: np.ndarray   # one flux per edge, against the canonical edge normal
     iterations: int
     residual: float
     residual_history: list[float] = field(default_factory=list, repr=False)
@@ -174,7 +182,11 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
     first solve misses it, one step of iterative refinement follows; if the
     residual is still above ``tol`` the system's conditioning floor lies
     above it, and :class:`ConvergenceError` names the floor reached rather
-    than returning a false success.  ``Solution.iterations`` counts the LU
+    than returning a false success.  A nonzero right-hand side whose
+    largest entry is below the smallest normal float has lost its digits to
+    underflow, and the error names it instead of a floor (from that cut up,
+    rounding a subnormal entry is round-off relative to |b|).
+    ``Solution.iterations`` counts the LU
     solves: 1, 2 after refinement, 0 for a zero right-hand side.
     """
     # imported here because it costs memory and start-up time that commands
@@ -185,6 +197,13 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
     x = np.zeros(len(rhs))
     history: list[float] = []
     if np.any(rhs):
+        peak = float(np.abs(rhs).max())
+        if peak < TINY:
+            raise ConvergenceError(
+                f"subnormal right-hand side: max |b| = {peak:.3e} is below the "
+                f"smallest normal float {TINY:.3e}, so its entries have lost their digits",
+                history,
+            )
         norm_rhs = system.rhs_norm
         lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         x = lu.solve(rhs)
@@ -199,10 +218,9 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
                 f"{history[-1]:.3e} after one refinement step",
                 history,
             )
-    u = P0Field(x)
-    p = discrete_gradient(system.mesh, system.coeffs, u, system.bc)
+    p = discrete_gradient(system.mesh, system.coeffs, x, system.bc)
     residual = history[-1] if history else 0.0
-    return Solution(u=u, p=p, iterations=len(history), residual=residual, residual_history=history)
+    return Solution(u=x, p=p, iterations=len(history), residual=residual, residual_history=history)
 
 
 @dataclass
@@ -217,14 +235,15 @@ class FluxBalanceReport:
         return self.max_cell_residual <= threshold
 
 
-def flux_balance_check(mesh: Mesh, solution: Solution, f_t: P0Field) -> FluxBalanceReport:
-    """Per-cell balance between the source and the recovered flux divergence,
-    plus the global flux/source budget over the boundary."""
+def flux_balance_check(mesh: Mesh, solution: Solution, f_t: np.ndarray) -> FluxBalanceReport:
+    """Per-cell balance between the source means ``f_t`` and the recovered
+    flux divergence, plus the global flux/source budget over the boundary."""
+    _check_cells(mesh, f_t)
     div = divergence(mesh, solution.p)
-    cell = mesh.areas * (f_t.values + div.values)
-    boundary_flux = float(np.sum(solution.p.values[mesh.boundary_edges]))
+    cell = mesh.areas * (f_t + div)
+    boundary_flux = float(np.sum(solution.p[mesh.boundary_edges]))
     return FluxBalanceReport(
         cell_residuals=cell,
         max_cell_residual=float(np.max(np.abs(cell))),
-        global_imbalance=float(np.sum(mesh.areas * f_t.values) + boundary_flux),
+        global_imbalance=float(np.sum(mesh.areas * f_t) + boundary_flux),
     )

@@ -1,7 +1,8 @@
 """Piecewise-constant and lowest-order flux spaces on a triangle mesh.
 
-A scalar field holds one value per triangle; a flux field holds one normal
-flux per edge, measured against the edge's canonical normal.  The local
+A cell field is a float array with one value per triangle; a flux field is a
+float array with one normal flux per edge, measured against the edge's
+canonical normal.  The local
 vector basis function attached to edge i of a triangle is
 ``(x - W_i) / (2|K|)`` with ``W_i`` the opposite vertex; it has unit flux
 through edge i and zero flux through the other two, and the field
@@ -12,16 +13,12 @@ is evaluated in closed form; cell means use the one triangle rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mesh import Mesh, TriangleGeometry
 from .quadrature import TriangleRule, triangle_rule
 
 __all__ = [
-    "P0Field",
-    "RTField",
     "divergence",
     "interpolate_p0",
     "local_gram_closed_form",
@@ -33,43 +30,16 @@ __all__ = [
 QUAD_BLOCK = 2048
 
 
-@dataclass
-class P0Field:
-    """One value per triangle."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    def check(self, mesh: Mesh) -> None:
-        if len(self.values) != mesh.num_triangles:
-            raise ValueError("scalar field length does not match the triangle count")
-
-
-@dataclass
-class RTField:
-    """One flux per edge, against the canonical edge normal."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    def check(self, mesh: Mesh) -> None:
-        if len(self.values) != mesh.num_edges:
-            raise ValueError("flux field length does not match the edge count")
-
-
-def local_fluxes(mesh: Mesh, p: RTField) -> np.ndarray:
+def local_fluxes(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     """Per-triangle outward fluxes, shape (nt, 3): sign * canonical flux."""
-    return mesh.tri_signs * p.values[mesh.tri_edges]
+    return mesh.tri_signs * p[mesh.tri_edges]
 
 
-def divergence(mesh: Mesh, p: RTField) -> P0Field:
-    """Per-triangle divergence: net outward flux divided by the area."""
-    p.check(mesh)
-    return P0Field(local_fluxes(mesh, p).sum(axis=1) / mesh.areas)
+def divergence(mesh: Mesh, p: np.ndarray) -> np.ndarray:
+    """Per-triangle divergence of edge fluxes: net outward flux divided by the area."""
+    if len(p) != mesh.num_edges:
+        raise ValueError("flux field length does not match the edge count")
+    return local_fluxes(mesh, p).sum(axis=1) / mesh.areas
 
 
 def quadrature_blocks(mesh: Mesh, rule: TriangleRule):
@@ -81,13 +51,13 @@ def quadrature_blocks(mesh: Mesh, rule: TriangleRule):
         yield block, rule.points @ corners[block]
 
 
-def interpolate_p0(f, mesh: Mesh) -> P0Field:
+def interpolate_p0(f, mesh: Mesh) -> np.ndarray:
     """Cell means of ``f(x, y)`` (vectorized over numpy arrays) by quadrature."""
     rule = triangle_rule()
     means = np.empty(mesh.num_triangles)
     for block, x in quadrature_blocks(mesh, rule):
         means[block] = np.asarray(f(x[..., 0], x[..., 1]), dtype=float) @ rule.weights
-    return P0Field(means)
+    return means
 
 
 # Index of the cotangent in each entry of the closed-form local mass matrix:

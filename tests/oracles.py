@@ -17,7 +17,6 @@ import numpy as np
 from ptgfv.analysis import MIN_SAMPLE_ANGLE
 from ptgfv.mesh import Mesh, TriangleGeometry
 from ptgfv.quadrature import TriangleRule, triangle_rule
-from ptgfv.spaces import RTField
 
 
 def geometry(mesh: Mesh, t: int) -> TriangleGeometry:
@@ -156,10 +155,10 @@ def eval_local_basis(geometry: TriangleGeometry, i: int, x) -> np.ndarray:
     return (np.asarray(x, dtype=float) - w) / (2.0 * geometry.area)
 
 
-def eval_rt_field(mesh: Mesh, p: RTField, t: int, x) -> np.ndarray:
+def eval_rt_field(mesh: Mesh, p: np.ndarray, t: int, x) -> np.ndarray:
     """Evaluate the flux field inside triangle ``t`` at point(s) ``x``."""
     geom = geometry(mesh, t)
-    coeffs = mesh.tri_signs[t] * p.values[mesh.tri_edges[t]]
+    coeffs = mesh.tri_signs[t] * p[mesh.tri_edges[t]]
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for i in range(3):
@@ -167,7 +166,7 @@ def eval_rt_field(mesh: Mesh, p: RTField, t: int, x) -> np.ndarray:
     return out
 
 
-def interpolate_rt(v, mesh: Mesh) -> RTField:
+def interpolate_rt(v, mesh: Mesh) -> np.ndarray:
     """Edge fluxes of a vector field ``v(x, y) -> (vx, vy)`` by edge quadrature."""
     rule = interval_rule()
     edges = mesh.edges
@@ -177,7 +176,7 @@ def interpolate_rt(v, mesh: Mesh) -> RTField:
     vx, vy = v(pts[..., 0], pts[..., 1])
     normal = edges.normal[:, None, :]
     normal_v = np.asarray(vx) * normal[..., 0] + np.asarray(vy) * normal[..., 1]
-    return RTField(edges.length * (normal_v @ rule.weights))
+    return edges.length * (normal_v @ rule.weights)
 
 
 def local_gram_quadrature(geometry: TriangleGeometry) -> np.ndarray:

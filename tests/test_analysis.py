@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,9 +130,9 @@ def test_lemma_suite_passes_and_reproducible():
     assert one.all_passed
     assert one.max_energy_ratio < 1.0
     two = lemma_suite(samples=300, seed=42)
-    assert one.to_dict() == two.to_dict()
+    assert one == two
     other = lemma_suite(samples=300, seed=43)
-    assert other.to_dict() != one.to_dict()
+    assert other != one
 
 
 def test_lemma_suite_single_sample():
@@ -218,7 +219,7 @@ def test_stability_h1_not_applicable_past_a_right_angle():
     assert witness.max() == report.theta_max == quality.theta_max
     assert math.degrees(report.theta_max) == pytest.approx(90.589, abs=1e-3)
     assert report.passed_h3 and report.passed_h4 and report.all_passed
-    record = report.to_dict()
+    record = dataclasses.asdict(report)
     assert record["passed_h1"] is None
     assert record["theta_max_triangle"] == report.theta_max_triangle
     assert record["h1_min_ratio"] == report.h1_min_ratio > 0.0
@@ -254,7 +255,7 @@ def test_stability_rejects_inadmissible_mesh():
 def test_stability_deterministic(rhombus4):
     a = stability_check(rhombus4, trials=20, seed=1)
     b = stability_check(rhombus4, trials=20, seed=1)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_min_angle_sampler():

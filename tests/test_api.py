@@ -1,12 +1,17 @@
-"""The package's public surface: what ``ptgfv`` re-exports, and where the
-test-only reference implementations live."""
+"""The package's public surface: what ``ptgfv`` re-exports, where the
+test-only reference implementations live, and the names the benchmark in
+``perfbench/`` binds."""
 
+import dataclasses
 import importlib
+import importlib.util
+import inspect
 import types
+from pathlib import Path
 
 import ptgfv
+from ptgfv import solver
 from ptgfv.mesh import Mesh
-from ptgfv.spaces import P0Field, RTField
 
 MODULES = ("analysis", "dual", "mesh", "quadrature", "solver", "spaces")
 
@@ -45,4 +50,19 @@ def test_no_oracle_is_defined_in_the_package():
         module = importlib.import_module(f"ptgfv.{name}")
         assert [o for o in ORACLES if hasattr(module, o)] == [], name
     assert not hasattr(Mesh, "geometry")
-    assert not hasattr(P0Field, "zeros") and not hasattr(RTField, "zeros")
+
+
+def test_benchmark_bindings_exist():
+    # the benchmark's own self-test runs outside this suite, so a rename
+    # that breaks what it wraps or reads must fail here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, functions in spans.WRAPPED.items():
+        home = importlib.import_module(f"ptgfv.{module}")
+        assert [f for f in functions if not callable(getattr(home, f, None))] == [], module
+    assert "tol" in inspect.signature(solver.solve).parameters
+    fields = {f.name for f in dataclasses.fields(solver.Solution)}
+    assert {"iterations", "residual_history"} <= fields
+    assert callable(solver.DirichletData.zero)

@@ -158,11 +158,11 @@ def test_quadrature_blocks_match_one_shot():
     x = rule.points @ corners
     xs, ys = x[..., 0], x[..., 1]
     f_t = interpolate_p0(case.f, mesh)
-    np.testing.assert_allclose(f_t.values, case.f(xs, ys) @ rule.weights, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(f_t, case.f(xs, ys) @ rule.weights, rtol=1e-13, atol=0)
 
     solution = solve(assemble(mesh, cotan_coefficients(mesh), f_t), tol=1e-10)
     areas, w = mesh.areas, rule.weights
-    eu2 = areas @ (((case.u(xs, ys) - solution.u.values[:, None]) ** 2) @ w)
+    eu2 = areas @ (((case.u(xs, ys) - solution.u[:, None]) ** 2) @ w)
     loc = local_fluxes(mesh, solution.p)
     a_t = loc.sum(axis=1) / (2.0 * areas)
     b_t = np.einsum("ti,tid->td", loc, corners) / (2.0 * areas[:, None])

@@ -9,7 +9,6 @@ from ptgfv import analysis, cli, dual
 from ptgfv.cli import main
 from ptgfv.mesh import quality_report, read_mesh, write_mesh
 from ptgfv.solver import DirichletData, assemble, solve
-from ptgfv.spaces import P0Field
 
 from conftest import diagonal_square_mesh, jittered_rhombus
 
@@ -100,6 +99,20 @@ def test_mesh_info_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "mesh-info", str(bad))
     assert code == 2
     assert "line 6" in err
+
+
+@pytest.mark.parametrize("command", ["mesh-info", "solve"])
+def test_non_utf8_mesh_names_its_line(tmp_path, capsys, command):
+    text = write_mesh(jittered_rhombus(2, seed=3)).encode("utf-8")
+    lines = text.split(b"\n")
+    lines[4] = lines[4][:3] + b"\xff" + lines[4][3:]
+    bad = tmp_path / "bad.msh"
+    bad.write_bytes(b"\n".join(lines))
+    args = [str(bad)] if command == "mesh-info" else ["--mesh", str(bad), "--rhs-const", "1"]
+    code, out, err = run(capsys, command, *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 5: cannot read {bad}: byte 0xff is not UTF-8\n"
 
 
 def test_solve_constant_rhs(tmp_path, capsys):
@@ -343,8 +356,8 @@ def test_verify_makes_one_quality_report(rhombus_file, capsys, monkeypatch):
 
 
 def _reference_csv(solution) -> str:
-    lines = ["cell,u"] + [f"{i},{v:.17g}" for i, v in enumerate(solution.u.values)]
-    lines += ["edge,flux"] + [f"{i},{v:.17g}" for i, v in enumerate(solution.p.values)]
+    lines = ["cell,u"] + [f"{i},{v:.17g}" for i, v in enumerate(solution.u)]
+    lines += ["edge,flux"] + [f"{i},{v:.17g}" for i, v in enumerate(solution.p)]
     return "\n".join(lines) + "\n"
 
 
@@ -360,10 +373,10 @@ def test_solve_csv_matches_per_value_format(tmp_path, capsys, rhs):
     )
     assert code == 0
     mesh = read_mesh(mesh_path.read_text(encoding="utf-8"))
-    f_t = P0Field(np.full(mesh.num_triangles, float(rhs)))
+    f_t = np.full(mesh.num_triangles, float(rhs))
     system = assemble(mesh, dual.cotan_coefficients(mesh), f_t, DirichletData.zero(mesh))
     solution = solve(system, tol=1e-12)
-    values = np.concatenate([solution.u.values, solution.p.values])
+    values = np.concatenate([solution.u, solution.p])
     if rhs == "0":
         assert (values == 0.0).all()
     else:
@@ -397,13 +410,28 @@ def test_solve_tiny_constant_rhs(tmp_path, capsys):
         np.testing.assert_allclose(u[rhs], float(rhs) * u["1"], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "rhs, code, message",
+    [("1e-300", 0, ""), ("1e-310", 4, "subnormal right-hand side"),
+     ("1e-320", 4, "subnormal right-hand side")],
+)
+def test_solve_subnormal_source_is_named(tmp_path, capsys, rhs, code, message):
+    # |K| x 1e-310 is below the smallest normal float, so the cell integrals
+    # have lost their digits; 1e-300 keeps them and solves
+    mesh_path = tmp_path / "rhombus6.msh"
+    assert main(["generate", "--n", "6", "--out", str(mesh_path)]) == 0
+    capsys.readouterr()
+    got, _, err = run(capsys, "solve", "--mesh", str(mesh_path), f"--rhs-const={rhs}")
+    assert got == code
+    assert message in err
+    assert "stagnated" not in err
+
+
 def test_write_solution_matches_per_value_format(tmp_path):
     # signed zeros, subnormals, values below 1e-300 and non-finite values
     u = np.array([0.0, -0.0, 1e-310, -5e-324, 2.5e-301, -1.0 / 3.0, 1e300, math.pi])
     p = np.array([-7.0, 0.1, np.nan, np.inf, -np.inf, 123456789.0, -1e-320])
-    solution = SimpleNamespace(
-        u=SimpleNamespace(values=u), p=SimpleNamespace(values=p), iterations=1, residual=0.0
-    )
+    solution = SimpleNamespace(u=u, p=p, iterations=1, residual=0.0)
     out = tmp_path / "sol.csv"
     cli._write_solution(str(out), solution, 1e-12, "m.msh")
     assert out.read_text(encoding="utf-8") == _reference_csv(solution)

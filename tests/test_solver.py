@@ -19,7 +19,7 @@ from ptgfv.solver import (
     flux_balance_check,
     solve,
 )
-from ptgfv.spaces import P0Field, divergence, interpolate_p0
+from ptgfv.spaces import divergence, interpolate_p0
 
 from conftest import diagonal_square_mesh, jittered_rhombus
 from oracles import geometry, interpolate_rt
@@ -30,29 +30,29 @@ SQRT3 = math.sqrt(3.0)
 def test_gradient_of_constant_with_matching_trace():
     mesh = generate_rhombus_equilateral(2)
     coeffs = cotan_coefficients(mesh)
-    u = P0Field(np.full(mesh.num_triangles, 2.5))
+    u = np.full(mesh.num_triangles, 2.5)
     bc = DirichletData(np.full(len(mesh.boundary_edges), 2.5))
     p = discrete_gradient(mesh, coeffs, u, bc)
-    assert np.max(np.abs(p.values)) < 1e-14
+    assert np.max(np.abs(p)) < 1e-14
 
 
 def test_gradient_jump_between_equilaterals(rhombus1):
     coeffs = cotan_coefficients(rhombus1)
     e = int(rhombus1.internal_edges[0])
     edge = rhombus1.edges[e]
-    u = P0Field(np.zeros(2))
-    u.values[edge.owner] = 0.0
-    u.values[edge.neighbor] = 1.0
+    u = np.zeros(2)
+    u[edge.owner] = 0.0
+    u[edge.neighbor] = 1.0
     p = discrete_gradient(rhombus1, coeffs, u)
-    assert p.values[e] == pytest.approx(SQRT3, rel=1e-14)
+    assert p[e] == pytest.approx(SQRT3, rel=1e-14)
 
 
 def test_gradient_boundary_branch():
     # one equilateral cell, homogeneous trace: flux is -u_K / (cot(pi/3)/2)
     mesh = build_mesh([(0, 0), (1, 0), (0.5, SQRT3 / 2)], [(0, 1, 2)])
     coeffs = cotan_coefficients(mesh)
-    p = discrete_gradient(mesh, coeffs, P0Field(np.array([1.0])))
-    np.testing.assert_allclose(p.values, -2.0 * SQRT3, rtol=1e-14)
+    p = discrete_gradient(mesh, coeffs, np.array([1.0]))
+    np.testing.assert_allclose(p, -2.0 * SQRT3, rtol=1e-14)
 
 
 def test_gradient_rejects_zero_coefficient():
@@ -60,12 +60,32 @@ def test_gradient_rejects_zero_coefficient():
     coeffs = cotan_coefficients(mesh)
     assert quality_report(mesh).admissible is False
     with pytest.raises(ValueError, match="edge"):
-        discrete_gradient(mesh, coeffs, P0Field(np.zeros(2)))
+        discrete_gradient(mesh, coeffs, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, c: assemble(m, c, np.ones(1)), "scalar field length"),
+        (lambda m, c: assemble(m, c, np.ones(2), DirichletData(np.zeros(3))),
+         "boundary data length"),
+        (lambda m, c: discrete_gradient(m, c, np.ones(3)), "scalar field length"),
+        (lambda m, c: discrete_gradient(m, c, np.ones(2), DirichletData(np.zeros(5))),
+         "boundary data length"),
+        (lambda m, c: flux_balance_check(m, solve(assemble(m, c, np.ones(2))), np.ones(1)),
+         "scalar field length"),
+    ],
+    ids=["assemble-f", "assemble-bc", "gradient-u", "gradient-bc", "balance-f"],
+)
+def test_wrong_length_fields_are_rejected(rhombus1, call, message):
+    # a length-1 field would otherwise broadcast over the cells
+    with pytest.raises(ValueError, match=message):
+        call(rhombus1, cotan_coefficients(rhombus1))
 
 
 def test_assemble_rhombus_unit_source(rhombus1):
     coeffs = cotan_coefficients(rhombus1)
-    system = assemble(rhombus1, coeffs, P0Field(np.ones(2)))
+    system = assemble(rhombus1, coeffs, np.ones(2))
     dense = system.matrix.toarray()
     assert np.allclose(dense, dense.T)
     # each row: one internal coupling 1/c and two boundary couplings
@@ -78,7 +98,7 @@ def test_assemble_rhombus_unit_source(rhombus1):
 def test_assemble_row_structure_random_mesh():
     mesh = jittered_rhombus(4, seed=15)
     coeffs = cotan_coefficients(mesh)
-    system = assemble(mesh, coeffs, P0Field(np.zeros(mesh.num_triangles)))
+    system = assemble(mesh, coeffs, np.zeros(mesh.num_triangles))
     dense = system.matrix.toarray()
     assert np.allclose(dense, dense.T)
     inv = 1.0 / coeffs
@@ -101,30 +121,30 @@ def test_assemble_rejects_nonpositive_coefficients():
     coeffs = cotan_coefficients(mesh)
     assert quality_report(mesh).admissible is False
     with pytest.raises(ValueError, match="non-positive"):
-        assemble(mesh, coeffs, P0Field(np.zeros(2)))
+        assemble(mesh, coeffs, np.zeros(2))
 
 
 def test_solve_single_cell_in_one_iteration():
     mesh = build_mesh([(0, 0), (1, 0), (0.5, SQRT3 / 2)], [(0, 1, 2)])
     coeffs = cotan_coefficients(mesh)
-    solution = solve(assemble(mesh, coeffs, P0Field(np.ones(1))))
+    solution = solve(assemble(mesh, coeffs, np.ones(1)))
     assert solution.iterations == 1
-    assert solution.u.values[0] == pytest.approx((SQRT3 / 4.0) / (6.0 * SQRT3), rel=1e-13)
+    assert solution.u[0] == pytest.approx((SQRT3 / 4.0) / (6.0 * SQRT3), rel=1e-13)
 
 
 def test_solve_rhombus_unit_source(rhombus1):
     coeffs = cotan_coefficients(rhombus1)
-    solution = solve(assemble(rhombus1, coeffs, P0Field(np.ones(2))))
-    np.testing.assert_allclose(solution.u.values, 0.0625, rtol=1e-12)
+    solution = solve(assemble(rhombus1, coeffs, np.ones(2)))
+    np.testing.assert_allclose(solution.u, 0.0625, rtol=1e-12)
     assert solution.residual <= 1e-12
 
 
 def test_solve_zero_rhs_returns_zero(rhombus4):
     coeffs = cotan_coefficients(rhombus4)
-    solution = solve(assemble(rhombus4, coeffs, P0Field(np.zeros(rhombus4.num_triangles))))
+    solution = solve(assemble(rhombus4, coeffs, np.zeros(rhombus4.num_triangles)))
     assert solution.iterations == 0
-    assert np.max(np.abs(solution.u.values)) == 0.0
-    assert np.max(np.abs(solution.p.values)) == 0.0
+    assert np.max(np.abs(solution.u)) == 0.0
+    assert np.max(np.abs(solution.p)) == 0.0
 
 
 def test_solve_conservation_identity():
@@ -132,18 +152,18 @@ def test_solve_conservation_identity():
     mesh = generate_rhombus_equilateral(4)
     coeffs = cotan_coefficients(mesh)
     rng = np.random.default_rng(67)
-    f_t = P0Field(rng.standard_normal(mesh.num_triangles))
+    f_t = rng.standard_normal(mesh.num_triangles)
     tol = 1e-12
     solution = solve(assemble(mesh, coeffs, f_t), tol=tol)
-    residual = np.abs(f_t.values + divergence(mesh, solution.p).values)
-    assert residual.max() <= 10.0 * tol * float(np.linalg.norm(f_t.values))
+    residual = np.abs(f_t + divergence(mesh, solution.p))
+    assert residual.max() <= 10.0 * tol * float(np.linalg.norm(f_t))
 
 
 def test_solve_below_the_floor_stagnates(rhombus4):
     # 1e-17 is below double precision: the LU solve and its one refinement
     # step both stay above it, and the error names the floor it reached
     coeffs = cotan_coefficients(rhombus4)
-    system = assemble(rhombus4, coeffs, P0Field(np.ones(rhombus4.num_triangles)))
+    system = assemble(rhombus4, coeffs, np.ones(rhombus4.num_triangles))
     tol = 1e-17
     with pytest.raises(ConvergenceError, match="stagnated") as err:
         solve(system, tol=tol)
@@ -173,20 +193,20 @@ def test_solution_flux_equals_discrete_gradient(rhombus4):
     f_t = interpolate_p0(lambda x, y: np.cos(x) + y, rhombus4)
     solution = solve(assemble(rhombus4, coeffs, f_t))
     again = discrete_gradient(rhombus4, coeffs, solution.u, DirichletData.zero(rhombus4))
-    assert np.array_equal(solution.p.values, again.values)
+    assert np.array_equal(solution.p, again)
 
 
 def test_flux_balance_small_and_random():
     mesh1 = generate_rhombus_equilateral(1)
     coeffs1 = cotan_coefficients(mesh1)
-    f1 = P0Field(np.ones(2))
+    f1 = np.ones(2)
     report1 = flux_balance_check(mesh1, solve(assemble(mesh1, coeffs1, f1)), f1)
     assert report1.max_cell_residual <= 1e-12
 
     mesh8 = generate_rhombus_equilateral(8)
     coeffs8 = cotan_coefficients(mesh8)
     rng = np.random.default_rng(71)
-    f8 = P0Field(rng.uniform(-1.0, 1.0, mesh8.num_triangles))
+    f8 = rng.uniform(-1.0, 1.0, mesh8.num_triangles)
     report8 = flux_balance_check(mesh8, solve(assemble(mesh8, coeffs8, f8)), f8)
     assert report8.max_cell_residual <= 1e-10
     # discrete divergence theorem: total source exits through the boundary
@@ -197,31 +217,31 @@ def test_discrete_maximum_principle():
     for mesh in (generate_rhombus_equilateral(4), jittered_rhombus(4, seed=25)):
         coeffs = cotan_coefficients(mesh)
         rng = np.random.default_rng(73)
-        f_t = P0Field(rng.uniform(0.0, 1.0, mesh.num_triangles))
+        f_t = rng.uniform(0.0, 1.0, mesh.num_triangles)
         solution = solve(assemble(mesh, coeffs, f_t))
-        assert solution.u.values.min() >= -1e-12 * max(1.0, solution.u.values.max())
+        assert solution.u.min() >= -1e-12 * max(1.0, solution.u.max())
 
 
 def test_solution_invariant_under_scaling():
     mesh = jittered_rhombus(3, seed=27)
     coeffs = cotan_coefficients(mesh)
     rng = np.random.default_rng(79)
-    f_t = P0Field(rng.standard_normal(mesh.num_triangles))
+    f_t = rng.standard_normal(mesh.num_triangles)
     base = solve(assemble(mesh, coeffs, f_t))
     s = 12.5
     scaled_mesh = build_mesh(np.array(mesh.vertices) * s, mesh.triangles)
     scaled_coeffs = cotan_coefficients(scaled_mesh)
-    scaled = solve(assemble(scaled_mesh, scaled_coeffs, P0Field(f_t.values / s**2)))
-    np.testing.assert_allclose(scaled.u.values, base.u.values, atol=1e-12)
+    scaled = solve(assemble(scaled_mesh, scaled_coeffs, f_t / s**2))
+    np.testing.assert_allclose(scaled.u, base.u, atol=1e-12)
 
 
 def test_inhomogeneous_constant_trace_exact():
     mesh = jittered_rhombus(3, seed=29)
     coeffs = cotan_coefficients(mesh)
     bc = DirichletData(np.full(len(mesh.boundary_edges), 3.25))
-    solution = solve(assemble(mesh, coeffs, P0Field(np.zeros(mesh.num_triangles)), bc))
-    np.testing.assert_allclose(solution.u.values, 3.25, atol=1e-11)
-    assert np.max(np.abs(solution.p.values)) < 1e-10
+    solution = solve(assemble(mesh, coeffs, np.zeros(mesh.num_triangles), bc))
+    np.testing.assert_allclose(solution.u, 3.25, atol=1e-11)
+    assert np.max(np.abs(solution.p)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -236,11 +256,11 @@ def test_inhomogeneous_linear_solution_exact_on_rhombus(n):
         mid = 0.5 * (mesh.vertices[edge.tail] + mesh.vertices[edge.head])
         traces.append(mid[0])
     bc = DirichletData(np.array(traces))
-    solution = solve(assemble(mesh, coeffs, P0Field(np.zeros(mesh.num_triangles)), bc))
+    solution = solve(assemble(mesh, coeffs, np.zeros(mesh.num_triangles), bc))
     expected_u = np.array([geometry(mesh, t).centroid[0] for t in range(mesh.num_triangles)])
-    np.testing.assert_allclose(solution.u.values, expected_u, atol=1e-12)
+    np.testing.assert_allclose(solution.u, expected_u, atol=1e-12)
     exact_flux = interpolate_rt(lambda x, y: (np.ones_like(x), np.zeros_like(y)), mesh)
-    np.testing.assert_allclose(solution.p.values, exact_flux.values, atol=1e-11)
+    np.testing.assert_allclose(solution.p, exact_flux, atol=1e-11)
 
 
 def test_near_threshold_delaunay_edges():
@@ -260,11 +280,11 @@ def test_near_threshold_delaunay_edges():
     assert coeffs[e] == pytest.approx(math.tan(0.5e-6), rel=1e-6)
     # conditioning ~1/c limits the certifiable true residual; ask for 1e-9
     tol = 1e-9
-    f_t = P0Field(np.ones(2))
+    f_t = np.ones(2)
     system = assemble(mesh, coeffs, f_t)
     solution = solve(system, tol=tol)
-    assert solution.u.values.min() > 0.0
-    np.testing.assert_allclose(solution.u.values[0], solution.u.values[1], rtol=1e-9)
+    assert solution.u.min() > 0.0
+    np.testing.assert_allclose(solution.u[0], solution.u[1], rtol=1e-9)
     report = flux_balance_check(mesh, solution, f_t)
     assert report.max_cell_residual <= 10.0 * tol * float(np.linalg.norm(system.rhs))
 
@@ -272,7 +292,7 @@ def test_near_threshold_delaunay_edges():
     assert not quality_report(crossed).admissible
     bad_coeffs = cotan_coefficients(crossed)
     with pytest.raises(ValueError, match="non-positive"):
-        assemble(crossed, bad_coeffs, P0Field(np.ones(2)))
+        assemble(crossed, bad_coeffs, np.ones(2))
 
 
 def test_import_leaves_the_lu_solver_unloaded():
@@ -293,7 +313,7 @@ def test_solver_determinism(rhombus4):
     f_t = interpolate_p0(lambda x, y: np.sin(3.0 * x) * y, rhombus4)
     one = solve(assemble(rhombus4, coeffs, f_t))
     two = solve(assemble(rhombus4, coeffs, f_t))
-    assert np.array_equal(one.u.values, two.u.values)
-    assert np.array_equal(one.p.values, two.p.values)
+    assert np.array_equal(one.u, two.u)
+    assert np.array_equal(one.p, two.p)
     assert one.iterations == two.iterations
     assert one.residual == two.residual

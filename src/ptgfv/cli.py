@@ -85,7 +85,7 @@ def _load_mesh(path: str):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise MeshFormatError(f"cannot read {path}: {exc.strerror}", 0) from exc
+        raise MeshError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

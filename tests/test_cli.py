@@ -115,6 +115,16 @@ def test_non_utf8_mesh_names_its_line(tmp_path, capsys, command):
     assert err == f"error: line 5: cannot read {bad}: byte 0xff is not UTF-8\n"
 
 
+@pytest.mark.parametrize("command", ["mesh-info", "solve"])
+def test_missing_mesh_names_no_line(tmp_path, capsys, command):
+    missing = tmp_path / "nope.msh"
+    args = [str(missing)] if command == "mesh-info" else ["--mesh", str(missing), "--rhs-const", "1"]
+    code, out, err = run(capsys, command, *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
 def test_solve_constant_rhs(tmp_path, capsys):
     mesh_path = tmp_path / "r1.msh"
     main(["generate", "--n", "1", "--out", str(mesh_path)])

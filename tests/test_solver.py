@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 import ptgfv
 from ptgfv.analysis import CASES
@@ -114,6 +115,29 @@ def test_assemble_row_structure_random_mesh():
     for e in mesh.boundary_edges:
         touches_boundary[mesh.edges[e].owner] = True
     assert np.all(off_sum[touches_boundary] < -1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 15])
+def test_assemble_exactly_symmetric(seed):
+    # the LU solve runs in SuperLU's symmetric mode and factors the CSR
+    # matrix's transpose, so the two must agree bit for bit
+    mesh = jittered_rhombus(8, seed)
+    system = assemble(mesh, cotan_coefficients(mesh), np.ones(mesh.num_triangles))
+    assert (system.matrix != system.matrix.T).nnz == 0
+
+
+@pytest.mark.parametrize("n, seed", [(16, 7), (32, None)])
+def test_solve_matches_spsolve_to_round_off(n, seed):
+    # SuperLU's panel size changes the order of the factor's updates, not
+    # the factor: the solution agrees with a default-option direct solve
+    mesh = generate_rhombus_equilateral(n) if seed is None else jittered_rhombus(n, seed)
+    coeffs = cotan_coefficients(mesh)
+    system = assemble(mesh, coeffs, interpolate_p0(CASES["rhombus-sine"].f, mesh))
+    solution = solve(system)
+    u = spsolve(system.matrix.tocsc(), system.rhs)
+    p = discrete_gradient(mesh, coeffs, u)
+    assert np.abs(solution.u - u).max() <= 1e-12 * np.abs(u).max()
+    assert np.abs(solution.p - p).max() <= 1e-12 * np.abs(p).max()
 
 
 def test_assemble_rejects_nonpositive_coefficients():

@@ -56,8 +56,10 @@ class ManufacturedCase:
     """Analytic solution/source pair with a domain generator.
 
     ``u``, ``f`` map coordinate arrays to value arrays; ``grad_u`` returns
-    the pair of partial derivatives.  All built-in cases vanish on their
-    domain boundary.
+    the pair of partial derivatives.  ``exact`` returns ``(u, ux, uy, f)``
+    at once, for :func:`error_norms`; by default it calls ``u``, ``grad_u``
+    and ``f`` in turn, and a case may supply one that shares their work.
+    All built-in cases vanish on their domain boundary.
     """
 
     name: str
@@ -65,32 +67,51 @@ class ManufacturedCase:
     u: object          # Callable[(x, y) arrays] -> array
     f: object
     grad_u: object     # Callable -> (ux, uy)
+    exact: object = None  # Callable -> (u, ux, uy, f)
+
+    def __post_init__(self):
+        if self.exact is None:
+            def exact(x, y):
+                u = self.u(x, y)
+                ux, uy = self.grad_u(x, y)
+                return u, ux, uy, self.f(x, y)
+
+            object.__setattr__(self, "exact", exact)
 
 
 def _make_rhombus_sine() -> ManufacturedCase:
     s3 = math.sqrt(3.0)
     pi = math.pi
 
-    # skew coordinates of the rhombus: both run over (0, 1) inside the domain
-    def xi(x, y):
-        return x - y / s3
+    # sin and cos of pi times the skew coordinates of the rhombus,
+    # xi = x - y/sqrt(3) and eta = 2y/sqrt(3): both run over (0, 1) inside
+    # the domain
+    def trig(x, y):
+        a = pi * (x - y / s3)
+        b = pi * (2.0 * y / s3)
+        return np.sin(a), np.cos(a), np.sin(b), np.cos(b)
 
-    def eta(x, y):
-        return 2.0 * y / s3
+    def source(sa, ca, sb, cb):
+        return (4.0 * pi**2 / 3.0) * (2.0 * sa * sb + ca * cb)
+
+    def gradient(sa, ca, sb, cb):
+        cs = ca * sb
+        sc = sa * cb
+        return pi * cs, pi * (-cs / s3 + 2.0 * sc / s3)
 
     def u(x, y):
-        return np.sin(pi * xi(x, y)) * np.sin(pi * eta(x, y))
+        sa, _, sb, _ = trig(x, y)
+        return sa * sb
 
     def f(x, y):
-        return (4.0 * pi**2 / 3.0) * (
-            2.0 * np.sin(pi * xi(x, y)) * np.sin(pi * eta(x, y))
-            + np.cos(pi * xi(x, y)) * np.cos(pi * eta(x, y))
-        )
+        return source(*trig(x, y))
 
     def grad_u(x, y):
-        cs = np.cos(pi * xi(x, y)) * np.sin(pi * eta(x, y))
-        sc = np.sin(pi * xi(x, y)) * np.cos(pi * eta(x, y))
-        return pi * cs, pi * (-cs / s3 + 2.0 * sc / s3)
+        return gradient(*trig(x, y))
+
+    def exact(x, y):
+        sa, ca, sb, cb = t = trig(x, y)
+        return (sa * sb, *gradient(*t), source(*t))
 
     return ManufacturedCase(
         name="rhombus-sine",
@@ -98,6 +119,7 @@ def _make_rhombus_sine() -> ManufacturedCase:
         u=u,
         f=f,
         grad_u=grad_u,
+        exact=exact,
     )
 
 
@@ -128,15 +150,13 @@ def error_norms(
     for block, x in quadrature_blocks(mesh, rule):              # x: (b, nq, 2)
         xs, ys = x[..., 0], x[..., 1]
         area = areas[block]
-        u_vals = np.asarray(case.u(xs, ys), dtype=float)
+        u_vals, gx, gy, f_vals = (np.asarray(a, dtype=float) for a in case.exact(xs, ys))
         eu2 += float(area @ (((u_vals - solution.u[block, None]) ** 2) @ w))
 
         px = a_t[block, None] * xs - b_t[block, None, 0]
         py = a_t[block, None] * ys - b_t[block, None, 1]
-        gx, gy = case.grad_u(xs, ys)
-        ep2 += float(area @ (((np.asarray(gx) - px) ** 2 + (np.asarray(gy) - py) ** 2) @ w))
+        ep2 += float(area @ (((gx - px) ** 2 + (gy - py) ** 2) @ w))
 
-        f_vals = np.asarray(case.f(xs, ys), dtype=float)
         ediv2 += float(area @ (((-f_vals - div_t[block, None]) ** 2) @ w))
     return math.sqrt(eu2), math.sqrt(ep2), math.sqrt(ediv2)
 
@@ -227,6 +247,19 @@ def random_triangles(
     return TriangleGeometry.from_vertices(np.concatenate(accepted))
 
 
+def _circumcenter(v: np.ndarray) -> np.ndarray:
+    """Circumcenters (..., 2) of the triangles with corners ``v`` (..., 3, 2)."""
+    d1 = v[..., 1, :] - v[..., 0, :]
+    d2 = v[..., 2, :] - v[..., 0, :]
+    denom = 2.0 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    n1 = np.sum(d1 * d1, axis=-1)
+    n2 = np.sum(d2 * d2, axis=-1)
+    return v[..., 0, :] + np.stack(
+        [(d2[..., 1] * n1 - d1[..., 1] * n2) / denom, (d1[..., 0] * n2 - d2[..., 0] * n1) / denom],
+        axis=-1,
+    )
+
+
 def circumcenter_edge_distances(geometry: TriangleGeometry) -> np.ndarray:
     """Signed circumcenter-to-edge distances, positive towards the interior.
 
@@ -243,7 +276,7 @@ def circumcenter_edge_distances(geometry: TriangleGeometry) -> np.ndarray:
     inward = v - mid
     inward = inward - tangent * np.sum(inward * tangent, axis=-1, keepdims=True)
     inward = inward / np.hypot(inward[..., 0], inward[..., 1])[..., None]
-    return np.sum((geometry.circumcenter[..., None, :] - mid) * inward, axis=-1)
+    return np.sum((_circumcenter(v)[..., None, :] - mid) * inward, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,10 @@ def _load_mesh(path: str):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bad byte's line as read_mesh numbers lines; the sentinel makes
-        # the partial line before the byte count as a line
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        # read_mesh ends lines at "\n" only
         raise MeshFormatError(
-            f"cannot read {path}: byte 0x{data[exc.start]:02x} is not UTF-8", line
+            f"cannot read {path}: byte 0x{data[exc.start]:02x} is not UTF-8",
+            data.count(b"\n", 0, exc.start) + 1,
         ) from None
     del data  # held through the parse, the bytes add the file's size to peak memory
     return read_mesh(text)

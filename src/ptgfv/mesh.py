@@ -66,9 +66,16 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def _edge_lengths(v: np.ndarray) -> np.ndarray:
-    """Edge lengths (..., 3); entry i is the edge opposite vertex i."""
-    d = v[..., _PREV, :] - v[..., _NEXT, :]
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """Extend ``a`` (B, 3, ...) along axis 1 by its entries 0 and 1, so that
+    the slice ``[:, k:k+3]`` holds entry i+k (mod 3) at position i."""
+    return np.concatenate([a, a[:, :2]], axis=1)
+
+
+def _edge_lengths(w: np.ndarray) -> np.ndarray:
+    """Edge lengths (B, 3) of the wrapped corners ``w`` (B, 5, 2); entry i
+    is the edge opposite vertex i, from vertex i+1 to vertex i+2."""
+    d = w[:, 2:5] - w[:, 1:4]
     return np.hypot(d[..., 0], d[..., 1])
 
 
@@ -92,9 +99,7 @@ class TriangleGeometry:
     area: float
     edge_lengths: np.ndarray  # (3,)
     angles: np.ndarray        # (3,) radians, angle i at vertex i
-    circumcenter: np.ndarray  # (2,)
     rho2: float
-    centroid: np.ndarray      # (2,)
 
     @staticmethod
     def degenerate(vertices) -> np.ndarray:
@@ -103,7 +108,8 @@ class TriangleGeometry:
         ``vertices`` has shape (..., 3, 2); either orientation is accepted.
         """
         v = np.asarray(vertices, dtype=float)
-        return _degenerate(np.abs(_signed_areas(v)), _edge_lengths(v))
+        lengths = _edge_lengths(_wrap(v.reshape(-1, 3, 2))).reshape(v.shape[:-1])
+        return _degenerate(np.abs(_signed_areas(v)), lengths)
 
     @classmethod
     def from_vertices(cls, vertices) -> "TriangleGeometry":
@@ -114,39 +120,47 @@ class TriangleGeometry:
         """
         v = np.array(vertices, dtype=float)
         batched = v.ndim == 3
-        v = v.reshape(-1, 3, 2)
-        cw = _signed_areas(v) < 0.0
-        v[cw] = v[cw][:, [0, 2, 1]]
-        area = _signed_areas(v)
-        lengths = _edge_lengths(v)
-        bad = np.flatnonzero(_degenerate(area, lengths))
+        geom = cls._oriented(v.reshape(-1, 3, 2))[0]
+        bad = np.flatnonzero(_degenerate(geom.area, geom.edge_lengths))
         if bad.size:
             where = f" {bad[0]}" if batched else ""
-            raise MeshError(f"degenerate triangle{where} with vertices {v[bad[0]].tolist()}")
+            raise MeshError(
+                f"degenerate triangle{where} with vertices {geom.vertices[bad[0]].tolist()}"
+            )
+        if batched:
+            return geom
+        return cls(
+            geom.vertices[0], float(geom.area[0]), geom.edge_lengths[0], geom.angles[0],
+            float(geom.rho2[0]),
+        )
+
+    @classmethod
+    def _oriented(cls, v: np.ndarray) -> tuple["TriangleGeometry", np.ndarray]:
+        """Read-only batch of the corners ``v`` (B, 3, 2), which are reordered
+        in place to counter-clockwise, and the flags of the reordered ones.
+
+        Nothing is rejected: a degenerate triangle gets NaN angles.
+        """
+        signed = _signed_areas(v)
+        clockwise = signed < 0.0
+        if clockwise.any():
+            v[clockwise] = v[clockwise][:, [0, 2, 1]]
+        w = _wrap(v)
+        lengths = _edge_lengths(w)
         # angle i lies between the edges to vertices i+1 and i+2, which are
         # the edges opposite vertices i+2 and i+1
-        a = v[:, _NEXT] - v
-        b = v[:, _PREV] - v
-        cos = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / (lengths[:, _PREV] * lengths[:, _NEXT])
+        a = w[:, 1:4] - v
+        b = w[:, 2:5] - v
+        wl = _wrap(lengths)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / (wl[:, 2:5] * wl[:, 1:4])
         angles = np.arccos(np.clip(cos, -1.0, 1.0))
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        denom = 2.0 * _cross(d1, d2)
-        n1 = np.sum(d1 * d1, axis=-1)
-        n2 = np.sum(d2 * d2, axis=-1)
-        center = v[:, 0] + np.stack(
-            [(d2[:, 1] * n1 - d1[:, 1] * n2) / denom, (d1[:, 0] * n2 - d2[:, 0] * n1) / denom],
-            axis=-1,
-        )
         rho2 = np.sum(lengths**2, axis=-1) / 36.0
-        centroid = v.mean(axis=-2)
-        fields = (v, area, lengths, angles, center, rho2, centroid)
+        # a clockwise area is the exact negative of its reordered one
+        fields = (v, np.abs(signed), lengths, angles, rho2)
         for arr in fields:
             arr.flags.writeable = False
-        if batched:
-            return cls(*fields)
-        v, area, lengths, angles, center, rho2, centroid = (arr[0] for arr in fields)
-        return cls(v, float(area), lengths, angles, center, float(rho2), centroid)
+        return cls(*fields), clockwise
 
 
 # One row per edge of ``Mesh.edges``; see :class:`Mesh`.
@@ -288,13 +302,12 @@ def build_mesh(vertices, triangles) -> Mesh:
     if nt == 0:
         raise MeshError("a mesh needs at least one triangle")
 
-    clockwise = _signed_areas(verts[tris]) < 0.0
-    tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
-    corners = verts[tris]
-    message = _first_offender(tris, TriangleGeometry.degenerate(corners))
+    geometries, clockwise = TriangleGeometry._oriented(verts[tris])
+    if clockwise.any():
+        tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    message = _first_offender(tris, _degenerate(geometries.area, geometries.edge_lengths))
     if message:
         raise MeshError(message)
-    geometries = TriangleGeometry.from_vertices(corners)
 
     # half-edge 3t + m joins vertices m+1 and m+2 of triangle t; a stable
     # sort on the key of its vertex pair groups the (at most two) halves of
@@ -429,106 +442,151 @@ def write_mesh(mesh: Mesh) -> str:
     )
 
 
-# Ends each row when a block is split in one piece: it is neither whitespace
-# nor a numeral, so it stays a token of its own and fails any conversion.
+# Joins the rows of a block, which is then split in one piece: it is neither
+# whitespace nor a numeral, so it stays a token of its own and fails any
+# conversion.
 _ROW_END = "\0"
 
 
-def _parse_block(rows, width: int, dtype, valid, check_line) -> np.ndarray:
-    """Convert ``rows`` of (line number, text) to a (len(rows), width) array.
+def _plain(text: str) -> bool:
+    """True if ``text`` may hold ASCII decimal numerals only: Python's
+    ``float`` and ``int`` also read ``_`` separators and non-ASCII digits."""
+    return text.isascii() and "_" not in text
 
-    The block is split once, with ``_ROW_END`` after every row, and converted
-    by one ``np.array`` call.  A row of another width moves some ``_ROW_END``
-    off the slots that follow every ``width`` tokens: either the slot check
-    fails, or that token stays among the values and fails the conversion.
-    ``valid`` checks the values with array operations.  Only a block that
-    fails any of these goes through ``check_line(lineno, parts)`` line by
-    line, which raises on the first bad line with its message.
+
+def _parse_block(rows: list[str], width: int, dtype, valid) -> np.ndarray | None:
+    """Convert ``rows`` to a (len(rows), width) array, or None if they fail.
+
+    The rows are joined around ``_ROW_END``, split once and converted by one
+    ``np.array`` call.  A row of another width moves some ``_ROW_END`` off
+    the slots that follow every ``width`` tokens: either the slot check
+    fails, the token count misses len(rows) * width, or that token stays
+    among the values and fails the conversion.  ``valid`` checks the values
+    with array operations.
     """
+    block = f" {_ROW_END} ".join(rows)
+    if not _plain(block):
+        return None
+    tokens = block.split()
+    if tokens[width :: width + 1] != [_ROW_END] * (len(rows) - 1):
+        return None
+    del tokens[width :: width + 1]
     try:
-        tokens = "".join([f"{line} {_ROW_END} " for _, line in rows]).split()
-        if tokens[width :: width + 1] == [_ROW_END] * len(rows):
-            del tokens[width :: width + 1]
-            values = np.array(tokens, dtype=dtype).reshape(len(rows), width)
-            if valid(values):
-                return values
+        values = np.array(tokens, dtype=dtype).reshape(len(rows), width)
     except (ValueError, OverflowError):
-        pass
-    for lineno, line in rows:
-        check_line(lineno, line.split())
-    raise AssertionError("a block failed its bulk parse but no line check")
+        return None
+    return values if valid(values) else None
+
+
+class _Renumber(Exception):
+    """A check failed while the rows were taken to be the file's lines."""
+
+
+def _read_rows(rows: list[str], lines: list[int] | None) -> Mesh:
+    """Parse ``rows``: the header, the counts, the vertex and the triangle
+    rows, then nothing but blank rows.
+
+    With ``lines`` None the rows are the file's lines as they stand, and a
+    failed check raises :class:`_Renumber`.  Otherwise they are its stripped
+    data lines, row i is line ``lines[i]``, and a failed check raises
+    :class:`MeshFormatError` naming the line; a block that fails its bulk
+    parse is then checked row by row for the message of its first bad line.
+    """
+    def error(message: str, row: int) -> Exception:
+        if lines is None:
+            return _Renumber()
+        return MeshFormatError(message, lines[row] if row < len(lines) else lines[-1] + 1)
+
+    header = rows[0].strip()
+    if header != FORMAT_HEADER:
+        raise error(f"bad header {header!r}, expected {FORMAT_HEADER!r}", 0)
+    if len(rows) < 2:
+        raise error("unexpected end of file, expected vertex and triangle counts", 1)
+    parts = rows[1].split()
+    if len(parts) != 2:
+        raise error("expected '<nv> <nt>'", 1)
+    try:
+        if not _plain(rows[1]):
+            raise ValueError
+        nv, nt = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise error("counts must be integers", 1) from None
+    if nv < 3 or nt < 1:
+        raise error(f"implausible counts nv={nv} nt={nt}", 1)
+
+    def check_vertex(row: int, parts: list[str]) -> None:
+        if len(parts) != 2:
+            raise error("expected 'x y'", row)
+        try:
+            if not _plain(rows[row]):
+                raise ValueError
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise error("coordinates must be decimal floats", row) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise error("coordinates must be finite", row)
+
+    def check_triangle(row: int, parts: list[str]) -> None:
+        if len(parts) != 3:
+            raise error("expected 'i j k'", row)
+        try:
+            if not _plain(rows[row]):
+                raise ValueError
+            tri = tuple(int(p) for p in parts)
+        except ValueError:
+            raise error("indices must be integers", row) from None
+        for idx in tri:
+            if not 0 <= idx < nv:
+                raise error(f"vertex index {idx} out of range 0..{nv - 1}", row)
+
+    def block(first: int, count: int, what: str, width: int, dtype, valid, check_row):
+        values = _parse_block(rows[first : first + count], width, dtype, valid)
+        if values is None:
+            if lines is None:
+                raise _Renumber()
+            for row in range(first, min(first + count, len(rows))):
+                check_row(row, rows[row].split())
+            raise AssertionError("a block failed its bulk parse but no row check")
+        if len(values) < count:
+            raise error(f"unexpected end of file, expected {what}", len(rows))
+        return values
+
+    verts = block(
+        2, nv, "vertex coordinates", 2, float, lambda v: np.isfinite(v).all(), check_vertex
+    )
+    tris = block(
+        2 + nv, nt, "triangle indices", 3, np.int64,
+        lambda t: ((t >= 0) & (t < nv)).all(), check_triangle,
+    )
+    end = 2 + nv + nt
+    if any(row.strip() for row in rows[end:]):
+        raise error("unexpected content after the declared data", end)
+    try:
+        return build_mesh(verts, tris)
+    except MeshError as exc:
+        raise MeshError(f"invalid mesh in file: {exc}") from exc
 
 
 def read_mesh(text: str) -> Mesh:
     """Parse the text format produced by :func:`write_mesh`.
 
-    Blank lines and lines starting with ``#`` are ignored.  The vertex and
-    the triangle lines are each parsed in bulk; errors carry the offending
-    1-based line number.
+    Lines end at line feeds only.  Blank lines and lines starting with
+    ``#`` are ignored, and numbers are ASCII decimals.  The vertex and the triangle
+    lines are each parsed in bulk.  A file whose first lines are its data
+    is parsed as it stands; any other file, and any file that fails a
+    check, is parsed again from its numbered data lines, so that errors
+    carry the offending 1-based line number.
     """
+    lines = text.split("\n")
+    try:
+        return _read_rows(lines, None)
+    except _Renumber:
+        pass
     numbered = [
         (lineno, stripped)
-        for lineno, line in enumerate(text.splitlines(), start=1)
+        for lineno, line in enumerate(lines, start=1)
         if (stripped := line.strip()) and stripped[0] != "#"
     ]
     if not numbered:
         raise MeshFormatError("empty mesh file", 1)
-
-    def end_of_file(what: str) -> MeshFormatError:
-        return MeshFormatError(f"unexpected end of file, expected {what}", numbered[-1][0] + 1)
-
-    lineno, header = numbered[0]
-    if header != FORMAT_HEADER:
-        raise MeshFormatError(f"bad header {header!r}, expected {FORMAT_HEADER!r}", lineno)
-    if len(numbered) < 2:
-        raise end_of_file("vertex and triangle counts")
-    lineno, counts = numbered[1]
-    parts = counts.split()
-    if len(parts) != 2:
-        raise MeshFormatError("expected '<nv> <nt>'", lineno)
-    try:
-        nv, nt = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MeshFormatError("counts must be integers", lineno) from None
-    if nv < 3 or nt < 1:
-        raise MeshFormatError(f"implausible counts nv={nv} nt={nt}", lineno)
-
-    def check_vertex(lineno: int, parts: list[str]) -> None:
-        if len(parts) != 2:
-            raise MeshFormatError("expected 'x y'", lineno)
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise MeshFormatError("coordinates must be decimal floats", lineno) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise MeshFormatError("coordinates must be finite", lineno)
-
-    def check_triangle(lineno: int, parts: list[str]) -> None:
-        if len(parts) != 3:
-            raise MeshFormatError("expected 'i j k'", lineno)
-        try:
-            tri = tuple(int(p) for p in parts)
-        except ValueError:
-            raise MeshFormatError("indices must be integers", lineno) from None
-        for idx in tri:
-            if not 0 <= idx < nv:
-                raise MeshFormatError(f"vertex index {idx} out of range 0..{nv - 1}", lineno)
-
-    rows = numbered[2 : 2 + nv]
-    verts = _parse_block(rows, 2, float, lambda v: np.isfinite(v).all(), check_vertex)
-    if len(rows) < nv:
-        raise end_of_file("vertex coordinates")
-    rows = numbered[2 + nv : 2 + nv + nt]
-    tris = _parse_block(
-        rows, 3, np.int64, lambda t: ((t >= 0) & (t < nv)).all(), check_triangle
-    )
-    if len(rows) < nt:
-        raise end_of_file("triangle indices")
-    if len(numbered) > 2 + nv + nt:
-        raise MeshFormatError(
-            "unexpected content after the declared data", numbered[2 + nv + nt][0]
-        )
-    try:
-        return build_mesh(verts, tris)
-    except MeshError as exc:
-        raise MeshError(f"invalid mesh in file: {exc}") from exc
+    return _read_rows([row for _, row in numbered], [lineno for lineno, _ in numbered])

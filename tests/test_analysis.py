@@ -17,7 +17,7 @@ from ptgfv.mesh import generate_rhombus_equilateral
 from ptgfv.solver import Solution, assemble, solve
 from ptgfv.spaces import interpolate_p0
 
-from conftest import diagonal_square_mesh, equilateral_geometry
+from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import interpolate_rt, random_triangle_min_angle
 
 CASE = CASES["rhombus-sine"]
@@ -109,6 +109,52 @@ def test_error_norms_zero_case():
     solution = solve(assemble(mesh, coeffs, interpolate_p0(zero_case.f, mesh)))
     eu, ep, ediv = error_norms(mesh, solution, zero_case)
     assert max(eu, ep, ediv) <= 1e-12
+
+
+def test_default_exact_calls_u_grad_u_and_f():
+    calls = []
+
+    def field(name, value):
+        def call(x, y):
+            calls.append(name)
+            return value(x, y)
+        return call
+
+    case = ManufacturedCase(
+        name="traced",
+        generator=generate_rhombus_equilateral,
+        u=field("u", CASE.u),
+        f=field("f", CASE.f),
+        grad_u=field("grad_u", CASE.grad_u),
+    )
+    x, y = np.array([0.3, 0.9]), np.array([0.2, 0.4])
+    u, ux, uy, f = case.exact(x, y)
+    assert calls == ["u", "grad_u", "f"]
+    assert np.array_equal(u, CASE.u(x, y))
+    assert np.array_equal(np.stack([ux, uy]), np.stack(CASE.grad_u(x, y)))
+    assert np.array_equal(f, CASE.f(x, y))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [generate_rhombus_equilateral(16), jittered_rhombus(16, seed=1)],
+    ids=["equilateral", "jittered"],
+)
+def test_shared_trig_error_norms_are_bit_identical(mesh):
+    # rhombus-sine's exact() shares four trig arrays among u, grad u and f;
+    # a case built from the same three callables without it takes the
+    # default path and must give the very same floats
+    plain = ManufacturedCase(
+        name="plain", generator=CASE.generator, u=CASE.u, f=CASE.f, grad_u=CASE.grad_u
+    )
+    f_t = interpolate_p0(CASE.f, mesh)
+    solution = solve(assemble(mesh, cotan_coefficients(mesh), f_t), tol=1e-10)
+    assert error_norms(mesh, solution, CASE) == error_norms(mesh, solution, plain)
+    x = np.random.default_rng(3).uniform(size=(50, 7, 2))
+    shared = CASE.exact(x[..., 0], x[..., 1])
+    default = plain.exact(x[..., 0], x[..., 1])
+    for a, b in zip(shared, default):
+        assert np.array_equal(a, b)
 
 
 def test_convergence_study_validation():

@@ -115,6 +115,53 @@ def test_non_utf8_mesh_names_its_line(tmp_path, capsys, command):
     assert err == f"error: line 5: cannot read {bad}: byte 0xff is not UTF-8\n"
 
 
+def _mesh_args(command, path):
+    return [str(path)] if command == "mesh-info" else ["--mesh", str(path), "--rhs-const", "1"]
+
+
+@pytest.mark.parametrize("command", ["mesh-info", "solve"])
+@pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_end_at_newline_only(tmp_path, capsys, command, separator):
+    # a separator that str.splitlines() would break at stays inside its line:
+    # "0 0<sep>1 0" is one row of four tokens on line 3, and the bad index
+    # row is still line 6
+    bad = tmp_path / "ff.msh"
+    bad.write_text(f"ptg-mesh 1\n4 2\n0 0{separator}1 0\n0 1\n1 1\n0 1 x\n1 3 2\n", "utf-8")
+    code, out, err = run(capsys, command, *_mesh_args(command, bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: expected 'x y'\n"
+    bad.write_text(f"ptg-mesh 1\n4 2\n0 0\n1 0{separator}\n0 1\n1 1\n0 1 x\n1 3 2\n", "utf-8")
+    code, out, err = run(capsys, command, *_mesh_args(command, bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 7: indices must be integers\n"
+
+
+@pytest.mark.parametrize("command", ["mesh-info", "solve"])
+def test_non_utf8_line_counts_newlines_only(tmp_path, capsys, command):
+    # a form feed before the bad byte is no line break
+    bad = tmp_path / "bad.msh"
+    bad.write_bytes(b"ptg-mesh 1\n3 1\n0 0\f\n1 \xff0\n0 1\n0 1 2\n")
+    code, out, err = run(capsys, command, *_mesh_args(command, bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 4: cannot read {bad}: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize("command", ["mesh-info", "solve"])
+def test_numbers_are_ascii_decimals(tmp_path, capsys, command):
+    bad = tmp_path / "bad.msh"
+    for text, message in [
+        ("ptg-mesh 1\n3 1\n0 0\n1_0 0\n0 1\n0 1 2\n", "line 4: coordinates must be decimal floats"),
+        ("ptg-mesh 1\n3 1\n0 0\n1 0\n0 \u0661\n0 1 2\n", "line 5: coordinates must be decimal floats"),
+        ("ptg-mesh 1\n3 1_0\n0 0\n1 0\n0 1\n0 1 2\n", "line 2: counts must be integers"),
+        ("ptg-mesh 1\n\uff13 1\n0 0\n1 0\n0 1\n0 1 2\n", "line 2: counts must be integers"),
+        ("ptg-mesh 1\n3 1\n0 0\n1 0\n0 1\n0 1 2_0\n", "line 6: indices must be integers"),
+        ("ptg-mesh 1\n3 1\n0 0\n1 0\n0 1\n0 \u0661 2\n", "line 6: indices must be integers"),
+    ]:
+        bad.write_text(text, "utf-8")
+        code, out, err = run(capsys, command, *_mesh_args(command, bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["mesh-info", "solve"])
 def test_missing_mesh_names_no_line(tmp_path, capsys, command):
     missing = tmp_path / "nope.msh"

@@ -14,7 +14,7 @@ from ptgfv.dual import (
 )
 from ptgfv.mesh import TriangleGeometry, build_mesh, generate_rhombus_equilateral, quality_report
 
-from conftest import diagonal_square_mesh, equilateral_geometry
+from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import (
     g_eval,
     g_moments,
@@ -129,6 +129,24 @@ def test_delta_constraints_random():
         moments = delta.moments()
         assert moments[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(moments[1:])) < 1e-10 * max(1.0, geom.area**2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: jittered_rhombus(128, 1),
+        lambda: jittered_rhombus(128, 2),
+        lambda: generate_rhombus_equilateral(128),
+    ],
+    ids=["jittered-1", "jittered-2", "equilateral"],
+)
+def test_delta_mean_round_off_on_fine_meshes(make):
+    # stability_check passes h3 up to 1e-12; the stacked solve keeps the
+    # mean of every profile within 2.1e-14 of 1 at n=128, and a rewrite that
+    # loses digits (a batched matmul in place of the einsum reached 7.6e-13)
+    # must fail here before it fails that gate
+    moments = solve_delta_k(make().geometries).moments()
+    assert np.abs(moments[:, 0] - 1.0).max() <= 1e-13
 
 
 def test_delta_energy_scale_invariance():

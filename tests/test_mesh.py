@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ptgfv.analysis import _circumcenter
 from ptgfv.mesh import (
     MeshError,
     MeshFormatError,
@@ -26,7 +27,7 @@ def test_single_triangle_mesh():
     assert mesh.num_edges == 3
     assert len(mesh.internal_edges) == 0
     assert len(mesh.boundary_edges) == 3
-    centroid = geometry(mesh, 0).centroid
+    centroid = geometry(mesh, 0).vertices.mean(axis=-2)
     for edge in mesh.edges:
         midpoint = 0.5 * (mesh.vertices[edge.tail] + mesh.vertices[edge.head])
         assert float(edge.normal @ (midpoint - centroid)) > 0.0  # outward
@@ -45,7 +46,8 @@ def test_mixed_orientation_canonicalized():
     edge = mesh.edges[mesh.internal_edges[0]]
     assert edge.owner == 0
     assert edge.neighbor == 1
-    gap = geometry(mesh, 1).centroid - geometry(mesh, 0).centroid
+    centroids = mesh.geometries.vertices.mean(axis=-2)
+    gap = centroids[1] - centroids[0]
     assert float(edge.normal @ gap) > 0.0
 
 
@@ -175,7 +177,7 @@ def test_equilateral_geometry_values():
 
 def test_right_isosceles_circumcenter():
     geom = TriangleGeometry.from_vertices([(0, 0), (1, 0), (0, 1)])
-    assert np.allclose(geom.circumcenter, [0.5, 0.5], atol=1e-15)
+    assert np.allclose(_circumcenter(geom.vertices), [0.5, 0.5], atol=1e-15)
     assert geom.area == pytest.approx(0.5, abs=1e-15)
 
 
@@ -187,7 +189,7 @@ def test_gyration_radius_against_quadrature():
             geom = TriangleGeometry.from_vertices(rng.uniform(size=(3, 2)))
         except MeshError:
             continue
-        gx, gy = geom.centroid
+        gx, gy = geom.vertices.mean(axis=-2)
         integral = integrate_triangle(
             triangle_rule(), geom, lambda x, y: (x - gx) ** 2 + (y - gy) ** 2
         )
@@ -233,7 +235,10 @@ def test_internal_normals_point_owner_to_neighbor():
     mesh = jittered_rhombus(4, seed=9)
     for e in mesh.internal_edges:
         edge = mesh.edges[e]
-        gap = geometry(mesh, edge.neighbor).centroid - geometry(mesh, edge.owner).centroid
+        gap = (
+            geometry(mesh, edge.neighbor).vertices.mean(axis=-2)
+            - geometry(mesh, edge.owner).vertices.mean(axis=-2)
+        )
         assert float(edge.normal @ gap) > 0.0
 
 
@@ -354,6 +359,30 @@ def test_read_accepts_crlf():
     assert read_mesh(MINIMAL.replace("\n", "\r\n")).num_triangles == 1
 
 
+def test_read_with_comments_blanks_and_crlf_gives_the_same_arrays():
+    # such a file leaves the parse of the lines as they stand for the parse
+    # of its numbered data lines, which must give the very same arrays
+    mesh = jittered_rhombus(8, seed=4)
+    text = write_mesh(mesh)
+    lines = text.split("\n")
+    decorated = "\r\n".join(
+        ["# made by hand \u00e9\u00e8 \u2028 \u0661_2", ""]
+        + lines[:2]
+        + ["  # vertices", "\t"]
+        + [line + " \r" for line in lines[2:]]
+        + ["# end"]
+    )
+    for variant in (decorated, text.replace("\n", "\r\n"), text + "\n\n# trailing\n"):
+        again = read_mesh(variant)
+        assert again.vertices.tobytes() == mesh.vertices.tobytes()
+        assert again.triangles.tobytes() == mesh.triangles.tobytes()
+
+
+def test_read_accepts_non_ascii_comments():
+    text = "# maillage \u00e0 la main, \u0661\u0662 \u2029\nptg-mesh 1\n# \uff13 1_0\n" + MINIMAL.split("\n", 1)[1]
+    assert read_mesh(text).num_triangles == 1
+
+
 def test_write_read_round_trip():
     mesh = jittered_rhombus(3, seed=12)
     text = write_mesh(mesh)
@@ -374,10 +403,16 @@ def test_read_round_trip_is_bit_identical():
 
 def _reference_read_mesh(text):
     """The text parser checked one line at a time, as ``read_mesh`` was first
-    written; the bulk parser must accept and reject exactly the same files."""
+    written, with lines ended by "\n" only and data lines held to ASCII
+    without "_"; the bulk parser must accept and reject exactly the same
+    files."""
+    def plain(line):
+        if not line.isascii() or "_" in line:
+            raise ValueError(line)
+
     numbered = [
         (lineno, line.strip())
-        for lineno, line in enumerate(text.splitlines(), start=1)
+        for lineno, line in enumerate(text.split("\n"), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not numbered:
@@ -401,6 +436,7 @@ def _reference_read_mesh(text):
     if len(parts) != 2:
         raise MeshFormatError("expected '<nv> <nt>'", lineno)
     try:
+        plain(counts)
         nv, nt = int(parts[0]), int(parts[1])
     except ValueError:
         raise MeshFormatError("counts must be integers", lineno) from None
@@ -413,6 +449,7 @@ def _reference_read_mesh(text):
         if len(parts) != 2:
             raise MeshFormatError("expected 'x y'", lineno)
         try:
+            plain(line)
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise MeshFormatError("coordinates must be decimal floats", lineno) from None
@@ -426,6 +463,7 @@ def _reference_read_mesh(text):
         if len(parts) != 3:
             raise MeshFormatError("expected 'i j k'", lineno)
         try:
+            plain(line)
             tri = tuple(int(p) for p in parts)
         except ValueError:
             raise MeshFormatError("indices must be integers", lineno) from None
@@ -485,6 +523,14 @@ READ_CASES = {
     "implausible counts": "ptg-mesh 1\n2 1\n0 0\n1 0\n0 1 1\n",
     "repeated vertex": MINIMAL.replace("0 1 2", "0 1 1"),
     "degenerate triangle": MINIMAL.replace("0 1\n", "2 0\n"),
+    "form feed inside a row": SQUARE.replace("0 0\n1 0\n", "0 0\f1 0\n"),
+    "vertical tab between indices": SQUARE.replace("0 2 3", "0 2\x0b3"),
+    "line separator inside a row": SQUARE.replace("0 2 3", "0 2\u20283"),
+    "trailing form feed and line separator": SQUARE.replace("1 0\n", "1 0\f\u2028\n"),
+    "carriage returns only": MINIMAL.replace("\n", "\r"),
+    "non-ASCII comments": "# \u00e9t\u00e9 \u0661\n" + MINIMAL + "# \u2028_\n",
+    "underscore count": "ptg-mesh 1\n3 1_0\n0 0\n1 0\n0 1\n0 1 2\n",
+    "fullwidth count": "ptg-mesh 1\n\uff13 1\n0 0\n1 0\n0 1\n0 1 2\n",
 }
 
 

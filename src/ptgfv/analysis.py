@@ -31,8 +31,8 @@ from .mesh import (
     quality_report,
 )
 from .quadrature import triangle_rule
-from .solver import Solution
-from .spaces import local_fluxes, local_gram_closed_form, quadrature_blocks
+from .solver import Solution, assemble, solve
+from .spaces import interpolate_p0, local_fluxes, local_gram_closed_form, quadrature_blocks
 
 __all__ = [
     "ManufacturedCase",
@@ -197,9 +197,6 @@ def convergence_study(
     tol: float = 1e-12,
 ) -> ConvergenceReport:
     """Solve the case on a sequence of refinements and report errors/rates."""
-    from .solver import assemble, solve
-    from .spaces import interpolate_p0
-
     if len(levels) < 2:
         raise ValueError("a convergence study needs at least 2 levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -364,27 +361,19 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     return slacks, energy_ratio
 
 
-def lemma_suite(samples: int = 10000, seed: int = 42, triangles=None) -> LemmaSuiteReport:
+def lemma_suite(samples: int = 10000, seed: int = 42) -> LemmaSuiteReport:
     """Run every closed-form identity and bound on random triangles.
 
-    The triangles are checked in batches of BLOCK.  ``triangles`` may supply
-    an explicit list of geometries instead of the random sampler (the sample
-    count is then ignored).  A NaN slack counts as a failed sample.
+    The triangles are checked in batches of BLOCK.  A NaN slack counts as a
+    failed sample.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if triangles is None:
-        rng = np.random.default_rng(seed)
-        blocks = (
-            random_triangles(rng, min(BLOCK, samples - start))
-            for start in range(0, samples, BLOCK)
-        )
-    else:
-        corners = np.stack([g.vertices for g in triangles])
-        blocks = (
-            TriangleGeometry.from_vertices(corners[start:start + BLOCK])
-            for start in range(0, len(corners), BLOCK)
-        )
+    rng = np.random.default_rng(seed)
+    blocks = (
+        random_triangles(rng, min(BLOCK, samples - start))
+        for start in range(0, samples, BLOCK)
+    )
 
     count = 0
     worst: dict[str, float] = {}

@@ -205,7 +205,7 @@ def cmd_solve(args) -> int:
 
 def cmd_convergence(args) -> int:
     try:
-        levels = [int(part) for part in args.levels.split(",") if part]
+        levels = [int(part) for part in args.levels.split(",")]
     except ValueError:
         raise UsageError(f"bad levels {args.levels!r}") from None
     if len(levels) < 2:

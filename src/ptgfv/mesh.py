@@ -16,6 +16,7 @@ to face an acute angle; ``quality_report`` checks both.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -478,77 +479,65 @@ def _parse_block(rows: list[str], width: int, dtype, valid) -> np.ndarray | None
     return values if valid(values) else None
 
 
-class _Renumber(Exception):
-    """A check failed while the rows were taken to be the file's lines."""
+def _read_rows(rows: list[str], line: Callable[[int], int]) -> Mesh:
+    """Parse the stripped data rows of a file: the header, the counts, the
+    vertex and the triangle rows, and nothing after them.
 
-
-def _read_rows(rows: list[str], lines: list[int] | None) -> Mesh:
-    """Parse ``rows``: the header, the counts, the vertex and the triangle
-    rows, then nothing but blank rows.
-
-    With ``lines`` None the rows are the file's lines as they stand, and a
-    failed check raises :class:`_Renumber`.  Otherwise they are its stripped
-    data lines, row i is line ``lines[i]``, and a failed check raises
-    :class:`MeshFormatError` naming the line; a block that fails its bulk
-    parse is then checked row by row for the message of its first bad line.
+    A failed check raises :class:`MeshFormatError` naming ``line(i)``, the
+    1-based line of data row i.  A block that fails its bulk parse is checked
+    row by row for the message of its first bad row.
     """
-    def error(message: str, row: int) -> Exception:
-        if lines is None:
-            return _Renumber()
-        return MeshFormatError(message, lines[row] if row < len(lines) else lines[-1] + 1)
-
-    header = rows[0].strip()
-    if header != FORMAT_HEADER:
-        raise error(f"bad header {header!r}, expected {FORMAT_HEADER!r}", 0)
+    if rows[0] != FORMAT_HEADER:
+        raise MeshFormatError(f"bad header {rows[0]!r}, expected {FORMAT_HEADER!r}", line(0))
     if len(rows) < 2:
-        raise error("unexpected end of file, expected vertex and triangle counts", 1)
+        raise MeshFormatError(
+            "unexpected end of file, expected vertex and triangle counts", line(1)
+        )
     parts = rows[1].split()
     if len(parts) != 2:
-        raise error("expected '<nv> <nt>'", 1)
+        raise MeshFormatError("expected '<nv> <nt>'", line(1))
     try:
         if not _plain(rows[1]):
             raise ValueError
         nv, nt = int(parts[0]), int(parts[1])
     except ValueError:
-        raise error("counts must be integers", 1) from None
+        raise MeshFormatError("counts must be integers", line(1)) from None
     if nv < 3 or nt < 1:
-        raise error(f"implausible counts nv={nv} nt={nt}", 1)
+        raise MeshFormatError(f"implausible counts nv={nv} nt={nt}", line(1))
 
     def check_vertex(row: int, parts: list[str]) -> None:
         if len(parts) != 2:
-            raise error("expected 'x y'", row)
+            raise MeshFormatError("expected 'x y'", line(row))
         try:
             if not _plain(rows[row]):
                 raise ValueError
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            raise error("coordinates must be decimal floats", row) from None
+            raise MeshFormatError("coordinates must be decimal floats", line(row)) from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise error("coordinates must be finite", row)
+            raise MeshFormatError("coordinates must be finite", line(row))
 
     def check_triangle(row: int, parts: list[str]) -> None:
         if len(parts) != 3:
-            raise error("expected 'i j k'", row)
+            raise MeshFormatError("expected 'i j k'", line(row))
         try:
             if not _plain(rows[row]):
                 raise ValueError
             tri = tuple(int(p) for p in parts)
         except ValueError:
-            raise error("indices must be integers", row) from None
+            raise MeshFormatError("indices must be integers", line(row)) from None
         for idx in tri:
             if not 0 <= idx < nv:
-                raise error(f"vertex index {idx} out of range 0..{nv - 1}", row)
+                raise MeshFormatError(f"vertex index {idx} out of range 0..{nv - 1}", line(row))
 
     def block(first: int, count: int, what: str, width: int, dtype, valid, check_row):
         values = _parse_block(rows[first : first + count], width, dtype, valid)
         if values is None:
-            if lines is None:
-                raise _Renumber()
             for row in range(first, min(first + count, len(rows))):
                 check_row(row, rows[row].split())
             raise AssertionError("a block failed its bulk parse but no row check")
         if len(values) < count:
-            raise error(f"unexpected end of file, expected {what}", len(rows))
+            raise MeshFormatError(f"unexpected end of file, expected {what}", line(len(rows)))
         return values
 
     verts = block(
@@ -559,8 +548,8 @@ def _read_rows(rows: list[str], lines: list[int] | None) -> Mesh:
         lambda t: ((t >= 0) & (t < nv)).all(), check_triangle,
     )
     end = 2 + nv + nt
-    if any(row.strip() for row in rows[end:]):
-        raise error("unexpected content after the declared data", end)
+    if len(rows) > end:
+        raise MeshFormatError("unexpected content after the declared data", line(end))
     try:
         return build_mesh(verts, tris)
     except MeshError as exc:
@@ -571,22 +560,25 @@ def read_mesh(text: str) -> Mesh:
     """Parse the text format produced by :func:`write_mesh`.
 
     Lines end at line feeds only.  Blank lines and lines starting with
-    ``#`` are ignored, and numbers are ASCII decimals.  The vertex and the triangle
-    lines are each parsed in bulk.  A file whose first lines are its data
-    is parsed as it stands; any other file, and any file that fails a
-    check, is parsed again from its numbered data lines, so that errors
-    carry the offending 1-based line number.
+    ``#`` are ignored, and numbers are ASCII decimals.  The remaining lines
+    are parsed once, the vertex and the triangle lines each in bulk; the
+    file's lines are numbered only when a check fails, so that the error
+    carries the offending 1-based line number.
     """
     lines = text.split("\n")
-    try:
-        return _read_rows(lines, None)
-    except _Renumber:
-        pass
-    numbered = [
-        (lineno, stripped)
-        for lineno, line in enumerate(lines, start=1)
-        if (stripped := line.strip()) and stripped[0] != "#"
-    ]
-    if not numbered:
+    rows = list(filter(None, map(str.strip, lines)))
+    if "#" in text:
+        rows = [row for row in rows if row[0] != "#"]
+    if not rows:
         raise MeshFormatError("empty mesh file", 1)
-    return _read_rows([row for _, row in numbered], [lineno for lineno, _ in numbered])
+
+    def line(row: int) -> int:
+        """1-based line of data row ``row``; one past the last data line
+        for ``row == len(rows)``."""
+        numbers = [
+            lineno for lineno, stripped in enumerate(map(str.strip, lines), start=1)
+            if stripped and stripped[0] != "#"
+        ]
+        return numbers[row] if row < len(numbers) else numbers[-1] + 1
+
+    return _read_rows(rows, line)

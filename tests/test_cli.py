@@ -241,6 +241,10 @@ def test_convergence_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "convergence", "--levels", "4,x")
     assert code == 1
+    for levels in (",8,,16,", "8,,16", "8,16,", ""):
+        code, out, err = run(capsys, "convergence", "--levels", levels)
+        assert (code, out) == (1, "")
+        assert f"bad levels {levels!r}" in err
     code, _, err = run(capsys, "convergence", "--case", "nope", "--levels", "4,8")
     assert code == 1
     code, out, err = run(capsys, "convergence", "--levels", "0,8")

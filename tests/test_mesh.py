@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ptgfv import mesh as mesh_module
 from ptgfv.analysis import _circumcenter
 from ptgfv.mesh import (
     MeshError,
@@ -360,8 +361,8 @@ def test_read_accepts_crlf():
 
 
 def test_read_with_comments_blanks_and_crlf_gives_the_same_arrays():
-    # such a file leaves the parse of the lines as they stand for the parse
-    # of its numbered data lines, which must give the very same arrays
+    # stripping lines and dropping blank and comment lines must leave the
+    # very same arrays
     mesh = jittered_rhombus(8, seed=4)
     text = write_mesh(mesh)
     lines = text.split("\n")
@@ -531,6 +532,10 @@ READ_CASES = {
     "non-ASCII comments": "# \u00e9t\u00e9 \u0661\n" + MINIMAL + "# \u2028_\n",
     "underscore count": "ptg-mesh 1\n3 1_0\n0 0\n1 0\n0 1\n0 1 2\n",
     "fullwidth count": "ptg-mesh 1\n\uff13 1\n0 0\n1 0\n0 1\n0 1 2\n",
+    "comment before a bad index": SQUARE.replace("0 1 2", "# triangles\n0 1 7"),
+    "blank lines before truncated triangles": "\n\n" + SQUARE[: SQUARE.rindex("0 2 3")],
+    "crlf with a bad coordinate": SQUARE.replace("1 1\n", "1 y\n").replace("\n", "\r\n"),
+    "trailing comment after extra content": MINIMAL + "extra stuff\n# end\n",
 }
 
 
@@ -551,6 +556,21 @@ def _outcome(parse, text):
 def test_read_mesh_matches_one_line_at_a_time(name):
     text = READ_CASES[name]
     assert _outcome(read_mesh, text) == _outcome(_reference_read_mesh, text)
+
+
+def test_read_mesh_parses_each_block_once(monkeypatch):
+    calls = []
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return parse_block(rows, *args)
+
+    parse_block = mesh_module._parse_block
+    monkeypatch.setattr(mesh_module, "_parse_block", counted)
+    lines = write_mesh(jittered_rhombus(4, seed=2)).split("\n")
+    text = "\r\n".join(lines[:2] + [""] + lines[2:] + ["# end", ""])
+    mesh = read_mesh(text)
+    assert calls == [mesh.num_vertices, mesh.num_triangles]
 
 
 def test_read_errors_carry_line_numbers():

@@ -10,12 +10,11 @@ minimum angle, never a global one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dual import (
-    cotan_coefficients,
     delta_denominator,
     delta_energy_closed_form,
     delta_numerator,
@@ -23,10 +22,10 @@ from .dual import (
     solve_delta_k,
 )
 from .mesh import (
-    ANGLE_GUARD,
     Mesh,
     MeshQualityReport,
     TriangleGeometry,
+    cotan_coefficients,
     generate_rhombus_equilateral,
     quality_report,
 )
@@ -404,9 +403,9 @@ class StabilityReport:
     convergence analysis; h3 and h4 are exact, h1 is sampled.
 
     The h1 bound is <= 0 once an angle reaches a right angle, where every
-    ratio passes it: ``passed_h1`` is then None (not applicable), with
-    ``theta_max_triangle`` as the witness, and ``h1_min_ratio`` is still
-    reported.
+    ratio passes it: on a mesh that is not ``all_acute`` ``passed_h1`` is
+    None (not applicable), with ``theta_max_triangle`` as the witness, and
+    ``h1_min_ratio`` is still reported.
     """
 
     theta_min: float
@@ -420,17 +419,9 @@ class StabilityReport:
     h3_max_deviation: float  # max over triangles of |int(delta) - 1|
     h4_max_ratio: float      # sqrt(max_energy)
     max_energy: float        # max per-triangle |K| int(delta^2)
-    passed_h1: bool | None = field(init=False)
-    passed_h3: bool = field(init=False)
-    passed_h4: bool = field(init=False)
-
-    def __post_init__(self):
-        h1 = None
-        if self.theta_max < math.pi / 2 - ANGLE_GUARD:
-            h1 = bool(self.h1_min_ratio >= self.bound_h1 - 1e-12)
-        object.__setattr__(self, "passed_h1", h1)
-        object.__setattr__(self, "passed_h3", bool(self.h3_max_deviation <= 1e-12))
-        object.__setattr__(self, "passed_h4", bool(self.h4_max_ratio <= self.bound_h4))
+    passed_h1: bool | None
+    passed_h3: bool
+    passed_h4: bool
 
     @property
     def all_passed(self) -> bool:
@@ -461,7 +452,6 @@ def stability_check(
     report = report or quality_report(mesh)
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
-    coeffs = cotan_coefficients(mesh)
     rng = np.random.default_rng(seed)
 
     geom = mesh.geometries
@@ -473,19 +463,25 @@ def stability_check(
         p = rng.standard_normal(mesh.num_edges)
         loc = mesh.tri_signs * p[mesh.tri_edges]               # (nt, 3)
         norm2 = float(np.einsum("ti,tij,tj->", loc, grams, loc))
-        h1_min = min(h1_min, float(coeffs @ p**2) / norm2)
+        h1_min = min(h1_min, float(report.coefficients @ p**2) / norm2)
 
     theta_min, theta_max = report.theta_min, report.theta_max
+    bound_h1 = 0.4 * math.tan(theta_min) / math.tan(theta_max)
+    bound_h4 = math.sqrt(nu_bound(theta_min))
+    h3_deviation = float(np.abs(delta.moments()[:, 0] - 1.0).max())
     return StabilityReport(
         theta_min=theta_min,
         theta_max=theta_max,
         theta_max_triangle=int(geom.angles.max(axis=1).argmax()),
         trials=trials,
-        bound_h1=0.4 * math.tan(theta_min) / math.tan(theta_max),
+        bound_h1=bound_h1,
         bound_h3=1.0,
-        bound_h4=math.sqrt(nu_bound(theta_min)),
+        bound_h4=bound_h4,
         h1_min_ratio=h1_min,
-        h3_max_deviation=float(np.abs(delta.moments()[:, 0] - 1.0).max()),
+        h3_max_deviation=h3_deviation,
         h4_max_ratio=math.sqrt(max_energy),
         max_energy=max_energy,
+        passed_h1=bool(h1_min >= bound_h1 - 1e-12) if report.all_acute else None,
+        passed_h3=bool(h3_deviation <= 1e-12),
+        passed_h4=bool(math.sqrt(max_energy) <= bound_h4),
     )

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import CASES, convergence_study, error_norms, lemma_suite, stability_check
-from .dual import cotan_coefficients
 from .mesh import (
     MeshError,
     MeshFormatError,
@@ -118,7 +117,6 @@ def cmd_generate(args) -> int:
 def cmd_mesh_info(args) -> int:
     mesh = _load_mesh(args.mesh)
     report = quality_report(mesh)
-    coeffs = cotan_coefficients(mesh)
     info = report.to_dict()
     info.update(
         {
@@ -128,8 +126,8 @@ def cmd_mesh_info(args) -> int:
             "internal_edges": len(mesh.internal_edges),
             "boundary_edges": len(mesh.boundary_edges),
             "h": mesh.h_max,
-            "coefficient_min": float(coeffs.min()),
-            "coefficient_max": float(coeffs.max()),
+            "coefficient_min": float(report.coefficients.min()),
+            "coefficient_max": float(report.coefficients.max()),
         }
     )
     print(json.dumps(info, indent=2, sort_keys=True))
@@ -172,14 +170,13 @@ def cmd_solve(args) -> int:
     report = quality_report(mesh)
     if not report.admissible:
         return _print_inadmissible(report)
-    coeffs = cotan_coefficients(mesh)
     if args.case is not None:
         case = CASES[args.case]
         f_t = interpolate_p0(case.f, mesh)
     else:
         case = None
         f_t = np.full(mesh.num_triangles, args.rhs_const)
-    system = assemble(mesh, coeffs, f_t, DirichletData.zero(mesh))
+    system = assemble(mesh, report.coefficients, f_t, DirichletData.zero(mesh))
     solution = solve(system, tol=args.tol)
     balance = flux_balance_check(mesh, solution, f_t)
     threshold = BALANCE_FACTOR * args.tol * system.rhs_norm
@@ -253,7 +250,11 @@ def cmd_verify(args) -> int:
     output = {"lemmas": dataclasses.asdict(suite) | {"all_passed": suite.all_passed}}
     ok = suite.all_passed
     if mesh is not None:
-        stability = stability_check(mesh, trials=args.trials, seed=seed, report=report)
+        try:
+            stability = stability_check(mesh, trials=args.trials, seed=seed, report=report)
+        except np.linalg.LinAlgError as exc:
+            print(f"error: stability constants cannot be evaluated: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
         output["stability"] = dataclasses.asdict(stability) | {
             "all_passed": stability.all_passed,
             "max_energy_sqrt": math.sqrt(stability.max_energy),

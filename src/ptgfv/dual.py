@@ -4,7 +4,8 @@ basis itself.
 The coupling coefficient of an edge is half the sum of the cotangents of the
 opposite angles (one angle for a boundary edge).  On a strictly Delaunay mesh
 with acute boundary angles every coefficient is positive, which is exactly
-what the cell-centered solver needs (``quality_report`` checks it).
+what the cell-centered solver needs.  ``cotan_coefficients`` lives in
+:mod:`ptgfv.mesh`, whose ``quality_report`` decides admissibility from it.
 
 The remaining objects quantify the prescribed divergence profile of the dual
 test functions on one triangle: the minimum-norm quadratic ``delta`` with
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, TriangleGeometry
+from .mesh import TriangleGeometry, cotan_coefficients
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -34,23 +35,6 @@ __all__ = [
 
 # 8 * 3^5 * 23 / 5
 NU_SCALE = 8942.4
-
-
-def cotan_coefficients(mesh: Mesh) -> np.ndarray:
-    """Cotangent coupling coefficients for every edge of the mesh, as a
-    read-only array.
-
-    Internal edge: (cot(theta_K) + cot(theta_L)) / 2 over the two opposite
-    angles; boundary edge: cot(theta_K) / 2.  Computed for any mesh; a
-    coefficient is non-positive where the mesh fails the angle conditions,
-    which breaks uniqueness of the discrete problem.
-    """
-    theta_k, theta_l = mesh.opposite_angles()
-    values = 0.5 / np.tan(theta_k)
-    internal = mesh.internal_edges
-    values[internal] += 0.5 / np.tan(theta_l[internal])
-    values.flags.writeable = False
-    return values
 
 
 def _moment_basis(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -95,7 +79,8 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     rescaled by the area to keep the system's conditioning independent of
     the triangle size.  The Gram entries are quartic, which the degree-6
     triangle rule integrates exactly.  A batch of triangles is one stacked
-    solve of its 4x4 systems.
+    solve of its 4x4 systems.  Raises ``numpy.linalg.LinAlgError`` (a
+    ValueError) naming the first triangle whose system is singular.
     """
     rule = triangle_rule()
     v = geometry.vertices
@@ -103,10 +88,19 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     basis = _moment_basis(v, np.einsum("qk,...kd->...qd", rule.points, v))
     basis[..., 1:, :] /= area[..., None]
     gram = np.einsum("q,...iq,...jq->...ij", rule.weights, basis, basis) * area[..., None]
+    rhs = np.array([1.0, 0.0, 0.0, 0.0])
     try:
-        scaled = np.linalg.solve(gram, np.array([1.0, 0.0, 0.0, 0.0]))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular moment system for triangle(s) {v.tolist()}") from exc
+        scaled = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        for t, matrix in enumerate(gram.reshape(-1, 4, 4)):
+            try:
+                np.linalg.solve(matrix, rhs)
+            except np.linalg.LinAlgError:
+                break
+        raise np.linalg.LinAlgError(
+            f"singular moment system for triangle {t} with vertices "
+            f"{v.reshape(-1, 3, 2)[t].tolist()}"
+        ) from None
     coeffs = np.concatenate([scaled[..., :1], scaled[..., 1:] / area], axis=-1)
     vals = np.einsum("...iq,...i->...q", basis, scaled)
     energy = area[..., 0] * (area[..., 0] * (vals**2 @ rule.weights))

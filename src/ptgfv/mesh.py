@@ -10,7 +10,8 @@ right-handed.
 
 Admissibility for the cell-centered scheme requires every internal edge to be
 strictly Delaunay (opposite angles summing below pi) and every boundary edge
-to face an acute angle; ``quality_report`` checks both.
+to face an acute angle, that is, every cotangent coupling coefficient to be
+positive; ``quality_report`` checks the coefficients the solver uses.
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ __all__ = [
     "Mesh",
     "MeshQualityReport",
     "build_mesh",
+    "cotan_coefficients",
     "quality_report",
     "generate_rhombus_equilateral",
     "read_mesh",
     "write_mesh",
 ]
 
-# Guard band for the strict angle inequalities (Delaunay / boundary acuteness).
+# A mesh is admissible iff every coefficient reaches this (a cocircular edge
+# pair gives an exact zero only up to the rounding of the two cotangents).
+COEFF_TOL = 1e-12
+
+# Guard band for the strict inequality of ``MeshQualityReport.all_acute``.
 ANGLE_GUARD = 1e-12
 
 # Triangles with area below DEGENERATE_REL * max edge length^2 are rejected.
@@ -140,7 +146,7 @@ class TriangleGeometry:
         """Read-only batch of the corners ``v`` (B, 3, 2), which are reordered
         in place to counter-clockwise, and the flags of the reordered ones.
 
-        Nothing is rejected: a degenerate triangle gets NaN angles.
+        Nothing is rejected.
         """
         signed = _signed_areas(v)
         clockwise = signed < 0.0
@@ -148,14 +154,11 @@ class TriangleGeometry:
             v[clockwise] = v[clockwise][:, [0, 2, 1]]
         w = _wrap(v)
         lengths = _edge_lengths(w)
-        # angle i lies between the edges to vertices i+1 and i+2, which are
-        # the edges opposite vertices i+2 and i+1
+        # angle i lies between the edges to vertices i+1 and i+2; the arctan2
+        # of their cross and dot products is exact to round-off on slivers
         a = w[:, 1:4] - v
         b = w[:, 2:5] - v
-        wl = _wrap(lengths)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / (wl[:, 2:5] * wl[:, 1:4])
-        angles = np.arccos(np.clip(cos, -1.0, 1.0))
+        angles = np.arctan2(np.abs(_cross(a, b)), a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
         rho2 = np.sum(lengths**2, axis=-1) / 36.0
         # a clockwise area is the exact negative of its reordered one
         fields = (v, np.abs(signed), lengths, angles, rho2)
@@ -244,16 +247,6 @@ class Mesh:
     @property
     def areas(self) -> np.ndarray:
         return self.geometries.area
-
-    def opposite_angles(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per edge, the angle opposite it in its owner and in its neighbor
-        (NaN on the boundary)."""
-        angles = self.geometries.angles
-        e = self.edges
-        theta_l = np.full(len(e), np.nan)
-        internal = self.internal_edges
-        theta_l[internal] = angles[e.neighbor[internal], e.neighbor_local[internal]]
-        return angles[e.owner, e.owner_local], theta_l
 
 
 def _first_offender(tris: np.ndarray, degenerate: np.ndarray) -> str | None:
@@ -361,17 +354,37 @@ def build_mesh(vertices, triangles) -> Mesh:
     )
 
 
+def cotan_coefficients(mesh: Mesh) -> np.ndarray:
+    """Cotangent coupling coefficients for every edge of the mesh, as a
+    read-only array.
+
+    Internal edge: (cot(theta_K) + cot(theta_L)) / 2 over the two opposite
+    angles; boundary edge: cot(theta_K) / 2.  Computed for any mesh; a
+    coefficient is non-positive where the mesh fails the angle conditions,
+    which breaks uniqueness of the discrete problem.
+    """
+    angles = mesh.geometries.angles
+    e = mesh.edges
+    values = 0.5 / np.tan(angles[e.owner, e.owner_local])
+    internal = mesh.internal_edges
+    values[internal] += 0.5 / np.tan(angles[e.neighbor[internal], e.neighbor_local[internal]])
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class MeshQualityReport:
-    """Angle extrema and per-edge admissibility flags.
+    """Angle extrema, cotangent coefficients and per-edge admissibility flags.
 
-    ``edge_ok[e]`` is the strict Delaunay flag for internal edges and the
-    acute-opposite-angle flag for boundary edges.  The mesh is admissible for
-    the four-point scheme iff every flag holds.
+    ``edge_ok[e]`` is ``coefficients[e] >= COEFF_TOL``: strict Delaunay for an
+    internal edge, an acute opposite angle for a boundary edge.  The mesh is
+    admissible iff every flag holds, exactly when ``assemble`` accepts
+    ``coefficients``.
     """
 
     theta_min: float
     theta_max: float
+    coefficients: np.ndarray
     edge_ok: np.ndarray
     all_acute: bool
     admissible: bool
@@ -392,18 +405,15 @@ class MeshQualityReport:
 
 
 def quality_report(mesh: Mesh) -> MeshQualityReport:
-    """Check the strict Delaunay and boundary-acuteness angle conditions."""
+    """Compute the cotangent coefficients and check each against COEFF_TOL."""
     angles = mesh.geometries.angles
-    theta_k, theta_l = mesh.opposite_angles()
-    edge_ok = np.where(
-        mesh.edges.neighbor >= 0,
-        theta_k + theta_l < math.pi - ANGLE_GUARD,
-        theta_k < math.pi / 2 - ANGLE_GUARD,
-    )
+    coefficients = cotan_coefficients(mesh)
+    edge_ok = coefficients >= COEFF_TOL
     edge_ok.flags.writeable = False
     return MeshQualityReport(
         theta_min=float(angles.min()),
         theta_max=float(angles.max()),
+        coefficients=coefficients,
         edge_ok=edge_ok,
         all_acute=bool(angles.max() < math.pi / 2 - ANGLE_GUARD),
         admissible=bool(edge_ok.all()),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .mesh import Mesh
+from .mesh import COEFF_TOL, Mesh
 from .spaces import divergence
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "solve",
     "flux_balance_check",
 ]
-
-# Coefficients this close to zero count as zero (a cocircular edge pair gives
-# an exact zero only up to the rounding of the two cotangents).
-COEFF_TOL = 1e-12
 
 # Columns SuperLU factors as one panel.  The panel workspace takes about 16
 # bytes per panel column per cell: 10 MB at n=128 for SuperLU's default of
@@ -137,8 +133,8 @@ def assemble(
 ) -> SparseSystem:
     """Assemble the cell-centered system A u = b for the cell source means ``f_t``.
 
-    Refuses meshes with a non-positive coupling coefficient anywhere, since
-    positivity is what guarantees a unique solution.
+    Refuses any coupling coefficient below COEFF_TOL (the edges that
+    ``quality_report`` flags), since positivity guarantees a unique solution.
     """
     _check_cells(mesh, f_t)
     bc = bc or DirichletData.zero(mesh)

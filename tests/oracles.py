@@ -53,7 +53,8 @@ def indexed_geometry(vertices) -> dict[str, np.ndarray]:
     lengths = np.hypot(d[..., 0], d[..., 1])
     a = v[:, _NEXT] - v
     b = v[:, _PREV] - v
-    cos = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / (lengths[:, _PREV] * lengths[:, _NEXT])
+    cross = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
     d1 = v[:, 1] - v[:, 0]
     d2 = v[:, 2] - v[:, 0]
     denom = 2.0 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -67,7 +68,7 @@ def indexed_geometry(vertices) -> dict[str, np.ndarray]:
         "vertices": v,
         "area": signed_areas(v),
         "edge_lengths": lengths,
-        "angles": np.arccos(np.clip(cos, -1.0, 1.0)),
+        "angles": np.arctan2(cross, dot),
         "rho2": np.sum(lengths**2, axis=-1) / 36.0,
         "circumcenter": center,
     }

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ptgfv import analysis, cli, dual
+from ptgfv import mesh as mesh_module
 from ptgfv.cli import main
-from ptgfv.mesh import quality_report, read_mesh, write_mesh
+from ptgfv.mesh import MeshError, quality_report, read_mesh, write_mesh
 from ptgfv.solver import DirichletData, assemble, solve
 
 from conftest import diagonal_square_mesh, jittered_rhombus
+from test_mesh import READ_CASES
 
 
 def run(capsys, *args):
@@ -511,3 +513,125 @@ def test_verify_h1_not_applicable_past_a_right_angle(tmp_path, capsys):
     assert stability["all_passed"] is True
     assert stability["h1_min_ratio"] > 0.0
     assert math.degrees(stability["theta_max"]) > 90.0
+
+
+def _sliver_text(apex: float) -> str:
+    """One isosceles triangle with the apex angle ``apex`` at the origin."""
+    s = math.tan(apex / 2)
+    return f"ptg-mesh 1\n3 1\n0 0\n1 {-s!r}\n1 {s!r}\n0 1 2\n"
+
+
+def _band_text(eps: float) -> str:
+    """The unit square split by its diagonal, with the fourth vertex moved
+    off the circle through the other three: the diagonal's coefficient is
+    about ``eps``."""
+    return f"ptg-mesh 1\n4 2\n0 0\n1 0\n1 1\n{-eps!r} {1 + eps!r}\n0 1 2\n0 2 3\n"
+
+
+SLIVER_APEXES = (1e-3, 1e-5, 1e-6, 3e-7, 1e-7, 1e-8, 1e-10)
+
+# bad or borderline meshes: every file of the reader's cases, the band
+# around COEFF_TOL, slivers, and meshes that fail the angle conditions
+CORPUS = {f"read: {name}": text for name, text in READ_CASES.items()}
+CORPUS.update({f"band {eps:g}": _band_text(eps) for eps in np.geomspace(4e-13, 1e-11, 9)})
+CORPUS["band 7.5e-13"] = _band_text(7.5e-13)
+CORPUS.update({f"sliver {apex:g}": _sliver_text(apex) for apex in SLIVER_APEXES})
+CORPUS["square"] = write_mesh(diagonal_square_mesh())
+CORPUS["right triangle"] = "ptg-mesh 1\n3 1\n0 0\n1 0\n0 1\n0 1 2\n"
+CORPUS["obtuse boundary"] = "ptg-mesh 1\n3 1\n0 0\n1 0\n0.5 0.1\n0 1 2\n"
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_no_command_raises_and_all_agree_on_admissibility(tmp_path, capsys, name):
+    path = tmp_path / "corpus.msh"
+    path.write_text(CORPUS[name], encoding="utf-8")
+    results = {}
+    for command, args in (
+        ("mesh-info", [str(path)]),
+        ("solve", ["--mesh", str(path), "--rhs-const", "1"]),
+        ("verify", ["--samples", "10", "--mesh", str(path)]),
+    ):
+        code, out, err = run(capsys, command, *args)
+        assert code in (0, 2, 3, 4), (command, code, err)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+        results[command] = code, out
+    try:
+        mesh = read_mesh(CORPUS[name])
+    except MeshError:
+        assert {code for code, _ in results.values()} == {2}
+        return
+    report = quality_report(mesh)
+    try:
+        assemble(mesh, report.coefficients, np.ones(mesh.num_triangles))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert report.admissible == accepted
+    code, out = results["mesh-info"]
+    info = _strict_json(out)
+    assert code == 0 and info["admissible"] == report.admissible
+    assert info["offending_edges"] == report.offending_edges()
+    for command in ("solve", "verify"):
+        code, out = results[command]
+        if report.admissible:
+            assert code in (0, 4), command
+        else:
+            assert code == 3, command
+            assert _strict_json(out) == {
+                "admissible": False, "offending_edges": report.offending_edges()
+            }
+
+
+def test_band_mesh_is_inadmissible_for_every_command(tmp_path, capsys):
+    # its diagonal coefficient 7.5e-13 is below COEFF_TOL; the opposite
+    # angles sum to less than pi - 1e-12
+    path = tmp_path / "band.msh"
+    path.write_text(_band_text(7.5e-13), encoding="utf-8")
+    for args in (["solve", "--mesh", str(path), "--rhs-const", "1"],
+                 ["verify", "--samples", "10", "--mesh", str(path)]):
+        assert run(capsys, *args) == (3, '{"admissible": false, "offending_edges": [1]}\n', "")
+    code, out, _ = run(capsys, "mesh-info", str(path))
+    assert code == 0
+    assert json.loads(out)["offending_edges"] == [1]
+
+
+@pytest.mark.parametrize("apex", [1e-6, 3e-7, 1e-8, 1e-10])
+def test_verify_names_a_singular_moment_system(tmp_path, capsys, apex):
+    path = tmp_path / "sliver.msh"
+    path.write_text(_sliver_text(apex), encoding="utf-8")
+    vertices = read_mesh(_sliver_text(apex)).vertices.tolist()
+    code, out, err = run(capsys, "verify", "--samples", "10", "--mesh", str(path))
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: stability constants cannot be evaluated: singular moment system for "
+        f"triangle 0 with vertices {vertices}\n"
+    )
+
+
+@pytest.mark.parametrize("args", [
+    ["mesh-info"],
+    ["solve", "--rhs-const", "1", "--mesh"],
+    ["solve", "--case", "rhombus-sine", "--mesh"],
+    ["verify", "--samples", "10", "--trials", "3", "--mesh"],
+])
+def test_each_command_computes_the_coefficients_once(rhombus_file, capsys, monkeypatch, args):
+    calls = []
+    original = mesh_module.cotan_coefficients
+
+    def counted(mesh):
+        calls.append(mesh)
+        return original(mesh)
+
+    for module in (mesh_module, dual, analysis, cli):
+        if hasattr(module, "cotan_coefficients"):
+            monkeypatch.setattr(module, "cotan_coefficients", counted)
+    code, _, _ = run(capsys, *args, str(rhombus_file))
+    assert code == 0
+    assert len(calls) == 1

@@ -215,3 +215,16 @@ def test_energy_bounded_by_nu_over_angle_classes(degrees):
     assert worst <= 1.0
     # the bound is loose: observed ratios stay far below 1
     assert worst < 0.2
+
+
+def test_singular_moment_system_names_its_triangle():
+    # an isosceles sliver with apex 1e-8 rad makes the 4x4 Gram system
+    # exactly singular; a batch names the index of the first such triangle
+    s = math.tan(0.5e-8)
+    sliver = [(0.0, 0.0), (1.0, -s), (1.0, s)]
+    batch = TriangleGeometry.from_vertices([equilateral_geometry().vertices, sliver, sliver])
+    singular = np.linalg.LinAlgError
+    with pytest.raises(singular, match=r"^singular moment system for triangle 1 with vertices "):
+        solve_delta_k(batch)
+    with pytest.raises(singular, match=r"^singular moment system for triangle 0 "):
+        solve_delta_k(TriangleGeometry.from_vertices(sliver))

@@ -11,6 +11,7 @@ from ptgfv.mesh import (
     MeshFormatError,
     TriangleGeometry,
     build_mesh,
+    cotan_coefficients,
     generate_rhombus_equilateral,
     quality_report,
     read_mesh,
@@ -282,6 +283,41 @@ def test_quality_boundary_right_angle():
     report = quality_report(mesh)
     assert not report.admissible
     assert len(report.offending_edges()) == 1
+
+
+@pytest.mark.parametrize("apex", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_sliver_angles_and_coefficients_are_exact(apex):
+    # isosceles sliver (0,0), (1,-s), (1,s): its apex angle is 2 atan(s) and
+    # each base angle pi/2 - atan(s), so the coefficient of the base is
+    # cot(apex)/2 = (1 - s^2) / (4 s) and that of each leg s / 2
+    s = math.tan(apex / 2)
+    mesh = build_mesh([(0.0, 0.0), (1.0, -s), (1.0, s)], [(0, 1, 2)])
+    angles = mesh.geometries.angles[0]
+    assert angles[0] == pytest.approx(2 * math.atan(s), rel=1e-14, abs=0)
+    np.testing.assert_allclose(angles[1:], math.pi / 2 - math.atan(s), rtol=0, atol=5e-16)
+    coeffs = cotan_coefficients(mesh)
+    base = int(mesh.tri_edges[0, 0])
+    legs = [int(e) for e in mesh.tri_edges[0, 1:]]
+    assert coeffs[base] == pytest.approx((1 - s * s) / (4 * s), rel=1e-13, abs=0)
+    np.testing.assert_allclose(coeffs[legs], s / 2, rtol=0, atol=5e-16)
+    report = quality_report(mesh)
+    assert report.admissible
+    assert np.array_equal(report.coefficients, coeffs)
+
+
+def test_quality_report_flags_exactly_the_coefficients_below_tolerance():
+    # edge coefficients of a kite whose diagonal has opposite angles 30 and
+    # 150 - delta degrees fall on either side of COEFF_TOL as the fourth
+    # vertex moves off the circle; the verdict follows the coefficient
+    a = (math.cos(math.pi / 6), math.sin(math.pi / 6))
+    for shift in (0.0, 1e-13, 2e-13, 1e-12):
+        mesh = build_mesh([a, (a[0], -a[1]), (-1.0, 0.0), (1.0 + shift, 0.0)],
+                          [(0, 1, 2), (0, 1, 3)])
+        report = quality_report(mesh)
+        assert not report.coefficients.flags.writeable
+        assert np.array_equal(report.coefficients, cotan_coefficients(mesh))
+        assert np.array_equal(report.edge_ok, report.coefficients >= mesh_module.COEFF_TOL)
+        assert report.admissible == (shift >= 2e-13)
 
 
 def test_quality_invariance_under_relabel_and_motion(rhombus4):

@@ -265,6 +265,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+# Flags that take a number.  argparse reads a value such as ``-1e-3`` as an
+# option (it knows negative numbers only without an exponent), so ``main``
+# joins a negative number to its flag, or to an abbreviation of the flag,
+# with "=", as the user may write it.
+NUMBER_FLAGS = ("--rhs-const", "--tol")
+
+
+def _is_number_flag(token: str) -> bool:
+    return len(token) > 2 and any(flag.startswith(token) for flag in NUMBER_FLAGS)
+
+
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for token in argv:
+        if joined and _is_number_flag(joined[-1]) and _is_negative_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptgfv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,7 +335,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

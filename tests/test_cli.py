@@ -385,6 +385,25 @@ def test_solve_rejects_non_finite_rhs(rhombus_file, capsys, value):
     assert "--rhs-const" in err
 
 
+@pytest.mark.parametrize("flag", ["--rhs-const", "--rhs"])
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-1", "-.5"])
+def test_solve_takes_a_negative_rhs_const_without_equals(rhombus_file, capsys, flag, value):
+    # argparse reads "-1e-3" as an option unless it is joined with "="
+    joined = run(capsys, "solve", "--mesh", str(rhombus_file), f"{flag}={value}")
+    spaced = run(capsys, "solve", "--mesh", str(rhombus_file), flag, value)
+    assert joined[0] == 0
+    assert spaced == joined
+
+
+def test_solve_and_convergence_read_a_negative_tol_in_exponent_form(rhombus_file, capsys):
+    for args in (["solve", "--mesh", str(rhombus_file), "--rhs-const", "1"],
+                 ["convergence", "--levels", "4,8"]):
+        for flag in ("--tol", "--to"):
+            code, out, err = run(capsys, *args, flag, "-1e-3")
+            assert (code, out) == (1, "")
+            assert "--tol must be a positive finite number, got -0.001" in err
+
+
 def test_folded_mesh_exit_2(tmp_path, capsys):
     path = tmp_path / "folded.msh"
     path.write_text("ptg-mesh 1\n4 2\n0 0\n1 0\n0.5 1\n0.5 0.5\n0 1 2\n0 1 3\n")

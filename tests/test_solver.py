@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -321,17 +322,39 @@ def test_near_threshold_delaunay_edges():
         assemble(crossed, bad_coeffs, np.ones(2))
 
 
-def test_import_leaves_the_lu_solver_unloaded():
-    # the sparse LU module is imported by the first solve, so commands that
-    # never solve (verify, mesh-info) do not pay its memory and start-up cost
+def test_import_leaves_the_lu_solver_unloaded(tmp_path):
+    # scipy is imported by the first assemble, so import ptgfv and the
+    # commands that never assemble (generate, mesh-info, verify) do not pay
+    # its memory and start-up cost; all of them run in one fresh interpreter
     src = str(Path(ptgfv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, ptgfv; print('scipy.sparse.linalg' in sys.modules)"
+    code = f"""
+import contextlib, io, json, sys
+import ptgfv
+from ptgfv.cli import main
+mesh = {str(tmp_path / "m.msh")!r}
+report = {{"import": [0, "scipy" in sys.modules]}}
+for args in (["generate", "--n", "4", "--out", mesh], ["mesh-info", mesh],
+             ["verify", "--samples", "10", "--mesh", mesh],
+             ["solve", "--mesh", mesh, "--rhs-const", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exit_code = main(args)
+    report[args[0]] = [exit_code, "scipy" in sys.modules]
+report["sparse"] = ["scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules]
+print(json.dumps(report))
+"""
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == {
+        "import": [0, False],
+        "generate": [0, False],
+        "mesh-info": [0, False],
+        "verify": [0, False],
+        "solve": [0, True],
+        "sparse": [True, True],
+    }
 
 
 def test_solver_determinism(rhombus4):

@@ -9,6 +9,7 @@ minimum angle, never a global one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ from .dual import (
     solve_delta_k,
 )
 from .mesh import (
+    _NEXT,
+    _PREV,
     Mesh,
     MeshQualityReport,
     TriangleGeometry,
@@ -149,7 +152,9 @@ def error_norms(
     for block, x in quadrature_blocks(mesh, rule):              # x: (b, nq, 2)
         xs, ys = x[..., 0], x[..., 1]
         area = areas[block]
-        u_vals, gx, gy, f_vals = (np.asarray(a, dtype=float) for a in case.exact(xs, ys))
+        u_vals, gx, gy, f_vals = (
+            np.broadcast_to(np.asarray(a, dtype=float), xs.shape) for a in case.exact(xs, ys)
+        )
         eu2 += float(area @ (((u_vals - solution.u[block, None]) ** 2) @ w))
 
         px = a_t[block, None] * xs - b_t[block, None, 0]
@@ -229,18 +234,28 @@ def random_triangles(
 ) -> TriangleGeometry:
     """``count`` triangles with vertices uniform in the unit square and
     minimum angle at least ``min_angle``, in the order a one-at-a-time
-    rejection sampler would draw them from the same generator."""
+    rejection sampler would draw them from the same generator.
+
+    Raises ValueError for a ``count`` below 1 and for a ``min_angle`` of
+    pi/3 or more, which only an equilateral triangle reaches.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if not min_angle < math.pi / 3:
+        raise ValueError(f"min_angle must be below pi/3, got {min_angle}")
     accepted = []
     found = 0
     while found < count:
         # (k, 3, 2) uniforms are k draws of (3, 2) from the same stream
         candidates = rng.uniform(size=(count - found, 3, 2))
-        candidates = candidates[~TriangleGeometry.degenerate(candidates)]
-        geom = TriangleGeometry.from_vertices(candidates)
-        keep = geom.vertices[geom.angles.min(axis=-1) >= min_angle]
-        accepted.append(keep)
-        found += len(keep)
-    return TriangleGeometry.from_vertices(np.concatenate(accepted))
+        geom = TriangleGeometry.from_vertices(candidates[~TriangleGeometry.degenerate(candidates)])
+        keep = geom.angles.min(axis=-1) >= min_angle
+        accepted.append([getattr(geom, f.name)[keep] for f in dataclasses.fields(geom)])
+        found += np.count_nonzero(keep)
+    fields = [np.concatenate(parts) for parts in zip(*accepted)]
+    for field in fields:
+        field.flags.writeable = False
+    return TriangleGeometry(*fields)
 
 
 def _circumcenter(v: np.ndarray) -> np.ndarray:
@@ -265,8 +280,8 @@ def circumcenter_edge_distances(geometry: TriangleGeometry) -> np.ndarray:
     (B, 3) for a batch.
     """
     v = geometry.vertices
-    p = np.roll(v, -1, axis=-2)
-    q = np.roll(v, -2, axis=-2)
+    p = v[..., _NEXT, :]
+    q = v[..., _PREV, :]
     mid = 0.5 * (p + q)
     tangent = (q - p) / np.hypot(q[..., 0] - p[..., 0], q[..., 1] - p[..., 1])[..., None]
     inward = v - mid
@@ -322,13 +337,13 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     determinant = 1e-10 - np.abs(np.linalg.det(gram) - det_expected) / det_expected
     diag = np.diagonal(gram, axis1=-2, axis2=-1)
     upper = gram[..., [0, 1, 2], [1, 2, 0]]
-    pairwise = np.sum(diag * np.roll(diag, -1, axis=-1) - upper**2, axis=-1)
+    pairwise = np.sum(diag * diag[..., _NEXT] - upper**2, axis=-1)
     pairwise_expected = 1.0 / 12.0 + 2.25 * ratio**2
     minors = 1e-10 - np.abs(pairwise - pairwise_expected) / pairwise_expected
 
     cot = 1.0 / np.tan(geom.angles)
     cotan_sum = 1e-11 - np.abs(cot.sum(axis=-1) - 9.0 * ratio) / (9.0 * ratio)
-    cotan_prod = 1e-11 - np.abs(np.sum(cot * np.roll(cot, -1, axis=-1), axis=-1) - 1.0)
+    cotan_prod = 1e-11 - np.abs(np.sum(cot * cot[..., _NEXT], axis=-1) - 1.0)
 
     energy = solve_delta_k(geom).energy
     energy_ratio = energy / nu_bound(theta_min)
@@ -428,6 +443,51 @@ class StabilityReport:
         return self.passed_h1 is not False and self.passed_h3 and self.passed_h4
 
 
+# Entries (i, j), i <= j, of a symmetric 3x3 matrix.
+_UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+
+# Normal draws per block of the h1 probe (256 kB): a block's fields, their
+# three gathers onto the triangles and one product of two gathers stay under
+# 1 MB whatever the number of trials and the mesh size.
+PROBE_BLOCK = 1 << 15
+
+
+def probe_chunk(num_edges: int) -> int:
+    """Flux fields per block of the h1 probe on a mesh of ``num_edges`` edges."""
+    return max(1, PROBE_BLOCK // num_edges)
+
+
+def _h1_probe(mesh: Mesh, coefficients: np.ndarray, trials: int, seed: int) -> float:
+    """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` flux fields p
+    of standard normal entries, evaluated ``probe_chunk`` fields at a time.
+
+    p^T M p sums, over the six entries (i, j), i <= j, of each local mass
+    matrix M_K, the products p[e_i] p[e_j] weighted by s_i s_j M_K[i, j],
+    twice over off the diagonal, with e the triangle's edges and s their
+    signs.
+    """
+    rng = np.random.default_rng(seed)
+    grams = local_gram_closed_form(mesh.geometries)            # (nt, 3, 3)
+    signs = mesh.tri_signs
+    weights = [
+        (1.0 if i == j else 2.0) * grams[:, i, j] * signs[:, i] * signs[:, j]
+        for i, j in _UPPER
+    ]
+    edges = np.ascontiguousarray(mesh.tri_edges.T)             # (3, nt)
+    chunk = probe_chunk(mesh.num_edges)
+    h1_min = math.inf
+    for start in range(0, trials, chunk):
+        # (k, num_edges) normals are k draws of one field from the same stream
+        p = rng.standard_normal((min(chunk, trials - start), mesh.num_edges))
+        at = [np.take(p, e, axis=1) for e in edges]            # 3 x (k, nt)
+        norm2 = np.zeros(len(p))
+        for (i, j), w in zip(_UPPER, weights):
+            norm2 += (at[i] * at[j]) @ w
+        pairing = np.square(p, out=p) @ coefficients
+        h1_min = min(h1_min, float((pairing / norm2).min()))
+    return h1_min
+
+
 def stability_check(
     mesh: Mesh,
     trials: int = 100,
@@ -444,26 +504,20 @@ def stability_check(
     ``trials`` flux fields of i.i.d. standard normal entries, whose smallest
     ratio is an upper estimate of the infimum: the pairing reduces to
     sum(c_a p_a^2) by the orthogonality of the dual basis, and the squared
-    field norm comes from the local mass matrices.  ``report`` is the mesh's
-    quality report, computed when absent.
+    field norm comes from the local mass matrices.  The fields are drawn and
+    evaluated a block at a time, so memory does not grow with ``trials``.
+    ``report`` is the mesh's quality report, computed when absent.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     report = report or quality_report(mesh)
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
-    rng = np.random.default_rng(seed)
 
     geom = mesh.geometries
-    grams = local_gram_closed_form(geom)                       # (nt, 3, 3)
     delta = solve_delta_k(geom)
     max_energy = float(delta.energy.max())
-    h1_min = math.inf
-    for _ in range(trials):
-        p = rng.standard_normal(mesh.num_edges)
-        loc = mesh.tri_signs * p[mesh.tri_edges]               # (nt, 3)
-        norm2 = float(np.einsum("ti,tij,tj->", loc, grams, loc))
-        h1_min = min(h1_min, float(report.coefficients @ p**2) / norm2)
+    h1_min = _h1_probe(mesh, report.coefficients, trials, seed)
 
     theta_min, theta_max = report.theta_min, report.theta_max
     bound_h1 = 0.4 * math.tan(theta_min) / math.tan(theta_max)

@@ -37,6 +37,18 @@ __all__ = [
 NU_SCALE = 8942.4
 
 
+def _quadrature_points(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The barycentric ``points`` (nq, 3) in the triangles with corners
+    ``vertices`` (..., 3, 2), as the sum over k of lambda_qk V_k; shape
+    (..., nq, 2)."""
+    v = vertices[..., None, :, :]
+    return (
+        points[:, 0, None] * v[..., 0, :]
+        + points[:, 1, None] * v[..., 1, :]
+        + points[:, 2, None] * v[..., 2, :]
+    )
+
+
 def _moment_basis(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     """{1, |x-W_1|^2, |x-W_2|^2, |x-W_3|^2} at ``points`` (..., nq, 2) of
     triangles with corners ``vertices`` (..., 3, 2); shape (..., 4, nq)."""
@@ -65,7 +77,7 @@ class DeltaK:
         (4,), or (B, 4) for a batch."""
         rule = triangle_rule()
         v = self.geometry.vertices
-        basis = _moment_basis(v, np.einsum("qk,...kd->...qd", rule.points, v))
+        basis = _moment_basis(v, _quadrature_points(rule.points, v))
         vals = np.einsum("...i,...iq->...q", self.coefficients, basis)
         area = np.asarray(self.geometry.area)[..., None]
         return area * np.einsum("q,...iq,...q->...i", rule.weights, basis, vals)
@@ -85,7 +97,7 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     rule = triangle_rule()
     v = geometry.vertices
     area = np.asarray(geometry.area)[..., None]                          # (..., 1)
-    basis = _moment_basis(v, np.einsum("qk,...kd->...qd", rule.points, v))
+    basis = _moment_basis(v, _quadrature_points(rule.points, v))
     basis[..., 1:, :] /= area[..., None]
     gram = np.einsum("q,...iq,...jq->...ij", rule.weights, basis, basis) * area[..., None]
     rhs = np.array([1.0, 0.0, 0.0, 0.0])
@@ -108,33 +120,35 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     return DeltaK(geometry=geometry, coefficients=coeffs, energy=energy)
 
 
-def _symmetric_sum(lengths: np.ndarray, pattern: tuple[int, int, int]):
-    # sum over distinct monomials |a_i|^n |a_j|^m |a_k|^p; a repeated exponent
-    # pattern contributes each monomial once (so (1,1,1) gives the plain
-    # product and (2,2,0) the three pairwise products)
+def _symmetric_sum(powers: dict[int, np.ndarray], pattern: tuple[int, int, int]):
+    # sum over distinct monomials |a_i|^n |a_j|^m |a_k|^p, with powers[e] the
+    # edge lengths to the power e; a repeated exponent pattern contributes
+    # each monomial once (so (1,1,1) gives the plain product and (2,2,0) the
+    # three pairwise products)
     return sum(
-        lengths[..., 0] ** e[0] * lengths[..., 1] ** e[1] * lengths[..., 2] ** e[2]
+        powers[e[0]][..., 0] * powers[e[1]][..., 1] * powers[e[2]][..., 2]
         for e in set(itertools.permutations(pattern))
     )
 
 
 def delta_denominator(geometry: TriangleGeometry):
     """Degree-4 symmetric polynomial D = (7/4) sigma_4 - (1/2) Sigma_{2,2,0}."""
-    lengths = geometry.edge_lengths
-    return 1.75 * np.sum(lengths**4, axis=-1) - 0.5 * _symmetric_sum(lengths, (2, 2, 0))
+    powers = {e: geometry.edge_lengths**e for e in (0, 2, 4)}
+    return 1.75 * np.sum(powers[4], axis=-1) - 0.5 * _symmetric_sum(powers, (2, 2, 0))
 
 
 def delta_numerator(geometry: TriangleGeometry):
     """Degree-12 symmetric polynomial pairing with D in the energy formula."""
     lengths = geometry.edge_lengths
+    powers = {e: lengths**e for e in range(0, 13, 2)}
     product4 = np.prod(lengths, axis=-1) ** 4
     return (
-        9.0 * np.sum(lengths**12, axis=-1)
-        - 15.0 * _symmetric_sum(lengths, (10, 2, 0))
-        + 15.0 * _symmetric_sum(lengths, (8, 4, 0))
-        - 33.0 * _symmetric_sum(lengths, (8, 2, 2))
-        - 18.0 * _symmetric_sum(lengths, (6, 6, 0))
-        + 48.0 * _symmetric_sum(lengths, (6, 4, 2))
+        9.0 * np.sum(powers[12], axis=-1)
+        - 15.0 * _symmetric_sum(powers, (10, 2, 0))
+        + 15.0 * _symmetric_sum(powers, (8, 4, 0))
+        - 33.0 * _symmetric_sum(powers, (8, 2, 2))
+        - 18.0 * _symmetric_sum(powers, (6, 6, 0))
+        + 48.0 * _symmetric_sum(powers, (6, 4, 2))
         + 558.0 * product4
     )
 

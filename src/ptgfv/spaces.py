@@ -52,11 +52,16 @@ def quadrature_blocks(mesh: Mesh, rule: TriangleRule):
 
 
 def interpolate_p0(f, mesh: Mesh) -> np.ndarray:
-    """Cell means of ``f(x, y)`` (vectorized over numpy arrays) by quadrature."""
+    """Cell means of ``f(x, y)`` (vectorized over numpy arrays) by quadrature;
+    ``f`` may return a scalar or any shape that broadcasts to its arguments'."""
     rule = triangle_rule()
     means = np.empty(mesh.num_triangles)
     for block, x in quadrature_blocks(mesh, rule):
-        means[block] = np.asarray(f(x[..., 0], x[..., 1]), dtype=float) @ rule.weights
+        values = np.broadcast_to(np.asarray(f(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
+        # np.dot hands a broadcast view to BLAS as a full array would be, so
+        # a constant has the means of its full array (matmul sums a view in
+        # another order)
+        means[block] = np.dot(values, rule.weights)
     return means
 
 

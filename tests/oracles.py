@@ -2,9 +2,10 @@
 
 Each one evaluates a quantity the package computes in closed form or in
 batches, but by a different route: quadrature of the basis functions, the
-one-triangle-at-a-time random samplers, edge-flux interpolation by Gauss
-quadrature, the flux profile g of the dual edge basis, and the triangle
-geometry by index-list gathers.  Tests compare the package against them.
+one-triangle-at-a-time random samplers, the one-trial-at-a-time h1 probe,
+edge-flux interpolation by Gauss quadrature, the flux profile g of the dual
+edge basis, and the triangle geometry by index-list gathers.  Tests compare
+the package against them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ptgfv.analysis import MIN_SAMPLE_ANGLE
-from ptgfv.mesh import Mesh, TriangleGeometry
+from ptgfv.mesh import Mesh, TriangleGeometry, quality_report
 from ptgfv.quadrature import TriangleRule, triangle_rule
+from ptgfv.spaces import local_gram_closed_form
 
 
 def geometry(mesh: Mesh, t: int) -> TriangleGeometry:
@@ -114,6 +116,25 @@ def random_triangle_min_angle(rng: np.random.Generator, theta_star: float) -> Tr
     rmat = np.array([[cs, -sn], [sn, cs]])
     verts = scale * np.stack([a, b, c]) @ rmat.T + rng.uniform(-1.0, 1.0, size=2)
     return TriangleGeometry.from_vertices(verts)
+
+
+# -- the h1 probe ----------------------------------------------------------
+
+def h1_probe_reference(mesh: Mesh, trials: int, seed: int) -> float:
+    """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` standard
+    normal flux fields, drawn and evaluated one field at a time from
+    ``default_rng(seed)``, with M assembled from the closed-form local mass
+    matrices by one einsum per field."""
+    coefficients = quality_report(mesh).coefficients
+    grams = local_gram_closed_form(mesh.geometries)
+    rng = np.random.default_rng(seed)
+    h1_min = math.inf
+    for _ in range(trials):
+        p = rng.standard_normal(mesh.num_edges)
+        loc = mesh.tri_signs * p[mesh.tri_edges]
+        norm2 = float(np.einsum("ti,tij,tj->", loc, grams, loc))
+        h1_min = min(h1_min, float(coefficients @ p**2) / norm2)
+    return h1_min
 
 
 # -- quadrature ------------------------------------------------------------

@@ -112,6 +112,27 @@ def test_error_norms_zero_case():
     assert max(eu, ep, ediv) <= 1e-12
 
 
+def test_error_norms_take_scalar_values():
+    mesh = jittered_rhombus(8, seed=2)
+    f_t = interpolate_p0(lambda x, y: 1.0, mesh)
+    solution = solve(assemble(mesh, cotan_coefficients(mesh), f_t))
+    scalar = ManufacturedCase(
+        name="scalar",
+        generator=generate_rhombus_equilateral,
+        u=lambda x, y: 1.0,
+        f=lambda x, y: 1.0,
+        grad_u=lambda x, y: (0.0, 0.0),
+    )
+    full = ManufacturedCase(
+        name="full",
+        generator=generate_rhombus_equilateral,
+        u=lambda x, y: 0 * x + 1.0,
+        f=lambda x, y: 0 * x + 1.0,
+        grad_u=lambda x, y: (0 * x, 0 * y),
+    )
+    assert error_norms(mesh, solution, scalar) == error_norms(mesh, solution, full)
+
+
 def test_default_exact_calls_u_grad_u_and_f():
     calls = []
 

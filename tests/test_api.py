@@ -10,7 +10,7 @@ import types
 from pathlib import Path
 
 import ptgfv
-from ptgfv import solver
+from ptgfv import analysis, solver
 from ptgfv.mesh import Mesh
 
 MODULES = ("analysis", "dual", "mesh", "quadrature", "solver", "spaces")
@@ -31,6 +31,7 @@ ORACLES = (
     "eval_rt_field",
     "interpolate_rt",
     "local_gram_quadrature",
+    "h1_probe_reference",
 )
 
 
@@ -66,3 +67,7 @@ def test_benchmark_bindings_exist():
     fields = {f.name for f in dataclasses.fields(solver.Solution)}
     assert {"iterations", "residual_history"} <= fields
     assert callable(solver.DirichletData.zero)
+    # the verify workload checks the trial count of the h1 probe; retiring
+    # the probe's trials is a benchmark change
+    assert "trials" in inspect.signature(analysis.stability_check).parameters
+    assert "trials" in {f.name for f in dataclasses.fields(analysis.StabilityReport)}

@@ -1,18 +1,22 @@
 """Batched triangle kernels: a batch of B triangles on the leading axis gives,
 row by row, what B single-triangle calls give."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ptgfv import analysis, spaces
+from ptgfv import analysis, dual, spaces
 from ptgfv.analysis import (
     BLOCK,
     CASES,
+    MIN_SAMPLE_ANGLE,
     circumcenter_edge_distances,
     error_norms,
     lemma_suite,
+    probe_chunk,
     random_triangles,
     stability_check,
 )
@@ -23,13 +27,13 @@ from ptgfv.dual import (
     delta_numerator,
     solve_delta_k,
 )
-from ptgfv.mesh import MeshError, TriangleGeometry, build_mesh
+from ptgfv.mesh import MeshError, TriangleGeometry, build_mesh, generate_rhombus_equilateral
 from ptgfv.quadrature import triangle_rule
 from ptgfv.solver import assemble, solve
 from ptgfv.spaces import QUAD_BLOCK, interpolate_p0, local_fluxes, local_gram_closed_form
 
 from conftest import jittered_rhombus
-from oracles import indexed_geometry, random_triangle
+from oracles import h1_probe_reference, indexed_geometry, random_triangle
 
 GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "angles", "rho2")
 
@@ -42,6 +46,54 @@ def test_batched_sampler_draws_the_single_sampler_triangles(seed):
     batch = random_triangles(np.random.default_rng(seed), count)
     assert batch.vertices.shape == (count, 3, 2)
     assert np.array_equal(batch.vertices, singles)
+
+
+def random_triangles_rebuilt(rng, count, min_angle=MIN_SAMPLE_ANGLE):
+    # keeps the accepted corners of every batch and builds the geometry of
+    # all of them once more at the end
+    accepted = []
+    found = 0
+    while found < count:
+        candidates = rng.uniform(size=(count - found, 3, 2))
+        candidates = candidates[~TriangleGeometry.degenerate(candidates)]
+        geom = TriangleGeometry.from_vertices(candidates)
+        keep = geom.vertices[geom.angles.min(axis=-1) >= min_angle]
+        accepted.append(keep)
+        found += len(keep)
+    return TriangleGeometry.from_vertices(np.concatenate(accepted))
+
+
+@pytest.mark.parametrize(
+    "count, min_angle", [(1, MIN_SAMPLE_ANGLE), (2500, MIN_SAMPLE_ANGLE), (300, math.radians(40))]
+)
+def test_sampled_geometry_equals_the_rebuilt_geometry(count, min_angle):
+    # the sampler slices the geometry of each batch of candidates by its
+    # acceptance mask; at 40 degrees most candidates are rejected, so
+    # several batches are drawn
+    batch = random_triangles(np.random.default_rng(8), count, min_angle)
+    rebuilt = random_triangles_rebuilt(np.random.default_rng(8), count, min_angle)
+    for name in GEOMETRY_FIELDS:
+        field = getattr(batch, name)
+        assert np.array_equal(field, getattr(rebuilt, name)), name
+        assert not field.flags.writeable, name
+    assert batch.area.shape == (count,)
+
+
+@pytest.mark.parametrize(
+    "count, min_angle, message",
+    [
+        # only an equilateral triangle reaches pi/3: rejection would never end
+        (5, math.radians(61), "min_angle must be below pi/3"),
+        (5, math.pi / 3, "min_angle must be below pi/3"),
+        (0, MIN_SAMPLE_ANGLE, "count must be >= 1"),
+    ],
+)
+def test_sampler_refuses_before_drawing(count, min_angle, message):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        random_triangles(rng, count, min_angle)
+    assert rng.bit_generator.state == state
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +254,62 @@ def test_quadrature_blocks_match_one_shot():
     np.testing.assert_allclose(
         error_norms(mesh, solution, case), np.sqrt([eu2, ep2, ediv2]), rtol=1e-13, atol=0
     )
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (40,), (5, 7)])
+def test_moment_quadrature_points_equal_the_einsum(shape):
+    rule = triangle_rule()
+    v = np.random.default_rng(4).uniform(size=shape + (3, 2))
+    reference = np.einsum("qk,...kd->...qd", rule.points, v)
+    assert np.array_equal(dual._quadrature_points(rule.points, v), reference)
+
+
+@pytest.mark.parametrize("count", [None, 500])
+def test_symmetric_sums_equal_one_power_per_factor(count):
+    rng = np.random.default_rng(6)
+    lengths = (random_triangles(rng, 1).edge_lengths[0] if count is None
+               else random_triangles(rng, count).edge_lengths)
+    powers = {e: lengths**e for e in range(13)}
+    for pattern in [(10, 2, 0), (8, 4, 0), (8, 2, 2), (6, 6, 0), (6, 4, 2), (2, 2, 0), (1, 1, 1)]:
+        reference = sum(
+            lengths[..., 0] ** e[0] * lengths[..., 1] ** e[1] * lengths[..., 2] ** e[2]
+            for e in set(itertools.permutations(pattern))
+        )
+        assert np.array_equal(dual._symmetric_sum(powers, pattern), reference), pattern
+
+
+# -- the h1 probe, a block of trials at a time -----------------------------
+
+def test_a_block_of_normals_is_the_single_draws():
+    rng = np.random.default_rng(5)
+    singles = np.stack([rng.standard_normal(97) for _ in range(13)])
+    assert np.array_equal(np.random.default_rng(5).standard_normal((13, 97)), singles)
+
+
+PROBE_MESHES = {
+    "equilateral": lambda: generate_rhombus_equilateral(32),
+    "jittered": lambda: jittered_rhombus(16, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", PROBE_MESHES)
+def test_blocked_h1_probe_matches_one_trial_at_a_time(name):
+    mesh = PROBE_MESHES[name]()
+    chunk = probe_chunk(mesh.num_edges)
+    assert 1 < chunk < 100
+    for trials in (1, chunk - 1, chunk, chunk + 1, 100):
+        probed = stability_check(mesh, trials=trials, seed=11).h1_min_ratio
+        reference = h1_probe_reference(mesh, trials, seed=11)
+        assert probed == pytest.approx(reference, rel=1e-14, abs=0), trials
+
+
+def test_h1_probe_memory_does_not_grow_with_trials():
+    mesh = generate_rhombus_equilateral(32)
+    stability_check(mesh, trials=1)
+    peaks = {}
+    for trials in (10, 1000):
+        tracemalloc.start()
+        stability_check(mesh, trials=trials)
+        peaks[trials] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[1000] <= peaks[10] + 0.25e6

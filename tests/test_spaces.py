@@ -116,6 +116,12 @@ def test_interpolate_p0_constant_and_linear():
         assert linear[t] == pytest.approx(2.0 * cx - 3.0 * cy + 1.0, abs=1e-13)
 
 
+def test_interpolate_p0_takes_a_scalar():
+    mesh = jittered_rhombus(8, seed=2)
+    means = interpolate_p0(lambda x, y: 1.0, mesh)
+    assert np.array_equal(means, interpolate_p0(lambda x, y: 0 * x + 1.0, mesh))
+
+
 def test_interpolate_p0_reference_triangle():
     mesh = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert interpolate_p0(lambda x, y: x, mesh)[0] == pytest.approx(1.0 / 3.0, rel=1e-13)

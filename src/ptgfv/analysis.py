@@ -28,6 +28,7 @@ from .mesh import (
     Mesh,
     MeshQualityReport,
     TriangleGeometry,
+    _degenerate,
     cotan_coefficients,
     generate_rhombus_equilateral,
     quality_report,
@@ -173,8 +174,6 @@ class ConvergenceLevel:
     ep: float
     ediv: float
     combined: float
-    iterations: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,6 @@ def convergence_study(
                 ep=ep,
                 ediv=ediv,
                 combined=eu + math.hypot(ep, ediv),
-                iterations=solution.iterations,
-                residual=solution.residual,
             )
         )
     if any(b.h >= a.h for a, b in zip(rows, rows[1:])):
@@ -248,8 +245,10 @@ def random_triangles(
     while found < count:
         # (k, 3, 2) uniforms are k draws of (3, 2) from the same stream
         candidates = rng.uniform(size=(count - found, 3, 2))
-        geom = TriangleGeometry.from_vertices(candidates[~TriangleGeometry.degenerate(candidates)])
-        keep = geom.angles.min(axis=-1) >= min_angle
+        geom = TriangleGeometry._oriented(candidates)[0]
+        keep = (geom.angles.min(axis=-1) >= min_angle) & ~_degenerate(
+            geom.area, geom.edge_lengths
+        )
         accepted.append([getattr(geom, f.name)[keep] for f in dataclasses.fields(geom)])
         found += np.count_nonzero(keep)
     fields = [np.concatenate(parts) for parts in zip(*accepted)]
@@ -522,7 +521,7 @@ def stability_check(
     theta_min, theta_max = report.theta_min, report.theta_max
     bound_h1 = 0.4 * math.tan(theta_min) / math.tan(theta_max)
     bound_h4 = math.sqrt(nu_bound(theta_min))
-    h3_deviation = float(np.abs(delta.moments()[:, 0] - 1.0).max())
+    h3_deviation = float(np.abs(delta.mean - 1.0).max())
     return StabilityReport(
         theta_min=theta_min,
         theta_max=theta_max,

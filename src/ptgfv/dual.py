@@ -37,72 +37,50 @@ __all__ = [
 NU_SCALE = 8942.4
 
 
-def _quadrature_points(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """The barycentric ``points`` (nq, 3) in the triangles with corners
-    ``vertices`` (..., 3, 2), as the sum over k of lambda_qk V_k; shape
-    (..., nq, 2)."""
-    v = vertices[..., None, :, :]
-    return (
-        points[:, 0, None] * v[..., 0, :]
-        + points[:, 1, None] * v[..., 1, :]
-        + points[:, 2, None] * v[..., 2, :]
-    )
-
-
-def _moment_basis(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """{1, |x-W_1|^2, |x-W_2|^2, |x-W_3|^2} at ``points`` (..., nq, 2) of
-    triangles with corners ``vertices`` (..., 3, 2); shape (..., 4, nq)."""
-    basis = np.ones(points.shape[:-2] + (4, points.shape[-2]))
-    for i in range(3):
-        w = vertices[..., i, None, :]
-        basis[..., 1 + i, :] = (points[..., 0] - w[..., 0]) ** 2 + (points[..., 1] - w[..., 1]) ** 2
-    return basis
-
-
 @dataclass(frozen=True)
 class DeltaK:
     """Divergence profile on one triangle, or on a batch of them.
 
-    ``coefficients`` expands delta in the basis {1, |x-W_1|^2, |x-W_2|^2,
-    |x-W_3|^2}; ``energy`` is the dimensionless |K| * int(delta^2).  For a
-    batch both carry the batch on their leading axis.
+    ``coefficients`` expands |K| * delta in the dimensionless basis
+    {1, |x-W_1|^2/|K|, |x-W_2|^2/|K|, |x-W_3|^2/|K|}; ``energy`` is the
+    dimensionless |K| * int(delta^2) and ``mean`` is int(delta), 1 up to
+    round-off.  For a batch all three carry the batch on their leading axis.
     """
 
-    geometry: TriangleGeometry
     coefficients: np.ndarray
     energy: float
-
-    def moments(self) -> np.ndarray:
-        """(int delta, int delta*|x-W_i|^2 for i=1..3) by quadrature; shape
-        (4,), or (B, 4) for a batch."""
-        rule = triangle_rule()
-        v = self.geometry.vertices
-        basis = _moment_basis(v, _quadrature_points(rule.points, v))
-        vals = np.einsum("...i,...iq->...q", self.coefficients, basis)
-        area = np.asarray(self.geometry.area)[..., None]
-        return area * np.einsum("q,...iq,...q->...i", rule.weights, basis, vals)
+    mean: float
 
 
 def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     """Minimum-norm divergence profile meeting the four moment constraints.
 
-    The minimizer lives in the span of the constraint functions, so it is
-    the solution of the 4x4 Gram system of {1, |x-W_i|^2}.  The basis is
-    rescaled by the area to keep the system's conditioning independent of
-    the triangle size.  The Gram entries are quartic, which the degree-6
-    triangle rule integrates exactly.  A batch of triangles is one stacked
-    solve of its 4x4 systems.  Raises ``numpy.linalg.LinAlgError`` (a
-    ValueError) naming the first triangle whose system is singular.
+    The minimizer lives in the span of the constraint functions {1,
+    |x-W_i|^2}.  With the squared distances divided by |K| and G the Gram
+    matrix of that basis under the mean over the triangle, the coefficients
+    s of |K| * delta solve G s = e_0: row 0 is int(delta) = 1 and rows 1..3
+    are the pairings int(delta |x-W_i|^2) / |K| = 0.  The system is
+    dimensionless, so its conditioning does not depend on the triangle's
+    size, and it yields the energy |K| * int(delta^2) = s^T G s = s_0 and the
+    mean (G s)_0 without evaluating delta again.  The Gram entries are
+    quartic, which the degree-6 triangle rule integrates exactly.  A batch of
+    triangles is one stacked solve of its 4x4 systems.  Raises
+    ``numpy.linalg.LinAlgError`` (a ValueError) naming the first triangle
+    whose system is singular.
     """
     rule = triangle_rule()
     v = geometry.vertices
     area = np.asarray(geometry.area)[..., None]                          # (..., 1)
-    basis = _moment_basis(v, _quadrature_points(rule.points, v))
+    x = rule.points @ v                                                  # (..., nq, 2)
+    basis = np.ones(x.shape[:-2] + (4, x.shape[-2]))
+    for i in range(3):
+        w = v[..., i, None, :]
+        basis[..., 1 + i, :] = (x[..., 0] - w[..., 0]) ** 2 + (x[..., 1] - w[..., 1]) ** 2
     basis[..., 1:, :] /= area[..., None]
-    gram = np.einsum("q,...iq,...jq->...ij", rule.weights, basis, basis) * area[..., None]
+    gram = np.einsum("q,...iq,...jq->...ij", rule.weights, basis, basis)
     rhs = np.array([1.0, 0.0, 0.0, 0.0])
     try:
-        scaled = np.linalg.solve(gram, rhs)
+        coeffs = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         for t, matrix in enumerate(gram.reshape(-1, 4, 4)):
             try:
@@ -113,11 +91,10 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
             f"singular moment system for triangle {t} with vertices "
             f"{v.reshape(-1, 3, 2)[t].tolist()}"
         ) from None
-    coeffs = np.concatenate([scaled[..., :1], scaled[..., 1:] / area], axis=-1)
-    vals = np.einsum("...iq,...i->...q", basis, scaled)
-    energy = area[..., 0] * (area[..., 0] * (vals**2 @ rule.weights))
     coeffs.flags.writeable = False
-    return DeltaK(geometry=geometry, coefficients=coeffs, energy=energy)
+    energy = np.moveaxis(coeffs, -1, 0)[0]              # a float for one triangle
+    mean = np.einsum("...j,...j->...", gram[..., 0, :], coeffs)
+    return DeltaK(coefficients=coeffs, energy=energy, mean=mean)
 
 
 def _symmetric_sum(powers: dict[int, np.ndarray], pattern: tuple[int, int, int]):

@@ -108,16 +108,6 @@ class TriangleGeometry:
     angles: np.ndarray        # (3,) radians, angle i at vertex i
     rho2: float
 
-    @staticmethod
-    def degenerate(vertices) -> np.ndarray:
-        """Per-triangle flag: area at most DEGENERATE_REL * (longest edge)^2.
-
-        ``vertices`` has shape (..., 3, 2); either orientation is accepted.
-        """
-        v = np.asarray(vertices, dtype=float)
-        lengths = _edge_lengths(_wrap(v.reshape(-1, 3, 2))).reshape(v.shape[:-1])
-        return _degenerate(np.abs(_signed_areas(v)), lengths)
-
     @classmethod
     def from_vertices(cls, vertices) -> "TriangleGeometry":
         """Build from three 2D points, or from a (B, 3, 2) batch of them,

@@ -157,7 +157,9 @@ def assemble(
     w = 1.0 / coeffs
     owner, neighbor = mesh.edges.owner, mesh.edges.neighbor
     boundary = mesh.boundary_edges
-    rhs = mesh.areas * f_t
+    # a product past the largest float is an inf entry, which ``solve`` names
+    with np.errstate(over="ignore"):
+        rhs = mesh.areas * f_t
     np.add.at(rhs, owner[boundary], bc.values * w[boundary])
     # the diagonal sums 1/c over each triangle's edges; the owner and
     # neighbor entries are interleaved in edge order so that every row adds
@@ -193,7 +195,8 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
     first solve misses it, one step of iterative refinement follows; if the
     residual is still above ``tol`` the system's conditioning floor lies
     above it, and :class:`ConvergenceError` names the floor reached rather
-    than returning a false success.  A nonzero right-hand side whose
+    than returning a false success.  A right-hand side with an inf or NaN
+    entry is named by its first such cell.  A nonzero right-hand side whose
     largest entry is below the smallest normal float has lost its digits to
     underflow, and the error names it instead of a floor (from that cut up,
     rounding a subnormal entry is round-off relative to |b|).
@@ -206,6 +209,12 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
     matrix, rhs = system.matrix, system.rhs
     x = np.zeros(len(rhs))
     history: list[float] = []
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        t = int(bad[0])
+        raise ConvergenceError(
+            f"non-finite right-hand side: b = {float(rhs[t])} in cell {t}", history
+        )
     if np.any(rhs):
         peak = float(np.abs(rhs).max())
         if peak < TINY:
@@ -226,10 +235,11 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
         x = lu.solve(rhs)
         r = rhs - matrix @ x
         history.append(_norm(r) / norm_rhs)
-        if history[-1] > tol:
+        # a NaN residual is not converged
+        if not history[-1] <= tol:
             x += lu.solve(r)
             history.append(_norm(rhs - matrix @ x) / norm_rhs)
-        if history[-1] > tol:
+        if not history[-1] <= tol:
             raise ConvergenceError(
                 f"direct solve did not reach {tol}: stagnated at the floor "
                 f"{history[-1]:.3e} after one refinement step",

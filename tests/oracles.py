@@ -3,6 +3,7 @@
 Each one evaluates a quantity the package computes in closed form or in
 batches, but by a different route: quadrature of the basis functions, the
 one-triangle-at-a-time random samplers, the one-trial-at-a-time h1 probe,
+the moments of the divergence profile from its coefficients,
 edge-flux interpolation by Gauss quadrature, the flux profile g of the dual
 edge basis, and the triangle geometry by index-list gathers.  Tests compare
 the package against them.
@@ -182,6 +183,18 @@ def integrate_triangle(rule: TriangleRule, geometry: TriangleGeometry, f) -> flo
     polynomials up to the rule's degree."""
     x = physical_points(rule, geometry)
     return geometry.area * float(rule.weights @ np.asarray(f(x[:, 0], x[:, 1]), dtype=float))
+
+
+def delta_moments(geometry: TriangleGeometry, coefficients) -> np.ndarray:
+    """(int delta, int delta |x-W_i|^2 for i=1..3) of one triangle's
+    divergence profile, with |K| delta evaluated from its ``coefficients``
+    in {1, |x-W_i|^2/|K|} at the rule's physical points; shape (4,)."""
+    rule = triangle_rule()
+    x = physical_points(rule, geometry)                           # (nq, 2)
+    squared = np.sum((x[None] - geometry.vertices[:, None]) ** 2, axis=-1)   # (3, nq)
+    basis = np.vstack([np.ones(len(x)), squared])                 # (4, nq)
+    delta = (coefficients[0] + coefficients[1:] @ squared / geometry.area) / geometry.area
+    return geometry.area * (basis * delta) @ rule.weights
 
 
 def integrate_interval(rule: IntervalRule, f) -> float:

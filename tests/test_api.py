@@ -27,6 +27,7 @@ ORACLES = (
     "integrate_interval",
     "integrate_triangle",
     "physical_points",
+    "delta_moments",
     "eval_local_basis",
     "eval_rt_field",
     "interpolate_rt",

@@ -8,7 +8,14 @@ import pytest
 from ptgfv import analysis, cli, dual
 from ptgfv import mesh as mesh_module
 from ptgfv.cli import main
-from ptgfv.mesh import MeshError, quality_report, read_mesh, write_mesh
+from ptgfv.mesh import (
+    MeshError,
+    build_mesh,
+    generate_rhombus_equilateral,
+    quality_report,
+    read_mesh,
+    write_mesh,
+)
 from ptgfv.solver import DirichletData, assemble, solve
 
 from conftest import diagonal_square_mesh, jittered_rhombus
@@ -507,6 +514,32 @@ def test_solve_subnormal_source_is_named(tmp_path, capsys, rhs, code, message):
     assert got == code
     assert message in err
     assert "stagnated" not in err
+
+
+def _scaled_rhombus(tmp_path, n: int, scale: float):
+    base = generate_rhombus_equilateral(n)
+    path = tmp_path / f"rhombus{n}x{scale:g}.msh"
+    path.write_text(write_mesh(build_mesh(base.vertices * scale, base.triangles)), encoding="utf-8")
+    return path
+
+
+def test_solve_overflowing_source_is_named(tmp_path, capsys):
+    # |K| x 1e10 is past the largest float on a mesh scaled by 1e150: the
+    # cell integrals are inf, and a NaN residual must not pass as converged
+    path = _scaled_rhombus(tmp_path, 4, 1e150)
+    code, out, err = run(capsys, "solve", "--mesh", str(path), "--rhs-const", "1e10")
+    assert (code, out) == (4, "")
+    assert err == "error: non-finite right-hand side: b = inf in cell 0\n"
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e-160])
+def test_verify_stability_does_not_depend_on_the_coordinate_scale(tmp_path, capsys, scale):
+    # h3 and h4 are dimensionless: a mesh whose |x - W|^2 nears the largest
+    # float, or whose areas are subnormal, passes as the unit mesh does
+    path = _scaled_rhombus(tmp_path, 2, scale)
+    code, out, err = run(capsys, "verify", "--samples", "10", "--mesh", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stability"]["all_passed"] is True
 
 
 def test_write_solution_matches_per_value_format(tmp_path):

@@ -16,6 +16,7 @@ from ptgfv.mesh import TriangleGeometry, build_mesh, generate_rhombus_equilatera
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import (
+    delta_moments,
     g_eval,
     g_moments,
     geometry,
@@ -115,9 +116,10 @@ def test_delta_equilateral_symmetry_and_energy():
     assert np.max(np.abs(quad_coeffs - quad_coeffs.mean())) < 1e-10
     # oracle-pinned energy of the unit equilateral
     assert delta.energy == pytest.approx(128.0 / 3.0, rel=1e-9)
-    moments = delta.moments()
+    moments = delta_moments(equilateral_geometry(), delta.coefficients)
     assert moments[0] == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(moments[1:], 0.0, atol=1e-10)
+    assert delta.mean == pytest.approx(1.0, abs=1e-10)
 
 
 def test_delta_constraints_random():
@@ -126,9 +128,10 @@ def test_delta_constraints_random():
         geom = random_triangle(rng)
         delta = solve_delta_k(geom)
         assert delta.energy > 0.0
-        moments = delta.moments()
+        moments = delta_moments(geom, delta.coefficients)
         assert moments[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(moments[1:])) < 1e-10 * max(1.0, geom.area**2)
+        assert delta.mean == pytest.approx(moments[0], abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -143,10 +146,9 @@ def test_delta_constraints_random():
 def test_delta_mean_round_off_on_fine_meshes(make):
     # stability_check passes h3 up to 1e-12; the stacked solve keeps the
     # mean of every profile within 2.1e-14 of 1 at n=128, and a rewrite that
-    # loses digits (a batched matmul in place of the einsum reached 7.6e-13)
-    # must fail here before it fails that gate
-    moments = solve_delta_k(make().geometries).moments()
-    assert np.abs(moments[:, 0] - 1.0).max() <= 1e-13
+    # loses digits must fail here before it fails that gate
+    mean = solve_delta_k(make().geometries).mean
+    assert np.abs(mean - 1.0).max() <= 1e-13
 
 
 def test_delta_energy_scale_invariance():

@@ -197,6 +197,17 @@ def test_solve_below_the_floor_stagnates(rhombus4):
     assert f"{err.value.history[-1]:.3e}" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_names_its_first_cell(rhombus4, value):
+    # a NaN residual compares False against the tolerance, so a non-finite
+    # source must be refused before it is factored, not passed as converged
+    f_t = np.ones(rhombus4.num_triangles)
+    f_t[[5, 9]] = value
+    system = assemble(rhombus4, cotan_coefficients(rhombus4), f_t)
+    with pytest.raises(ConvergenceError, match=rf"^non-finite right-hand side: b = {value} in cell 5$"):
+        solve(system)
+
+
 def test_solve_n256_ends_at_the_conditioning_floor():
     # at n=256 the true relative residual cannot reach 1e-12 (LU with one
     # refinement step stops near 2.8e-12), so the default tolerance ends in

@@ -11,8 +11,10 @@ The remaining objects quantify the prescribed divergence profile of the dual
 test functions on one triangle: the minimum-norm quadratic ``delta`` with
 unit mean and zero pairing against the three squared vertex distances, its
 dimensionless energy ``I = |K| * int(delta^2)``, the closed-form evaluation
-of that energy as a ratio of symmetric edge-length polynomials, and the
-``nu`` upper bound used by the stability analysis.
+of that energy as a ratio of symmetric edge-length polynomials (an identity
+checked by the lemma suite; its terms cancel on slivers, so it is no
+substitute for the solve), and the ``nu`` upper bound used by the stability
+analysis.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleGeometry, cotan_coefficients
-from .quadrature import triangle_rule
+from .mesh import TriangleGeometry, _cross, cotan_coefficients
 
 __all__ = [
     "DeltaK",
@@ -37,64 +38,116 @@ __all__ = [
 NU_SCALE = 8942.4
 
 
+# eta/h of the corners in the frame of ``solve_delta_k``, in its order: the
+# two ends of the longest edge, then the apex opposite it.
+_ZETA = np.array([-1.0, -1.0, 2.0]) / 3.0
+
+
+def _dot(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
 @dataclass(frozen=True)
 class DeltaK:
     """Divergence profile on one triangle, or on a batch of them.
 
-    ``coefficients`` expands |K| * delta in the dimensionless basis
-    {1, |x-W_1|^2/|K|, |x-W_2|^2/|K|, |x-W_3|^2/|K|}; ``energy`` is the
-    dimensionless |K| * int(delta^2) and ``mean`` is int(delta), 1 up to
-    round-off.  For a batch all three carry the batch on their leading axis.
+    The frame: xi, eta centred at the centroid, rotated onto the longest
+    edge (eta positive towards the opposite vertex) and divided by its
+    length L; h = 2|K| / L^2.  ``coefficients`` expands |K| * delta in the
+    basis {1, xi, eta/h, rho^2 - mean(rho^2)}, rho^2 = xi^2 + eta^2, whose
+    last three members have mean zero, so the first coefficient is 1.
+    ``corners`` holds (xi, eta/h) of the vertices in the order of
+    ``TriangleGeometry.vertices``, ``height`` is h and ``energy`` the
+    dimensionless |K| * int(delta^2).  A batch carries B on the leading axis
+    of every field.
     """
 
-    coefficients: np.ndarray
+    coefficients: np.ndarray  # (4,)
     energy: float
-    mean: float
+    corners: np.ndarray       # (3, 2)
+    height: float
+
+    def values_at(self, barycentric: np.ndarray) -> np.ndarray:
+        """|K| * delta at the points with barycentric coordinates
+        ``barycentric`` (nq, 3); shape (nq,), or (B, nq) for a batch."""
+        x = barycentric @ self.corners                                  # (..., nq, 2)
+        xi, zeta = x[..., 0], x[..., 1]
+        h2 = np.asarray(self.height)[..., None] ** 2
+        # mean(rho^2) = tr(S) / 12 with S the corners' second-moment matrix
+        mean_rho2 = (np.sum(self.corners[..., 0] ** 2, axis=-1)[..., None] + 2.0 / 3.0 * h2) / 12.0
+        c = np.moveaxis(self.coefficients, -1, 0)[..., None]
+        return c[0] + c[1] * xi + c[2] * zeta + c[3] * (xi**2 + h2 * zeta**2 - mean_rho2)
 
 
 def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     """Minimum-norm divergence profile meeting the four moment constraints.
 
-    The minimizer lives in the span of the constraint functions {1,
-    |x-W_i|^2}.  With the squared distances divided by |K| and G the Gram
-    matrix of that basis under the mean over the triangle, the coefficients
-    s of |K| * delta solve G s = e_0: row 0 is int(delta) = 1 and rows 1..3
-    are the pairings int(delta |x-W_i|^2) / |K| = 0.  The system is
-    dimensionless, so its conditioning does not depend on the triangle's
-    size, and it yields the energy |K| * int(delta^2) = s^T G s = s_0 and the
-    mean (G s)_0 without evaluating delta again.  The Gram entries are
-    quartic, which the degree-6 triangle rule integrates exactly.  A batch of
-    triangles is one stacked solve of its 4x4 systems.  Raises
-    ``numpy.linalg.LinAlgError`` (a ValueError) naming the first triangle
-    whose system is singular.
+    int(delta) = 1 and int(delta |x-W_i|^2) = 0 at the vertices W_i say that
+    delta pairs with x to the circumcenter x_K and with |x - c|^2 (c the
+    centroid) to the power of c, -Sum(l^2)/9.  The minimizer lies in the
+    span of the basis of :class:`DeltaK`, so g = |K| delta has mean 1 and
+    mean(g phi) = m' for the mean-free members phi: m' is x_K in (xi, eta/h)
+    and -Sum(l^2)/9 - mean(rho^2) = -5 mean(rho^2).
+
+    Before centring the longest edge runs from (0, 0) to (1, 0) and the apex
+    sits at (a, h); a and b = 1 - a are dot products with their own ends of
+    the edge, so neither cancels on a sliver.  With P_k the centred corners,
+    S = Sum P_k P_k^T and r_k^2 = |P_k|^2, a centred triangle has moments
+    E[X X^T] = S/12 and E[X_a X_b X_c] = Sum_k P_ka P_kb P_kc / 30 (the
+    fourth ones likewise), which give the mean Gram matrix 1 (+) G' in
+    closed form; mean((rho^2 - mean rho^2)^2) = |S|_F^2/90 - (tr S)^2/720.
+    x_K has eta/h = cot(apex)/(2h) - 1/3 = 1/6 - ab/(2h^2).  G' is well
+    conditioned on needles and slivers alike, and an inline LDL^T gives the
+    energy 1 + m'^T G'^-1 m' and the coefficients (1, G'^-1 m').  A tie for
+    the longest edge takes the first one; each gives the same profile up to
+    round-off.
     """
-    rule = triangle_rule()
     v = geometry.vertices
-    area = np.asarray(geometry.area)[..., None]                          # (..., 1)
-    x = rule.points @ v                                                  # (..., nq, 2)
-    basis = np.ones(x.shape[:-2] + (4, x.shape[-2]))
-    for i in range(3):
-        w = v[..., i, None, :]
-        basis[..., 1 + i, :] = (x[..., 0] - w[..., 0]) ** 2 + (x[..., 1] - w[..., 1]) ** 2
-    basis[..., 1:, :] /= area[..., None]
-    gram = np.einsum("q,...iq,...jq->...ij", rule.weights, basis, basis)
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
-    try:
-        coeffs = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        for t, matrix in enumerate(gram.reshape(-1, 4, 4)):
-            try:
-                np.linalg.solve(matrix, rhs)
-            except np.linalg.LinAlgError:
-                break
-        raise np.linalg.LinAlgError(
-            f"singular moment system for triangle {t} with vertices "
-            f"{v.reshape(-1, 3, 2)[t].tolist()}"
-        ) from None
-    coeffs.flags.writeable = False
-    energy = np.moveaxis(coeffs, -1, 0)[0]              # a float for one triangle
-    mean = np.einsum("...j,...j->...", gram[..., 0, :], coeffs)
-    return DeltaK(coefficients=coeffs, energy=energy, mean=mean)
+    shift = np.argmax(geometry.edge_lengths, axis=-1)[..., None] + 1
+    order = (shift + np.arange(3)) % 3                 # base start, base end, apex
+    start, end, apex = np.moveaxis(np.take_along_axis(v, order[..., None], axis=-2), -2, 0)
+    length = np.take_along_axis(geometry.edge_lengths, shift - 1, axis=-1)
+    tangent = (end - start) / length
+    to_apex = (apex - start) / length
+    a = _dot(to_apex, tangent)
+    b = _dot((end - apex) / length, tangent)
+    h = _cross(tangent, to_apex)
+
+    # centred corners (xi, eta/h) = (xi, _ZETA) and the entries of G' and m'
+    xi = np.stack([-(1.0 + a), 1.0 + b, a - b], axis=-1) / 3.0
+    h2 = h * h
+    r2 = xi * xi + h2[..., None] * _ZETA**2
+    s_xx = np.sum(xi * xi, axis=-1)
+    s_xz = (a - b) / 3.0                               # Sum xi_k eta_k / h
+    trace = s_xx + 2.0 / 3.0 * h2
+    g11 = s_xx / 12.0
+    g12 = s_xz / 12.0
+    g22 = 1.0 / 18.0
+    g13 = np.sum(xi * r2, axis=-1) / 30.0
+    g23 = r2 @ _ZETA / 30.0
+    g33 = (s_xx**2 + 2.0 * h2 * s_xz**2 + (2.0 / 3.0 * h2) ** 2) / 90.0 - trace**2 / 720.0
+    m1 = (b - a) / 6.0
+    m2 = 1.0 / 6.0 - a * b / (2.0 * h2)
+    m3 = -5.0 / 12.0 * trace
+
+    # G' = L D L^T; y = L^-1 m', energy 1 + y^T D^-1 y, s = L^-T D^-1 y
+    l21 = g12 / g11
+    l31 = g13 / g11
+    d2 = g22 - l21 * g12
+    l32 = (g23 - l31 * g12) / d2
+    d3 = g33 - l31 * g13 - l32 * l32 * d2
+    y2 = m2 - l21 * m1
+    y3 = m3 - l31 * m1 - l32 * y2
+    s3 = y3 / d3
+    s2 = y2 / d2 - l32 * s3
+    s1 = m1 / g11 - l21 * s2 - l31 * s3
+    energy = 1.0 + m1 * m1 / g11 + y2 * y2 / d2 + y3 * s3
+
+    coefficients = np.stack([np.ones_like(s1), s1, s2, s3], axis=-1)
+    frame = np.stack([xi, np.broadcast_to(_ZETA, xi.shape)], axis=-1)
+    corners = np.take_along_axis(frame, ((np.arange(3) - shift) % 3)[..., None], axis=-2)
+    coefficients.flags.writeable = corners.flags.writeable = False
+    return DeltaK(coefficients=coefficients, energy=energy, corners=corners, height=h)
 
 
 def _symmetric_sum(powers: dict[int, np.ndarray], pattern: tuple[int, int, int]):
@@ -130,11 +183,14 @@ def delta_numerator(geometry: TriangleGeometry):
     )
 
 
-def delta_energy_closed_form(geometry: TriangleGeometry):
-    """Closed-form energy I = N / (128 |K|^4 D) of the divergence profile."""
-    return delta_numerator(geometry) / (
-        128.0 * geometry.area**4 * delta_denominator(geometry)
-    )
+def delta_energy_closed_form(geometry: TriangleGeometry, *, numerator=None, denominator=None):
+    """Closed-form energy I = N / (128 |K|^4 D) of the divergence profile;
+    ``numerator`` and ``denominator`` take N and D where the caller has them."""
+    if numerator is None:
+        numerator = delta_numerator(geometry)
+    if denominator is None:
+        denominator = delta_denominator(geometry)
+    return numerator / (128.0 * geometry.area**4 * denominator)
 
 
 def nu_bound(theta_star: float) -> float:

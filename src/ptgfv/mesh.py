@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,6 +130,10 @@ class TriangleGeometry:
             geom.vertices[0], float(geom.area[0]), geom.edge_lengths[0], geom.angles[0],
             float(geom.rho2[0]),
         )
+
+    def __getitem__(self, index) -> "TriangleGeometry":
+        """The triangles of a batch that ``index`` selects, as a batch."""
+        return TriangleGeometry(*(getattr(self, f.name)[index] for f in fields(self)))
 
     @classmethod
     def _oriented(cls, v: np.ndarray) -> tuple["TriangleGeometry", np.ndarray]:

@@ -3,7 +3,8 @@
 Each one evaluates a quantity the package computes in closed form or in
 batches, but by a different route: quadrature of the basis functions, the
 one-triangle-at-a-time random samplers, the one-trial-at-a-time h1 probe,
-the moments of the divergence profile from its coefficients,
+the moments of the divergence profile from its coefficients, its
+energy from an exact Gram matrix in many-digit arithmetic,
 edge-flux interpolation by Gauss quadrature, the flux profile g of the dual
 edge basis, and the triangle geometry by index-list gathers.  Tests compare
 the package against them.
@@ -188,13 +189,72 @@ def integrate_triangle(rule: TriangleRule, geometry: TriangleGeometry, f) -> flo
 def delta_moments(geometry: TriangleGeometry, coefficients) -> np.ndarray:
     """(int delta, int delta |x-W_i|^2 for i=1..3) of one triangle's
     divergence profile, with |K| delta evaluated from its ``coefficients``
-    in {1, |x-W_i|^2/|K|} at the rule's physical points; shape (4,)."""
+    in {1, xi, eta/h, rho^2 - mean(rho^2)} at the rule's physical points;
+    shape (4,).
+
+    The frame is built here from the vertices: xi and eta are the offsets
+    from the centroid along and across the first longest edge (eta towards
+    the opposite vertex), divided by its length L, h = 2|K|/L^2 and
+    mean(rho^2) is the rule's mean of xi^2 + eta^2.
+    """
     rule = triangle_rule()
+    v = geometry.vertices
+    k = int(np.argmax(geometry.edge_lengths))
+    tail, head = v[(k + 1) % 3], v[(k + 2) % 3]
+    length = math.dist(tail, head)
+    along = (head - tail) / length
+    across = np.array([-along[1], along[0]])
+    if (v[k] - tail) @ across < 0.0:
+        across = -across
     x = physical_points(rule, geometry)                           # (nq, 2)
-    squared = np.sum((x[None] - geometry.vertices[:, None]) ** 2, axis=-1)   # (3, nq)
+    xi = (x - v.mean(axis=0)) @ along / length
+    eta = (x - v.mean(axis=0)) @ across / length
+    height = 2.0 * geometry.area / length**2
+    rho2 = xi**2 + eta**2
+    profile = np.vstack([np.ones(len(x)), xi, eta / height, rho2 - rule.weights @ rho2])
+    delta = coefficients @ profile / geometry.area
+    squared = np.sum((x[None] - v[:, None]) ** 2, axis=-1)        # (3, nq)
     basis = np.vstack([np.ones(len(x)), squared])                 # (4, nq)
-    delta = (coefficients[0] + coefficients[1:] @ squared / geometry.area) / geometry.area
     return geometry.area * (basis * delta) @ rule.weights
+
+
+def delta_energy_reference(vertices, digits: int = 100) -> float:
+    """|K| int(delta^2) of the triangle with corners ``vertices``, solved
+    with ``digits`` decimal digits in mpmath (imported here: it is not a
+    dependency of the package).
+
+    The constraint basis {1, |x-W_i|^2} is multiplied out as polynomials in
+    the barycentric coordinates, and its Gram matrix under the mean over
+    the triangle is exact from mean(lambda^alpha) = 2 alpha! / (|alpha|+2)!;
+    the energy is the first entry of G^-1 e_0.
+    """
+    import mpmath
+
+    def product(p, q):
+        out = {}
+        for a, ca in p.items():
+            for b, cb in q.items():
+                key = tuple(i + j for i, j in zip(a, b))
+                out[key] = out.get(key, 0) + ca * cb
+        return out
+
+    def mean(p):
+        f = mpmath.factorial
+        return sum(c * 2 * f(a[0]) * f(a[1]) * f(a[2]) / f(sum(a) + 2) for a, c in p.items())
+
+    with mpmath.workdps(digits):
+        v = [[mpmath.mpf(float(c)) for c in row] for row in vertices]
+        unit = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        basis = [{(0, 0, 0): mpmath.mpf(1)}]
+        for w in v:
+            square = {}
+            for d in range(2):
+                offset = {unit[k]: v[k][d] - w[d] for k in range(3)}
+                for key, c in product(offset, offset).items():
+                    square[key] = square.get(key, 0) + c
+            basis.append(square)
+        gram = mpmath.matrix([[mean(product(p, q)) for q in basis] for p in basis])
+        return float(mpmath.lu_solve(gram, mpmath.matrix([1, 0, 0, 0]))[0])
 
 
 def integrate_interval(rule: IntervalRule, f) -> float:

@@ -28,6 +28,7 @@ ORACLES = (
     "integrate_triangle",
     "physical_points",
     "delta_moments",
+    "delta_energy_reference",
     "eval_local_basis",
     "eval_rt_field",
     "interpolate_rt",

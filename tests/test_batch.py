@@ -182,7 +182,8 @@ def test_delta_solve_batch_matches_single(triangles):
     single_deltas = [solve_delta_k(g) for g in singles]
     assert_rows(delta.energy, [d.energy for d in single_deltas])
     assert_rows(delta.coefficients, [d.coefficients for d in single_deltas])
-    assert_rows(delta.mean, [d.mean for d in single_deltas])
+    assert_rows(delta.corners, [d.corners for d in single_deltas])
+    assert_rows(delta.height, [d.height for d in single_deltas])
 
 
 def test_batch_names_first_degenerate_triangle():

@@ -19,6 +19,7 @@ from ptgfv.mesh import (
 from ptgfv.solver import DirichletData, assemble, solve
 
 from conftest import diagonal_square_mesh, jittered_rhombus
+from test_dual import ISOSCELES_SLIVERS, NEEDLES
 from test_mesh import READ_CASES
 
 
@@ -654,17 +655,37 @@ def test_band_mesh_is_inadmissible_for_every_command(tmp_path, capsys):
     assert json.loads(out)["offending_edges"] == [1]
 
 
-@pytest.mark.parametrize("apex", [1e-6, 3e-7, 1e-8, 1e-10])
-def test_verify_names_a_singular_moment_system(tmp_path, capsys, apex):
+@pytest.mark.parametrize("apex", sorted(ISOSCELES_SLIVERS))
+def test_verify_evaluates_isosceles_slivers(tmp_path, capsys, apex):
+    # admissible slivers down to an apex of 1e-10 rad: verify evaluates
+    # them, at energies near the smooth limit 28.5, to the pinned digits
     path = tmp_path / "sliver.msh"
     path.write_text(_sliver_text(apex), encoding="utf-8")
-    vertices = read_mesh(_sliver_text(apex)).vertices.tolist()
     code, out, err = run(capsys, "verify", "--samples", "10", "--mesh", str(path))
-    assert (code, out) == (4, "")
-    assert err == (
-        "error: stability constants cannot be evaluated: singular moment system for "
-        f"triangle 0 with vertices {vertices}\n"
-    )
+    assert (code, err) == (0, "")
+    stability = json.loads(out)["stability"]
+    assert stability["max_energy"] == pytest.approx(ISOSCELES_SLIVERS[apex], rel=1e-12, abs=0)
+    assert stability["all_passed"] is True
+
+
+def _needle_text(height: float) -> str:
+    """A needle (0,0),(1,0),(0.3,height), its longest edge shared with a
+    triangle whose far vertex keeps the edge Delaunay."""
+    return f"ptg-mesh 1\n4 2\n0 0\n1 0\n0.3 {height!r}\n0.5 {-10 / height!r}\n0 1 2\n1 0 3\n"
+
+
+@pytest.mark.parametrize("height", sorted(NEEDLES))
+def test_verify_on_an_admissible_needle(tmp_path, capsys, height):
+    path = tmp_path / "needle.msh"
+    path.write_text(_needle_text(height), encoding="utf-8")
+    code, out, _ = run(capsys, "mesh-info", str(path))
+    assert code == 0 and json.loads(out)["admissible"] is True
+    code, out, err = run(capsys, "verify", "--samples", "10", "--mesh", str(path))
+    assert (code, err) == (0, "")
+    stability = json.loads(out)["stability"]
+    assert stability["max_energy"] == pytest.approx(NEEDLES[height], rel=1e-12, abs=0)
+    assert stability["passed_h3"] is stability["passed_h4"] is True
+    assert np.all(dual.solve_delta_k(read_mesh(_needle_text(height)).geometries).energy > 0.0)
 
 
 @pytest.mark.parametrize("args", [

@@ -13,9 +13,11 @@ from ptgfv.dual import (
     solve_delta_k,
 )
 from ptgfv.mesh import TriangleGeometry, build_mesh, generate_rhombus_equilateral, quality_report
+from ptgfv.quadrature import triangle_rule
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import (
+    delta_energy_reference,
     delta_moments,
     g_eval,
     g_moments,
@@ -112,18 +114,21 @@ def test_g_moments():
 
 def test_delta_equilateral_symmetry_and_energy():
     delta = solve_delta_k(equilateral_geometry())
-    quad_coeffs = delta.coefficients[1:]
-    assert np.max(np.abs(quad_coeffs - quad_coeffs.mean())) < 1e-10
+    # the profile is radial: 1 + c (rho^2 - mean(rho^2)), no linear part
+    assert delta.coefficients[0] == 1.0
+    np.testing.assert_allclose(delta.coefficients[1:3], 0.0, atol=1e-10)
     # oracle-pinned energy of the unit equilateral
-    assert delta.energy == pytest.approx(128.0 / 3.0, rel=1e-9)
+    assert delta.energy == pytest.approx(128.0 / 3.0, rel=1e-14)
     moments = delta_moments(equilateral_geometry(), delta.coefficients)
     assert moments[0] == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(moments[1:], 0.0, atol=1e-10)
-    assert delta.mean == pytest.approx(1.0, abs=1e-10)
+    rule = triangle_rule()
+    assert delta.values_at(rule.points) @ rule.weights == pytest.approx(1.0, abs=1e-10)
 
 
 def test_delta_constraints_random():
     rng = np.random.default_rng(47)
+    rule = triangle_rule()
     for _ in range(200):
         geom = random_triangle(rng)
         delta = solve_delta_k(geom)
@@ -131,7 +136,8 @@ def test_delta_constraints_random():
         moments = delta_moments(geom, delta.coefficients)
         assert moments[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(moments[1:])) < 1e-10 * max(1.0, geom.area**2)
-        assert delta.mean == pytest.approx(moments[0], abs=1e-10)
+        mean = delta.values_at(rule.points) @ rule.weights
+        assert mean == pytest.approx(moments[0], abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -144,10 +150,11 @@ def test_delta_constraints_random():
     ids=["jittered-1", "jittered-2", "equilateral"],
 )
 def test_delta_mean_round_off_on_fine_meshes(make):
-    # stability_check passes h3 up to 1e-12; the stacked solve keeps the
-    # mean of every profile within 2.1e-14 of 1 at n=128, and a rewrite that
-    # loses digits must fail here before it fails that gate
-    mean = solve_delta_k(make().geometries).mean
+    # stability_check passes h3 up to 1e-12; the rule's mean of every
+    # profile stays within 1e-13 of 1 at n=128, and a rewrite that loses
+    # digits must fail here before it fails that gate
+    rule = triangle_rule()
+    mean = solve_delta_k(make().geometries).values_at(rule.points) @ rule.weights
     assert np.abs(mean - 1.0).max() <= 1e-13
 
 
@@ -159,6 +166,89 @@ def test_delta_energy_scale_invariance():
         for s in (1e-3, 1e3):
             scaled = TriangleGeometry.from_vertices(geom.vertices * s)
             assert solve_delta_k(scaled).energy == pytest.approx(base, rel=1e-9)
+
+
+def _isosceles(apex: float) -> list[tuple[float, float]]:
+    """Isosceles triangle with legs of length 1 and the apex angle ``apex``
+    at the origin."""
+    s = math.tan(apex / 2)
+    return [(0.0, 0.0), (1.0, -s), (1.0, s)]
+
+
+def _rotation(angle: float) -> np.ndarray:
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        equilateral_geometry().vertices,
+        _isosceles(math.radians(30.0)),     # two longest edges tie
+        _isosceles(math.radians(120.0)),
+        [(0.1, 0.2), (1.3, 0.05), (0.4, 0.9)],
+    ],
+    ids=["equilateral", "isosceles-30", "isosceles-120", "scalene"],
+)
+def test_delta_energy_is_invariant_under_similarities_and_relabelling(corners):
+    # the energy belongs to the triangle's shape: whichever corner comes
+    # first, whichever longest edge the frame takes, and at any position,
+    # orientation and scale up to 1e+-150
+    corners = np.array(corners, dtype=float)
+    base = solve_delta_k(TriangleGeometry.from_vertices(corners)).energy
+    moved = {
+        "roll 1": np.roll(corners, 1, axis=0),
+        "roll 2": np.roll(corners, 2, axis=0),
+        "reflect": corners * np.array([-1.0, 1.0]),
+        "rotate": corners @ _rotation(1.1).T,
+        "rotate and roll": np.roll(corners, 1, axis=0) @ _rotation(-2.3).T,
+        "translate": corners + np.array([3.5, -7.25]),
+        "scale 1e150": corners * 1e150,
+        "scale 1e-150": corners * 1e-150,
+        "all": 1e-150 * (corners[::-1] * np.array([1.0, -1.0]) @ _rotation(0.7).T + 2.0),
+    }
+    for name, v in moved.items():
+        energy = solve_delta_k(TriangleGeometry.from_vertices(v)).energy
+        assert energy == pytest.approx(base, rel=1e-13, abs=0), name
+
+
+# |K| int(delta^2) of needles, skew slivers and isosceles slivers, from
+# delta_energy_reference (an exact Gram matrix solved with 100 digits)
+NEEDLES = {1e-3: 246429107574.83875, 1e-5: 2.4642819973828284e19, 1e-7: 2.464281996475015e27}
+SKEW_SLIVERS = {1e-6: 6666736693.638106, 1e-8: 66666674830096.15}
+ISOSCELES_SLIVERS = {
+    1e-6: 28.50000000002625,
+    3e-7: 28.500000000002363,
+    1e-8: 28.500000000000004,
+    1e-10: 28.5,
+}
+SHAPES = (
+    [(f"needle-{e:g}", [(0.0, 0.0), (1.0, 0.0), (0.3, e)], energy) for e, energy in NEEDLES.items()]
+    + [(f"skew-{e:g}", [(0.0, 0.0), (1.0, -e), (1.0 + 0.3 * e, 2.0 * e)], energy)
+       for e, energy in SKEW_SLIVERS.items()]
+    + [(f"isosceles-{a:g}", _isosceles(a), energy) for a, energy in ISOSCELES_SLIVERS.items()]
+)
+
+
+@pytest.mark.parametrize("name, corners, energy", SHAPES, ids=[s[0] for s in SHAPES])
+def test_delta_energy_on_needles_and_slivers(name, corners, energy):
+    # in the constraint basis {1, |x-W_i|^2} these shapes give singular or
+    # digit-free systems (negative energies on the needles).  Relabelling
+    # and reflecting are exact, and the isosceles slivers tie for their
+    # longest edge; a rotation or a shift would round the short edge into
+    # another shape.
+    corners = np.array(corners)
+    variants = [corners, np.roll(corners, 1, axis=0), np.roll(corners, 2, axis=0),
+                corners * np.array([-1.0, 1.0])]
+    energies = solve_delta_k(TriangleGeometry.from_vertices(variants)).energy
+    assert np.all(energies > 0.0)
+    np.testing.assert_allclose(energies, energy, rtol=1e-14, atol=0)
+    assert solve_delta_k(TriangleGeometry.from_vertices(corners)).energy == energies[0]
+
+
+def test_pinned_energies_match_the_many_digit_reference():
+    pytest.importorskip("mpmath")
+    for name, corners, energy in SHAPES:
+        assert delta_energy_reference(corners) == pytest.approx(energy, rel=1e-15, abs=0), name
 
 
 def test_closed_form_equilateral_pieces():
@@ -217,16 +307,3 @@ def test_energy_bounded_by_nu_over_angle_classes(degrees):
     assert worst <= 1.0
     # the bound is loose: observed ratios stay far below 1
     assert worst < 0.2
-
-
-def test_singular_moment_system_names_its_triangle():
-    # an isosceles sliver with apex 1e-8 rad makes the 4x4 Gram system
-    # exactly singular; a batch names the index of the first such triangle
-    s = math.tan(0.5e-8)
-    sliver = [(0.0, 0.0), (1.0, -s), (1.0, s)]
-    batch = TriangleGeometry.from_vertices([equilateral_geometry().vertices, sliver, sliver])
-    singular = np.linalg.LinAlgError
-    with pytest.raises(singular, match=r"^singular moment system for triangle 1 with vertices "):
-        solve_delta_k(batch)
-    with pytest.raises(singular, match=r"^singular moment system for triangle 0 "):
-        solve_delta_k(TriangleGeometry.from_vertices(sliver))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import (
+    NU_SCALE,
     delta_denominator,
     delta_energy_closed_form,
     delta_numerator,
@@ -28,6 +29,7 @@ from .mesh import (
     Mesh,
     MeshQualityReport,
     TriangleGeometry,
+    _cross,
     _degenerate,
     cotan_coefficients,
     generate_rhombus_equilateral,
@@ -174,12 +176,17 @@ def error_norms(
 
 @dataclass(frozen=True)
 class ConvergenceLevel:
+    """Errors of one refinement level.  ``ecc`` is the discrete L2 error
+    (sum |K| (u_K - u(x_K))^2)^(1/2) at the circumcenters x_K, where the
+    four-point scheme's cell values converge at second order."""
+
     n: int
     h: float
     eu: float
     ep: float
     ediv: float
     combined: float
+    ecc: float
 
 
 @dataclass(frozen=True)
@@ -217,6 +224,8 @@ def convergence_study(
         f_t = interpolate_p0(case.f, mesh)
         solution = solve(assemble(mesh, coeffs, f_t), tol=tol)
         eu, ep, ediv = error_norms(mesh, solution, case)
+        centers = _circumcenter(mesh.geometries.vertices)
+        ecc = mesh.areas @ (solution.u - case.u(centers[:, 0], centers[:, 1])) ** 2
         rows.append(
             ConvergenceLevel(
                 n=n,
@@ -225,6 +234,7 @@ def convergence_study(
                 ep=ep,
                 ediv=ediv,
                 combined=eu + math.hypot(ep, ediv),
+                ecc=math.sqrt(ecc),
             )
         )
     if any(b.h >= a.h for a, b in zip(rows, rows[1:])):
@@ -246,15 +256,14 @@ def random_triangles(
         raise ValueError("count must be >= 1")
     if not min_angle < math.pi / 3:
         raise ValueError(f"min_angle must be below pi/3, got {min_angle}")
+    cot_max = 1.0 / math.tan(min_angle)
     accepted = []
     found = 0
     while found < count:
         # (k, 3, 2) uniforms are k draws of (3, 2) from the same stream
         candidates = rng.uniform(size=(count - found, 3, 2))
         geom = TriangleGeometry._oriented(candidates)[0]
-        keep = (geom.angles.min(axis=-1) >= min_angle) & ~_degenerate(
-            geom.area, geom.edge_lengths
-        )
+        keep = (geom.cot.max(axis=-1) <= cot_max) & ~_degenerate(geom.area, geom.edge_lengths)
         accepted.append([getattr(geom, f.name)[keep] for f in dataclasses.fields(geom)])
         found += np.count_nonzero(keep)
     fields = [np.concatenate(parts) for parts in zip(*accepted)]
@@ -279,20 +288,16 @@ def _circumcenter(v: np.ndarray) -> np.ndarray:
 def circumcenter_edge_distances(geometry: TriangleGeometry) -> np.ndarray:
     """Signed circumcenter-to-edge distances, positive towards the interior.
 
-    Entry i belongs to the edge opposite vertex i and equals
-    |a_i| * cot(angle_i) / 2 for any triangle (the distance itself on acute
-    triangles, negative where the opposite angle is obtuse).  Shape (3,), or
-    (B, 3) for a batch.
+    Entry i belongs to the edge opposite vertex i, from vertex i+1 to vertex
+    i+2, and equals |a_i| * cot(angle_i) / 2 for any triangle (the distance
+    itself on acute triangles, negative where the opposite angle is obtuse):
+    the cross product of the edge with the offset of the circumcenter from
+    its start, divided by its length.  Shape (3,), or (B, 3) for a batch.
     """
     v = geometry.vertices
     p = v[..., _NEXT, :]
-    q = v[..., _PREV, :]
-    mid = 0.5 * (p + q)
-    tangent = (q - p) / np.hypot(q[..., 0] - p[..., 0], q[..., 1] - p[..., 1])[..., None]
-    inward = v - mid
-    inward = inward - tangent * np.sum(inward * tangent, axis=-1, keepdims=True)
-    inward = inward / np.hypot(inward[..., 0], inward[..., 1])[..., None]
-    return np.sum((_circumcenter(v)[..., None, :] - mid) * inward, axis=-1)
+    center = _circumcenter(v)[..., None, :]
+    return _cross(v[..., _PREV, :] - p, center - p) / geometry.edge_lengths
 
 
 @dataclass(frozen=True)
@@ -315,30 +320,26 @@ class LemmaSuiteReport:
         return all(c.passed for c in self.checks)
 
 
-# Triangles per batch of the lemma suite: as fast as one batch of 10 000,
-# with a tenth of its temporary memory.
-BLOCK = 1000
-
 def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-triangle slack of every named check, and the energy ratio I / nu.
 
     Slack >= 0 means the triangle passed; the tolerance of equality-style
     checks is folded into the slack.
     """
-    theta_min = geom.angles.min(axis=-1)
-    tan_min = np.tan(theta_min)
-    ratio = geom.rho2 / geom.area
-    gyration = np.minimum(ratio - 1.0 / 6.0, 1.0 / (3.0 * tan_min) - ratio) + 1e-12
+    cot = geom.cot
+    cot_max = cot.max(axis=-1)                  # cot(theta_min)
+    ratio = geom.ratio
+    gyration = np.minimum(ratio - 1.0 / 6.0, cot_max / 3.0 - ratio) + 1e-12
 
     gram = local_gram_closed_form(geom)
     eig = np.linalg.eigvalsh(gram)
-    lam_lo = tan_min**2 / 48.0
-    lam_hi = 5.0 / (4.0 * tan_min)
+    lam_lo = 1.0 / (48.0 * cot_max**2)
+    lam_hi = 1.25 * cot_max
     eigen = np.minimum(eig.min(axis=-1) - lam_lo, lam_hi - eig.max(axis=-1)) + 1e-12
 
     tr_expected = 15.0 * ratio / 4.0
     trace = 1e-10 - np.abs(np.trace(gram, axis1=-2, axis2=-1) - tr_expected) / tr_expected
-    det_expected = geom.rho2 / (16.0 * geom.area)
+    det_expected = ratio / 16.0
     determinant = 1e-10 - np.abs(np.linalg.det(gram) - det_expected) / det_expected
     diag = np.diagonal(gram, axis1=-2, axis2=-1)
     upper = gram[..., [0, 1, 2], [1, 2, 0]]
@@ -346,12 +347,11 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     pairwise_expected = 1.0 / 12.0 + 2.25 * ratio**2
     minors = 1e-10 - np.abs(pairwise - pairwise_expected) / pairwise_expected
 
-    cot = 1.0 / np.tan(geom.angles)
     cotan_sum = 1e-11 - np.abs(cot.sum(axis=-1) - 9.0 * ratio) / (9.0 * ratio)
     cotan_prod = 1e-11 - np.abs(np.sum(cot * cot[..., _NEXT], axis=-1) - 1.0)
 
     energy = solve_delta_k(geom).energy
-    energy_ratio = energy / nu_bound(theta_min)
+    energy_ratio = energy / (NU_SCALE * cot_max**4)      # nu(theta_min)
     numer = delta_numerator(geom)
     denom = delta_denominator(geom)
     closed = delta_energy_closed_form(geom, numerator=numer, denominator=denom)
@@ -362,7 +362,7 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     numer_bound = 23.0 - numer / sigma2**6
 
     dist = circumcenter_edge_distances(geom)
-    err = np.abs(0.5 / np.tan(geom.angles) - dist / geom.edge_lengths)
+    err = np.abs(0.5 * cot - dist / geom.edge_lengths)
     circum = 1e-11 - err.max(axis=-1)
 
     slacks = {
@@ -385,15 +385,15 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
 def lemma_suite(samples: int = 10000, seed: int = 42) -> LemmaSuiteReport:
     """Run every closed-form identity and bound on random triangles.
 
-    The triangles are checked in batches of BLOCK.  A NaN slack counts as a
-    failed sample.
+    The triangles are checked in batches of QUAD_BLOCK.  A NaN slack counts
+    as a failed sample.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     blocks = (
-        random_triangles(rng, min(BLOCK, samples - start))
-        for start in range(0, samples, BLOCK)
+        random_triangles(rng, min(QUAD_BLOCK, samples - start))
+        for start in range(0, samples, QUAD_BLOCK)
     )
 
     count = 0
@@ -541,13 +541,13 @@ def stability_check(
     h3_deviation = float(deviation.max())
     h1_min = _h1_probe(mesh, report.coefficients, trials, seed)
 
-    theta_min, theta_max = report.theta_min, report.theta_max
-    bound_h1 = 0.4 * math.tan(theta_min) / math.tan(theta_max)
-    bound_h4 = math.sqrt(nu_bound(theta_min))
+    cot = geom.cot
+    bound_h1 = 0.4 * float(cot.min() / cot.max())
+    bound_h4 = math.sqrt(nu_bound(report.theta_min))
     return StabilityReport(
-        theta_min=theta_min,
-        theta_max=theta_max,
-        theta_max_triangle=int(geom.angles.max(axis=1).argmax()),
+        theta_min=report.theta_min,
+        theta_max=report.theta_max,
+        theta_max_triangle=int(cot.min(axis=1).argmin()),
         trials=trials,
         bound_h1=bound_h1,
         bound_h3=1.0,

@@ -215,13 +215,12 @@ def cmd_convergence(args) -> int:
         raise UsageError(f"unknown case {args.case!r} (known: {', '.join(sorted(CASES))})")
     _check_tol(args.tol)
     report = convergence_study(CASES[args.case], levels, tol=args.tol)
-    rates = [math.nan] + report.rates("combined")
-    lines = ["n,h,eu,ep,ediv,combined,rate_combined"]
-    for level, rate in zip(report.levels, rates):
+    rates, rates_ecc = ([""] + [_fmt(r) for r in report.rates(key)] for key in ("combined", "ecc"))
+    lines = ["n,h,eu,ep,ediv,combined,rate_combined,ecc,rate_ecc"]
+    for level, rate, rate_ecc in zip(report.levels, rates, rates_ecc):
         lines.append(
             f"{level.n},{_fmt(level.h)},{_fmt(level.eu)},{_fmt(level.ep)},"
-            f"{_fmt(level.ediv)},{_fmt(level.combined)},"
-            + ("" if math.isnan(rate) else _fmt(rate))
+            f"{_fmt(level.ediv)},{_fmt(level.combined)},{rate},{_fmt(level.ecc)},{rate_ecc}"
         )
     text = "\n".join(lines) + "\n"
     print(text, end="")
@@ -231,7 +230,8 @@ def cmd_convergence(args) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_IO
-    return EXIT_OK if report.final_rate("combined") >= 0.9 else EXIT_VERIFY
+    ok = report.final_rate("combined") >= 0.9 and report.final_rate("ecc") >= 1.8
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify(args) -> int:

@@ -74,9 +74,9 @@ class DeltaK:
         xi, zeta = x[..., 0], x[..., 1]
         h2 = np.asarray(self.height)[..., None] ** 2
         # mean(rho^2) = tr(S) / 12 with S the corners' second-moment matrix
-        mean_rho2 = (np.sum(self.corners[..., 0] ** 2, axis=-1)[..., None] + 2.0 / 3.0 * h2) / 12.0
+        mean_r2 = (np.sum(self.corners[..., 0] ** 2, axis=-1)[..., None] + 2.0 / 3.0 * h2) / 12.0
         c = np.moveaxis(self.coefficients, -1, 0)[..., None]
-        return c[0] + c[1] * xi + c[2] * zeta + c[3] * (xi**2 + h2 * zeta**2 - mean_rho2)
+        return c[0] + c[1] * xi + c[2] * zeta + c[3] * (xi**2 + h2 * zeta**2 - mean_r2)
 
 
 def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:

@@ -94,19 +94,20 @@ def _degenerate(area: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class TriangleGeometry:
     """Geometric quantities of one counter-clockwise triangle, or of a batch.
 
-    Vertex i is opposite edge i, so ``edge_lengths[i]`` and ``angles[i]``
-    follow the same opposite-vertex indexing.  ``rho2`` is the squared
-    gyration radius: the mean squared distance to the centroid, which equals
-    the sum of the squared edge lengths divided by 36.  A batch of B
-    triangles carries B on the leading axis of every field (``area`` and
-    ``rho2`` become arrays of shape (B,)).
+    Vertex i is opposite edge i, so ``edge_lengths[i]`` and ``cot[i]``, the
+    cotangent of the angle at vertex i, follow the same opposite-vertex
+    indexing.  ``ratio`` is rho^2 / |K|, with rho^2 the squared gyration
+    radius: the mean squared distance to the centroid, which equals the sum
+    of the squared edge lengths divided by 36.  A batch of B triangles
+    carries B on the leading axis of every field (``area`` and ``ratio``
+    become arrays of shape (B,)).
     """
 
     vertices: np.ndarray      # (3, 2)
     area: float
     edge_lengths: np.ndarray  # (3,)
-    angles: np.ndarray        # (3,) radians, angle i at vertex i
-    rho2: float
+    cot: np.ndarray           # (3,) cotangent of angle i at vertex i
+    ratio: float
 
     @classmethod
     def from_vertices(cls, vertices) -> "TriangleGeometry":
@@ -124,12 +125,7 @@ class TriangleGeometry:
             raise MeshError(
                 f"degenerate triangle{where} with vertices {geom.vertices[bad[0]].tolist()}"
             )
-        if batched:
-            return geom
-        return cls(
-            geom.vertices[0], float(geom.area[0]), geom.edge_lengths[0], geom.angles[0],
-            float(geom.rho2[0]),
-        )
+        return geom if batched else geom[0]
 
     def __getitem__(self, index) -> "TriangleGeometry":
         """The triangles of a batch that ``index`` selects, as a batch."""
@@ -140,7 +136,8 @@ class TriangleGeometry:
         """Read-only batch of the corners ``v`` (B, 3, 2), which are reordered
         in place to counter-clockwise, and the flags of the reordered ones.
 
-        Nothing is rejected.
+        Nothing is rejected: a degenerate triangle gets infinite or NaN
+        cotangents and ratio.
         """
         signed = _signed_areas(v)
         clockwise = signed < 0.0
@@ -148,14 +145,17 @@ class TriangleGeometry:
             v[clockwise] = v[clockwise][:, [0, 2, 1]]
         w = _wrap(v)
         lengths = _edge_lengths(w)
-        # angle i lies between the edges to vertices i+1 and i+2; the arctan2
-        # of their cross and dot products is exact to round-off on slivers
+        area = np.abs(signed)  # a clockwise area is the exact negative of its reordered one
+        # angle i lies between the edges to vertices i+1 and i+2; the ratio of
+        # their dot and cross products is its cotangent, exact to round-off
+        # on slivers and needles alike.  Each length is divided by 6 before
+        # it is squared, so the ratio is finite wherever the area is.
         a = w[:, 1:4] - v
         b = w[:, 2:5] - v
-        angles = np.arctan2(np.abs(_cross(a, b)), a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-        rho2 = np.sum(lengths**2, axis=-1) / 36.0
-        # a clockwise area is the exact negative of its reordered one
-        fields = (v, np.abs(signed), lengths, angles, rho2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / np.abs(_cross(a, b))
+            ratio = np.sum((lengths / 6.0) ** 2, axis=-1) / area
+        fields = (v, area, lengths, cot, ratio)
         for arr in fields:
             arr.flags.writeable = False
         return cls(*fields), clockwise
@@ -357,11 +357,11 @@ def cotan_coefficients(mesh: Mesh) -> np.ndarray:
     coefficient is non-positive where the mesh fails the angle conditions,
     which breaks uniqueness of the discrete problem.
     """
-    angles = mesh.geometries.angles
+    cot = mesh.geometries.cot
     e = mesh.edges
-    values = 0.5 / np.tan(angles[e.owner, e.owner_local])
+    values = 0.5 * cot[e.owner, e.owner_local]
     internal = mesh.internal_edges
-    values[internal] += 0.5 / np.tan(angles[e.neighbor[internal], e.neighbor_local[internal]])
+    values[internal] += 0.5 * cot[e.neighbor[internal], e.neighbor_local[internal]]
     values.flags.writeable = False
     return values
 
@@ -400,16 +400,16 @@ class MeshQualityReport:
 
 def quality_report(mesh: Mesh) -> MeshQualityReport:
     """Compute the cotangent coefficients and check each against COEFF_TOL."""
-    angles = mesh.geometries.angles
+    cot = mesh.geometries.cot
     coefficients = cotan_coefficients(mesh)
     edge_ok = coefficients >= COEFF_TOL
     edge_ok.flags.writeable = False
     return MeshQualityReport(
-        theta_min=float(angles.min()),
-        theta_max=float(angles.max()),
+        theta_min=math.atan2(1.0, cot.max()),
+        theta_max=math.atan2(1.0, cot.min()),
         coefficients=coefficients,
         edge_ok=edge_ok,
-        all_acute=bool(angles.max() < math.pi / 2 - ANGLE_GUARD),
+        all_acute=bool(cot.min() > ANGLE_GUARD),
         admissible=bool(edge_ok.all()),
     )
 

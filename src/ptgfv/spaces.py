@@ -24,9 +24,10 @@ __all__ = [
     "local_gram_closed_form",
 ]
 
-# Triangles per block of quadrature points.  Cell integrals are evaluated a
-# block at a time so that their (block, nq) temporaries stay a few hundred kB
-# whatever the mesh size, rather than tens of MB that the allocator keeps.
+# Triangles per block of every batched kernel: cell integrals, divergence
+# profiles and lemma-suite samples are evaluated a block at a time so that
+# their temporaries stay a few hundred kB whatever the mesh size or the
+# sample count, rather than tens of MB that the allocator keeps.
 QUAD_BLOCK = 2048
 
 
@@ -78,6 +79,5 @@ def local_gram_closed_form(geometry: TriangleGeometry) -> np.ndarray:
     the cotangent of the angle at the third vertex k (k not in {i, j}).
     Shape (3, 3), or (B, 3, 3) for a batch of triangles.
     """
-    ratio = np.asarray(geometry.rho2 / geometry.area)[..., None, None]
-    cot = 1.0 / np.tan(geometry.angles)
-    return cot[..., _GRAM_COT] / 6.0 + 0.75 * ratio * _GRAM_SIGN
+    ratio = np.asarray(geometry.ratio)[..., None, None]
+    return geometry.cot[..., _GRAM_COT] / 6.0 + 0.75 * ratio * _GRAM_SIGN

@@ -25,14 +25,7 @@ from ptgfv.spaces import local_gram_closed_form
 
 def geometry(mesh: Mesh, t: int) -> TriangleGeometry:
     """Geometry of triangle ``t``: row ``t`` of ``mesh.geometries``."""
-    g = mesh.geometries
-    return TriangleGeometry(
-        g.vertices[t],
-        float(g.area[t]),
-        g.edge_lengths[t],
-        g.angles[t],
-        float(g.rho2[t]),
-    )
+    return mesh.geometries[t]
 
 
 # -- triangle geometry by index lists --------------------------------------
@@ -42,10 +35,11 @@ _PREV = np.array([2, 0, 1])
 
 
 def indexed_geometry(vertices) -> dict[str, np.ndarray]:
-    """Area, edge lengths, angles, rho2 and circumcenter of a (B, 3, 2)
-    batch of corners in either orientation, by index-list gathers of whole
-    vertex arrays; the package computes the same formulas on slices and must
-    agree bit for bit."""
+    """Area, edge lengths, cotangents, ratio rho^2/|K| and circumcenter of a
+    (B, 3, 2) batch of corners in either orientation, by index-list gathers
+    of whole vertex arrays; the package computes the same formulas on slices
+    and must agree bit for bit.  Also the angles, by arctan2, and rho^2,
+    which the package does not store."""
     def signed_areas(v):
         d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -68,14 +62,23 @@ def indexed_geometry(vertices) -> dict[str, np.ndarray]:
         [(d2[:, 1] * n1 - d1[:, 1] * n2) / denom, (d1[:, 0] * n2 - d2[:, 0] * n1) / denom],
         axis=-1,
     )
+    area = signed_areas(v)
     return {
         "vertices": v,
-        "area": signed_areas(v),
+        "area": area,
         "edge_lengths": lengths,
+        "cot": dot / cross,
+        "ratio": np.sum((lengths / 6.0) ** 2, axis=-1) / area,
         "angles": np.arctan2(cross, dot),
         "rho2": np.sum(lengths**2, axis=-1) / 36.0,
         "circumcenter": center,
     }
+
+
+def angles(geometry: TriangleGeometry) -> np.ndarray:
+    """Angles of a triangle (3,) or of a batch (B, 3) by arctan2, from
+    :func:`indexed_geometry`."""
+    return indexed_geometry(geometry.vertices)["angles"].reshape(np.shape(geometry.cot))
 
 
 # -- random triangles ------------------------------------------------------
@@ -87,7 +90,7 @@ def random_triangle(rng: np.random.Generator, min_angle: float = MIN_SAMPLE_ANGL
             geom = TriangleGeometry.from_vertices(rng.uniform(size=(3, 2)))
         except ValueError:
             continue
-        if geom.angles.min() >= min_angle:
+        if angles(geom).min() >= min_angle:
             return geom
 
 
@@ -95,7 +98,7 @@ def random_acute_triangle(rng: np.random.Generator, min_angle: float = MIN_SAMPL
     """As :func:`random_triangle` but with all angles strictly below pi/2."""
     while True:
         geom = random_triangle(rng, min_angle)
-        if geom.angles.max() < math.pi / 2:
+        if angles(geom).max() < math.pi / 2:
             return geom
 
 
@@ -255,6 +258,26 @@ def delta_energy_reference(vertices, digits: int = 100) -> float:
             basis.append(square)
         gram = mpmath.matrix([[mean(product(p, q)) for q in basis] for p in basis])
         return float(mpmath.lu_solve(gram, mpmath.matrix([1, 0, 0, 0]))[0])
+
+
+def cotan_coefficients_reference(mesh: Mesh, digits: int = 60) -> list[float]:
+    """Cotangent coefficients of every edge, with each cotangent evaluated
+    as dot / |cross| of the two edges at its corner in ``digits`` decimal
+    digits of mpmath."""
+    import mpmath
+
+    def cot(t: int, i: int):
+        v = [[mpmath.mpf(float(c)) for c in mesh.vertices[k]] for k in mesh.triangles[t]]
+        a = [v[(i + 1) % 3][d] - v[i][d] for d in range(2)]
+        b = [v[(i + 2) % 3][d] - v[i][d] for d in range(2)]
+        return (a[0] * b[0] + a[1] * b[1]) / abs(a[0] * b[1] - a[1] * b[0])
+
+    def coefficient(e) -> float:
+        corners = [(e.owner, e.owner_local), (e.neighbor, e.neighbor_local)]
+        return float(sum(cot(t, i) for t, i in corners if t >= 0) / 2)
+
+    with mpmath.workdps(digits):
+        return [coefficient(e) for e in mesh.edges]
 
 
 def integrate_interval(rule: IntervalRule, f) -> float:

@@ -4,13 +4,20 @@ PASS line with the measured quantities when it holds.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from ptgfv.analysis import CASES, circumcenter_edge_distances, stability_check
+from ptgfv import analysis
+from ptgfv.analysis import (
+    CASES,
+    circumcenter_edge_distances,
+    convergence_study,
+    stability_check,
+)
 from ptgfv.cli import main
 from ptgfv.dual import (
     cotan_coefficients,
@@ -26,6 +33,7 @@ from ptgfv.spaces import divergence, interpolate_p0, local_gram_closed_form
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import (
+    angles,
     g_eval,
     geometry,
     integrate_interval,
@@ -39,7 +47,8 @@ SQRT3 = math.sqrt(3.0)
 
 
 def test_criterion_1_convergence_rate(capsys):
-    # combined and flux-only observed orders >= 0.9 between the finest levels
+    # combined and flux-only observed orders >= 0.9 between the finest levels,
+    # and the circumcenter error's order >= 1.8
     start = time.perf_counter()
     code = main(["convergence", "--case", "rhombus-sine", "--levels", "8,16,32,64"])
     elapsed = time.perf_counter() - start
@@ -47,15 +56,58 @@ def test_criterion_1_convergence_rate(capsys):
     assert code == 0
     assert elapsed <= 60.0
     combined_rate = float(rows[-1][6])
+    ecc_rate = float(rows[-1][8])
     h_fine = [float(rows[-2][1]), float(rows[-1][1])]
     ep_fine = [float(rows[-2][3]), float(rows[-1][3])]
     ep_rate = math.log(ep_fine[0] / ep_fine[1]) / math.log(h_fine[0] / h_fine[1])
     assert combined_rate >= 0.9
     assert ep_rate >= 0.9
+    assert ecc_rate >= 1.8
     print(
-        f"ACCEPTANCE 1 convergence: PASS "
-        f"(combined rate {combined_rate:.3f}, flux rate {ep_rate:.3f}, {elapsed:.1f}s)"
+        f"ACCEPTANCE 1 convergence: PASS (combined rate {combined_rate:.3f}, "
+        f"flux rate {ep_rate:.3f}, circumcenter rate {ecc_rate:.3f}, {elapsed:.1f}s)"
     )
+
+
+def jittered_case(seed: int):
+    """The rhombus-sine case on the jittered family of ``seed``."""
+    return dataclasses.replace(
+        CASES["rhombus-sine"], generator=lambda n: jittered_rhombus(n, seed=seed)
+    )
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_criterion_1_circumcenter_rate_on_jittered_meshes(seed):
+    # the cell values are second-order accurate at the circumcenters on
+    # non-uniform admissible meshes too
+    report = convergence_study(jittered_case(seed), [8, 16, 32, 64])
+    assert report.final_rate("ecc") >= 1.8
+    assert report.final_rate("combined") >= 0.9
+
+
+def centroid_coefficients(mesh):
+    """The two-point coefficients d / |e| with d the distance between the
+    centroids of the two cells (the centroid's distance to the edge on the
+    boundary) in place of the circumcenters'."""
+    edges = mesh.edges
+    centroids = mesh.geometries.vertices.mean(axis=1)
+    values = 2.0 * mesh.areas[edges.owner] / (3.0 * edges.length**2)
+    internal = mesh.internal_edges
+    d = centroids[edges.owner[internal]] - centroids[edges.neighbor[internal]]
+    values[internal] = np.hypot(d[:, 0], d[:, 1]) / edges.length[internal]
+    return values
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_circumcenter_gate_rejects_centroid_transmissibilities(monkeypatch, seed):
+    # on the equilateral family centroids are circumcenters; on the jittered
+    # family the centroid scheme's circumcenter error stalls below first
+    # order on every pair, while its combined rate passes the first-order
+    # gate up to n = 32
+    monkeypatch.setattr(analysis, "cotan_coefficients", centroid_coefficients)
+    report = convergence_study(jittered_case(seed), [8, 16, 32, 64])
+    assert max(report.rates("ecc")) < 1.8
+    assert report.rates("combined")[1] >= 0.9
 
 
 def test_criterion_2_scheme_equivalence():
@@ -125,9 +177,9 @@ def test_criterion_3_gram_closed_form():
         entry = float(np.max(np.abs(closed - quad))) / scale
         assert entry <= 1e-11
         worst_entry = max(worst_entry, entry)
-        ratio = geom.rho2 / geom.area
+        ratio = geom.ratio
         trace_err = abs(float(np.trace(closed)) - 3.75 * ratio) / (3.75 * ratio)
-        det_expected = geom.rho2 / (16.0 * geom.area)
+        det_expected = ratio / 16.0
         det_err = abs(float(np.linalg.det(closed)) - det_expected) / det_expected
         assert trace_err <= 1e-10
         assert det_err <= 1e-10
@@ -143,7 +195,7 @@ def test_criterion_4_eigenvalue_bounds():
     rng = np.random.default_rng(42)
     for _ in range(10000):
         geom = random_triangle(rng)
-        theta = float(geom.angles.min())
+        theta = float(angles(geom).min())
         eig = np.linalg.eigvalsh(local_gram_closed_form(geom))
         assert eig.min() >= math.tan(theta) ** 2 / 48.0 - 1e-12
         assert eig.max() <= 5.0 / (4.0 * math.tan(theta)) + 1e-12
@@ -165,7 +217,7 @@ def test_criterion_5_divergence_profile_energy():
         err = abs(energy - closed) / closed
         assert err <= 1e-8
         worst_match = max(worst_match, err)
-        assert energy <= nu_bound(float(geom.angles.min()))
+        assert energy <= nu_bound(float(angles(geom).min()))
         sigma2 = float(np.sum(geom.edge_lengths**2))
         assert delta_denominator(geom) >= (5.0 / 12.0) * sigma2**2 * (1.0 - 1e-12)
         assert delta_numerator(geom) <= 23.0 * sigma2**6

@@ -17,10 +17,10 @@ from ptgfv.dual import cotan_coefficients, nu_bound, solve_delta_k
 from ptgfv.mesh import TriangleGeometry, generate_rhombus_equilateral
 from ptgfv.quadrature import triangle_rule
 from ptgfv.solver import Solution, assemble, solve
-from ptgfv.spaces import interpolate_p0
+from ptgfv.spaces import QUAD_BLOCK, interpolate_p0
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
-from oracles import interpolate_rt, random_triangle_min_angle
+from oracles import angles, indexed_geometry, interpolate_rt, random_triangle_min_angle
 
 CASE = CASES["rhombus-sine"]
 SQRT3 = math.sqrt(3.0)
@@ -194,6 +194,19 @@ def test_convergence_study_two_coarse_levels():
     assert report.final_rate("ep") > 0.8
 
 
+def test_convergence_ecc_is_the_error_at_the_circumcenters():
+    # (sum |K| (u_K - u(x_K))^2)^(1/2) with x_K from the index-list oracle
+    mesh = jittered_rhombus(8, seed=4)
+    case = dataclasses.replace(CASE, generator=lambda n: jittered_rhombus(8 * n, seed=4))
+    level = convergence_study(case, [1, 2]).levels[0]
+    solution = solve(assemble(mesh, cotan_coefficients(mesh), interpolate_p0(case.f, mesh)))
+    x = indexed_geometry(mesh.vertices[mesh.triangles])["circumcenter"]
+    exact = math.sqrt(sum(
+        area * (u - case.u(cx, cy)) ** 2 for area, u, (cx, cy) in zip(mesh.areas, solution.u, x)
+    ))
+    assert level.ecc == pytest.approx(exact, rel=1e-12)
+
+
 def test_lemma_suite_passes_and_reproducible():
     one = lemma_suite(samples=300, seed=42)
     assert one.all_passed
@@ -234,7 +247,8 @@ def test_lemma_suite_computes_the_closed_form_parts_once(monkeypatch):
 
         for module in (analysis, dual):
             monkeypatch.setattr(module, name, counted)
-    assert lemma_suite(samples=2500, seed=1).all_passed
+    # three batches
+    assert lemma_suite(samples=2 * QUAD_BLOCK + 1, seed=1).all_passed
     assert sorted(calls) == ["delta_denominator"] * 3 + ["delta_numerator"] * 3
 
 
@@ -307,8 +321,11 @@ def test_stability_h1_not_applicable_past_a_right_angle():
     report = stability_check(mesh, trials=20, seed=3)
     assert report.bound_h1 < 0.0
     assert report.passed_h1 is None
-    witness = mesh.geometries.angles[report.theta_max_triangle]
-    assert witness.max() == report.theta_max == quality.theta_max
+    cot = mesh.geometries.cot
+    assert cot[report.theta_max_triangle].min() == cot.min()
+    assert report.theta_max == quality.theta_max == math.atan2(1.0, cot.min())
+    witness = angles(mesh.geometries[report.theta_max_triangle])
+    assert witness.max() == pytest.approx(report.theta_max, rel=1e-15)
     assert math.degrees(report.theta_max) == pytest.approx(90.589, abs=1e-3)
     assert report.passed_h3 and report.passed_h4 and report.all_passed
     record = dataclasses.asdict(report)
@@ -361,6 +378,6 @@ def test_min_angle_sampler():
         theta = math.radians(degrees)
         for _ in range(50):
             geom = random_triangle_min_angle(rng, theta)
-            assert geom.angles.min() >= theta - 1e-9
+            assert angles(geom).min() >= theta - 1e-9
     with pytest.raises(ValueError):
         random_triangle_min_angle(rng, math.radians(61.0))

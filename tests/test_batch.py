@@ -10,7 +10,6 @@ import pytest
 
 from ptgfv import analysis, dual, spaces
 from ptgfv.analysis import (
-    BLOCK,
     CASES,
     MIN_SAMPLE_ANGLE,
     circumcenter_edge_distances,
@@ -39,9 +38,9 @@ from ptgfv.solver import assemble, solve
 from ptgfv.spaces import QUAD_BLOCK, interpolate_p0, local_fluxes, local_gram_closed_form
 
 from conftest import jittered_rhombus
-from oracles import h1_probe_reference, indexed_geometry, random_triangle
+from oracles import angles, h1_probe_reference, indexed_geometry, random_triangle
 
-GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "angles", "rho2")
+GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "cot", "ratio")
 
 
 def degenerate(corners) -> np.ndarray:
@@ -72,7 +71,7 @@ def random_triangles_rebuilt(rng, count, min_angle=MIN_SAMPLE_ANGLE):
         candidates = rng.uniform(size=(count - found, 3, 2))
         candidates = candidates[~degenerate(candidates)]
         geom = TriangleGeometry.from_vertices(candidates)
-        keep = geom.vertices[geom.angles.min(axis=-1) >= min_angle]
+        keep = geom.vertices[angles(geom).min(axis=-1) >= min_angle]
         accepted.append(keep)
         found += len(keep)
     return TriangleGeometry.from_vertices(np.concatenate(accepted))
@@ -119,7 +118,7 @@ def triangles():
     corners = np.stack([g.vertices for g in singles])
     corners[::2] = corners[::2][:, [0, 2, 1]]
     batch = TriangleGeometry.from_vertices(corners)
-    assert sum(g.angles.max() > math.pi / 2 for g in singles) > 20  # obtuse ones included
+    assert sum(g.cot.min() < 0.0 for g in singles) > 20  # obtuse ones included
     return singles, batch
 
 
@@ -133,7 +132,7 @@ def test_geometry_batch_matches_single(triangles):
     singles, batch = triangles
     for name in GEOMETRY_FIELDS:
         assert_rows(getattr(batch, name), [getattr(g, name) for g in singles])
-    assert batch.area.shape == batch.rho2.shape == (len(singles),)
+    assert batch.area.shape == batch.ratio.shape == (len(singles),)
     assert not batch.vertices.flags.writeable
 
 
@@ -206,7 +205,7 @@ def test_build_mesh_names_first_degenerate_triangle():
 
 
 def test_lemma_suite_spans_blocks():
-    samples = 2 * BLOCK + 1
+    samples = 2 * QUAD_BLOCK + 1
     report = lemma_suite(samples=samples, seed=3)
     assert report.all_passed
     assert [c.samples for c in report.checks] == [samples] * len(report.checks)

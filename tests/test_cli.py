@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from ptgfv.mesh import (
 from ptgfv.solver import DirichletData, assemble, solve
 
 from conftest import diagonal_square_mesh, jittered_rhombus
+from oracles import cotan_coefficients_reference
 from test_dual import ISOSCELES_SLIVERS, NEEDLES
 from test_mesh import READ_CASES
 
@@ -269,10 +271,11 @@ def test_convergence_small_run(tmp_path, capsys):
     )
     assert code == 0
     lines = stdout.strip().splitlines()
-    assert lines[0] == "n,h,eu,ep,ediv,combined,rate_combined"
+    assert lines[0] == "n,h,eu,ep,ediv,combined,rate_combined,ecc,rate_ecc"
     assert len(lines) == 3
     last = lines[-1].split(",")
-    assert float(last[-1]) >= 0.9
+    assert float(last[6]) >= 0.9
+    assert float(last[8]) >= 1.8
     assert out.read_text() == stdout
 
 
@@ -686,6 +689,48 @@ def test_verify_on_an_admissible_needle(tmp_path, capsys, height):
     assert stability["max_energy"] == pytest.approx(NEEDLES[height], rel=1e-12, abs=0)
     assert stability["passed_h3"] is stability["passed_h4"] is True
     assert np.all(dual.solve_delta_k(read_mesh(_needle_text(height)).geometries).energy > 0.0)
+
+
+@pytest.mark.parametrize("height", sorted(NEEDLES))
+def test_needle_coefficients_are_exact(height):
+    # each cotangent is dot / |cross| of its corner's edges, with no angle in
+    # between: an angle near pi loses ulp(pi) / (pi - theta) to its tangent
+    mesh = read_mesh(_needle_text(height))
+    np.testing.assert_allclose(
+        dual.cotan_coefficients(mesh), cotan_coefficients_reference(mesh), rtol=1e-15, atol=0
+    )
+
+
+def _strict_json(text: str):
+    """JSON as the standard defines it: no Infinity or NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_is_scale_free_up_to_1e154(tmp_path, capsys):
+    # every stability figure is dimensionless: a triangle whose squared edge
+    # lengths sum past the largest float gives the figures of its unit copy
+    stability = {}
+    for name, corners in [("unit", "0 0\n1 0\n0.5 0.86"), ("big", "0 0\n1e154 0\n5e153 8.6e153")]:
+        path = tmp_path / f"{name}.msh"
+        path.write_text(f"ptg-mesh 1\n3 1\n{corners}\n0 1 2\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--samples", "10", "--mesh", str(path))
+        assert (code, err) == (0, "")
+        stability[name] = _strict_json(out)["stability"]
+    unit, big = stability["unit"], stability["big"]
+    assert unit.keys() == big.keys()
+    for key, value in unit.items():
+        if isinstance(value, float):
+            # h3 is a round-off figure near 5e-15
+            floor = 1e-12 if key == "h3_max_deviation" else 0.0
+            assert big[key] == pytest.approx(value, rel=1e-12, abs=floor), key
+        else:
+            assert big[key] == value, key
+    assert big["passed_h1"] is True
 
 
 @pytest.mark.parametrize("args", [

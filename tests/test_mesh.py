@@ -20,7 +20,7 @@ from ptgfv.mesh import (
 from ptgfv.quadrature import triangle_rule
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
-from oracles import geometry, integrate_triangle
+from oracles import angles, geometry, integrate_triangle
 
 
 def test_single_triangle_mesh():
@@ -169,12 +169,10 @@ def test_mesh_object_count_does_not_grow_with_size():
 def test_equilateral_geometry_values():
     geom = equilateral_geometry()
     assert geom.area == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-15)
-    assert np.allclose(geom.angles, math.pi / 3.0, atol=1e-14)
+    assert np.allclose(geom.cot, 1.0 / math.sqrt(3.0), rtol=1e-14, atol=0)
     # the equilateral attains the upper gyration bound 1/(3 tan(min angle))
-    assert geom.rho2 / geom.area == pytest.approx(
-        1.0 / (3.0 * math.tan(math.pi / 3.0)), rel=1e-14
-    )
-    assert geom.rho2 / geom.area == pytest.approx(0.19245008972987526, rel=1e-12)
+    assert geom.ratio == pytest.approx(1.0 / (3.0 * math.tan(math.pi / 3.0)), rel=1e-14)
+    assert geom.ratio == pytest.approx(0.19245008972987526, rel=1e-12)
 
 
 def test_right_isosceles_circumcenter():
@@ -195,7 +193,7 @@ def test_gyration_radius_against_quadrature():
         integral = integrate_triangle(
             triangle_rule(), geom, lambda x, y: (x - gx) ** 2 + (y - gy) ** 2
         )
-        assert integral / geom.area == pytest.approx(geom.rho2, rel=1e-12)
+        assert integral / geom.area**2 == pytest.approx(geom.ratio, rel=1e-12)
 
 
 def test_gyration_radius_bounds_random():
@@ -206,11 +204,11 @@ def test_gyration_radius_bounds_random():
             geom = TriangleGeometry.from_vertices(rng.uniform(size=(3, 2)))
         except MeshError:
             continue
-        theta_min = geom.angles.min()
+        theta_min = angles(geom).min()
         if theta_min < math.radians(5.0):
             continue
         count += 1
-        ratio = geom.rho2 / geom.area
+        ratio = geom.ratio
         assert ratio >= 1.0 / 6.0 - 1e-12
         assert ratio <= 1.0 / (3.0 * math.tan(theta_min)) * (1.0 + 1e-12)
 
@@ -218,7 +216,7 @@ def test_gyration_radius_bounds_random():
 def test_angle_sums():
     for mesh in (generate_rhombus_equilateral(3), jittered_rhombus(4, seed=2)):
         for t in range(mesh.num_triangles):
-            assert abs(geometry(mesh, t).angles.sum() - math.pi) < 1e-12
+            assert abs(angles(geometry(mesh, t)).sum() - math.pi) < 1e-12
 
 
 def test_edge_count_identity():
@@ -288,13 +286,14 @@ def test_quality_boundary_right_angle():
 @pytest.mark.parametrize("apex", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
 def test_sliver_angles_and_coefficients_are_exact(apex):
     # isosceles sliver (0,0), (1,-s), (1,s): its apex angle is 2 atan(s) and
-    # each base angle pi/2 - atan(s), so the coefficient of the base is
-    # cot(apex)/2 = (1 - s^2) / (4 s) and that of each leg s / 2
+    # each base angle pi/2 - atan(s), so the apex cotangent is
+    # (1 - s^2) / (2 s), each base cotangent s, the coefficient of the base
+    # (1 - s^2) / (4 s) and that of each leg s / 2
     s = math.tan(apex / 2)
     mesh = build_mesh([(0.0, 0.0), (1.0, -s), (1.0, s)], [(0, 1, 2)])
-    angles = mesh.geometries.angles[0]
-    assert angles[0] == pytest.approx(2 * math.atan(s), rel=1e-14, abs=0)
-    np.testing.assert_allclose(angles[1:], math.pi / 2 - math.atan(s), rtol=0, atol=5e-16)
+    cot = mesh.geometries.cot[0]
+    assert cot[0] == pytest.approx((1 - s * s) / (2 * s), rel=1e-15, abs=0)
+    np.testing.assert_allclose(cot[1:], s, rtol=1e-15, atol=0)
     coeffs = cotan_coefficients(mesh)
     base = int(mesh.tri_edges[0, 0])
     legs = [int(e) for e in mesh.tri_edges[0, 1:]]
@@ -303,6 +302,8 @@ def test_sliver_angles_and_coefficients_are_exact(apex):
     report = quality_report(mesh)
     assert report.admissible
     assert np.array_equal(report.coefficients, coeffs)
+    assert report.theta_min == pytest.approx(2 * math.atan(s), rel=1e-14, abs=0)
+    assert report.theta_max == pytest.approx(math.pi / 2 - math.atan(s), rel=0, abs=5e-16)
 
 
 def test_quality_report_flags_exactly_the_coefficients_below_tolerance():
@@ -354,7 +355,7 @@ def test_generate_rhombus_counts():
 def test_generate_rhombus_all_angles_equal():
     mesh = generate_rhombus_equilateral(5)
     for t in range(mesh.num_triangles):
-        assert np.allclose(geometry(mesh, t).angles, math.pi / 3.0, atol=1e-12)
+        assert np.allclose(angles(geometry(mesh, t)), math.pi / 3.0, atol=1e-12)
     assert mesh.h_max == pytest.approx(0.2, abs=1e-15)
 
 

@@ -14,6 +14,7 @@ from ptgfv.spaces import (
 
 from conftest import equilateral_geometry, jittered_rhombus
 from oracles import (
+    angles,
     eval_local_basis,
     eval_rt_field,
     geometry,
@@ -179,8 +180,7 @@ def test_cotangent_identities():
     rng = np.random.default_rng(29)
     for _ in range(500):
         geom = random_triangle(rng)
-        cot = 1.0 / np.tan(geom.angles)
-        ratio = geom.rho2 / geom.area
+        cot, ratio = geom.cot, geom.ratio
         assert float(cot.sum()) == pytest.approx(9.0 * ratio, rel=1e-11)
         assert float(cot[0] * cot[1] + cot[1] * cot[2] + cot[2] * cot[0]) == pytest.approx(
             1.0, abs=1e-11
@@ -197,7 +197,7 @@ def test_pairwise_minor_identity():
             gram[i, i] * gram[(i + 1) % 3, (i + 1) % 3] - gram[i, (i + 1) % 3] ** 2
             for i in range(3)
         )
-        expected = 1.0 / 12.0 + 2.25 * (geom.rho2 / geom.area) ** 2
+        expected = 1.0 / 12.0 + 2.25 * geom.ratio**2
         assert minors == pytest.approx(expected, rel=1e-10)
 
 
@@ -205,7 +205,7 @@ def test_eigenvalue_bounds_sample():
     rng = np.random.default_rng(37)
     for _ in range(300):
         geom = random_triangle(rng)
-        theta = geom.angles.min()
+        theta = angles(geom).min()
         eig = np.linalg.eigvalsh(local_gram_closed_form(geom))
         assert eig.min() >= math.tan(theta) ** 2 / 48.0 - 1e-12
         assert eig.max() <= 5.0 / (4.0 * math.tan(theta)) + 1e-12

@@ -30,7 +30,6 @@ from .mesh import (
     MeshQualityReport,
     TriangleGeometry,
     _cross,
-    _degenerate,
     cotan_coefficients,
     generate_rhombus_equilateral,
     quality_report,
@@ -262,8 +261,8 @@ def random_triangles(
     while found < count:
         # (k, 3, 2) uniforms are k draws of (3, 2) from the same stream
         candidates = rng.uniform(size=(count - found, 3, 2))
-        geom = TriangleGeometry._oriented(candidates)[0]
-        keep = (geom.cot.max(axis=-1) <= cot_max) & ~_degenerate(geom.area, geom.edge_lengths)
+        geom, _, degenerate = TriangleGeometry._oriented(candidates)
+        keep = (geom.cot.max(axis=-1) <= cot_max) & ~degenerate
         accepted.append([getattr(geom, f.name)[keep] for f in dataclasses.fields(geom)])
         found += np.count_nonzero(keep)
     fields = [np.concatenate(parts) for parts in zip(*accepted)]

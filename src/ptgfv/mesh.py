@@ -63,31 +63,9 @@ def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _signed_areas(v: np.ndarray):
-    """Signed areas of triangles with corners ``v`` (..., 3, 2); positive if CCW."""
-    return 0.5 * _cross(v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :])
-
-
 # Local index of vertex i+1 and vertex i+2 (mod 3): edge i joins them.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
-
-
-def _wrap(a: np.ndarray) -> np.ndarray:
-    """Extend ``a`` (B, 3, ...) along axis 1 by its entries 0 and 1, so that
-    the slice ``[:, k:k+3]`` holds entry i+k (mod 3) at position i."""
-    return np.concatenate([a, a[:, :2]], axis=1)
-
-
-def _edge_lengths(w: np.ndarray) -> np.ndarray:
-    """Edge lengths (B, 3) of the wrapped corners ``w`` (B, 5, 2); entry i
-    is the edge opposite vertex i, from vertex i+1 to vertex i+2."""
-    d = w[:, 2:5] - w[:, 1:4]
-    return np.hypot(d[..., 0], d[..., 1])
-
-
-def _degenerate(area: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    return area <= DEGENERATE_REL * lengths.max(axis=-1) ** 2
 
 
 @dataclass(frozen=True)
@@ -114,12 +92,13 @@ class TriangleGeometry:
         """Build from three 2D points, or from a (B, 3, 2) batch of them,
         reordering each triangle to counter-clockwise.
 
-        Raises :class:`MeshError` naming the first degenerate triangle.
+        Raises :class:`MeshError` naming the first triangle that is too large
+        or degenerate.
         """
         v = np.array(vertices, dtype=float)
         batched = v.ndim == 3
-        geom = cls._oriented(v.reshape(-1, 3, 2))[0]
-        bad = np.flatnonzero(_degenerate(geom.area, geom.edge_lengths))
+        geom, _, degenerate = cls._oriented(v.reshape(-1, 3, 2))
+        bad = np.flatnonzero(degenerate)
         if bad.size:
             where = f" {bad[0]}" if batched else ""
             raise MeshError(
@@ -132,33 +111,48 @@ class TriangleGeometry:
         return TriangleGeometry(*(getattr(self, f.name)[index] for f in fields(self)))
 
     @classmethod
-    def _oriented(cls, v: np.ndarray) -> tuple["TriangleGeometry", np.ndarray]:
+    def _oriented(cls, v: np.ndarray) -> tuple["TriangleGeometry", np.ndarray, np.ndarray]:
         """Read-only batch of the corners ``v`` (B, 3, 2), which are reordered
-        in place to counter-clockwise, and the flags of the reordered ones.
+        in place to counter-clockwise, with the flags of the reordered and of
+        the degenerate triangles: area <= DEGENERATE_REL * (longest edge)^2.
 
-        Nothing is rejected: a degenerate triangle gets infinite or NaN
+        Raises :class:`MeshError` naming the first triangle whose longest
+        edge squared overflows a float (an edge above about 1.34e154); below
+        that every area, product and ratio formed here is finite.  A
+        degenerate triangle is flagged, not rejected: it gets infinite or NaN
         cotangents and ratio.
         """
-        signed = _signed_areas(v)
-        clockwise = signed < 0.0
-        if clockwise.any():
-            v[clockwise] = v[clockwise][:, [0, 2, 1]]
-        w = _wrap(v)
-        lengths = _edge_lengths(w)
-        area = np.abs(signed)  # a clockwise area is the exact negative of its reordered one
-        # angle i lies between the edges to vertices i+1 and i+2; the ratio of
-        # their dot and cross products is its cotangent, exact to round-off
-        # on slivers and needles alike.  Each length is divided by 6 before
-        # it is squared, so the ratio is finite wherever the area is.
-        a = w[:, 1:4] - v
-        b = w[:, 2:5] - v
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            signed = 0.5 * _cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+            clockwise = signed < 0.0
+            if clockwise.any():
+                v[clockwise] = v[clockwise][:, [0, 2, 1]]
+            # the slice [:, k:k+3] of the wrapped corners holds corner i+k
+            # (mod 3) at i; edge i runs from vertex i+1 to vertex i+2
+            w = np.concatenate([v, v[:, :2]], axis=1)
+            d = w[:, 2:5] - w[:, 1:4]
+            lengths = np.hypot(d[..., 0], d[..., 1])
+            longest2 = lengths.max(axis=-1) ** 2
+            big = np.flatnonzero(np.isinf(longest2))
+            if big.size:
+                raise MeshError(
+                    f"triangle {big[0]} is too large: the square of its longest edge, "
+                    f"{lengths[big[0]].max():.6g}, overflows a float"
+                )
+            area = np.abs(signed)  # a clockwise area is the exact negative of its reordered one
+            # angle i lies between the edges to vertices i+1 and i+2; the ratio
+            # of their dot and cross products is its cotangent, exact to
+            # round-off on slivers and needles alike.  Each length is divided
+            # by 6 before it is squared, so the ratio is finite wherever the
+            # area is.
+            a = w[:, 1:4] - v
+            b = w[:, 2:5] - v
             cot = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / np.abs(_cross(a, b))
             ratio = np.sum((lengths / 6.0) ** 2, axis=-1) / area
         fields = (v, area, lengths, cot, ratio)
         for arr in fields:
             arr.flags.writeable = False
-        return cls(*fields), clockwise
+        return cls(*fields), clockwise, area <= DEGENERATE_REL * longest2
 
 
 # One row per edge of ``Mesh.edges``; see :class:`Mesh`.
@@ -271,10 +265,11 @@ def build_mesh(vertices, triangles) -> Mesh:
     """Build a mesh from vertex coordinates and vertex-index triples.
 
     Triangles given clockwise are reoriented.  Raises :class:`MeshError` for
-    non-finite coordinates, out-of-range indices, duplicate or degenerate
-    triangles, non-conforming connectivity (an edge shared by more than two
-    triangles) and folded meshes (two triangles on the same side of their
-    shared edge).  Each error names the lowest-index offender.
+    non-finite coordinates, out-of-range indices, triangles too large to
+    measure (see :meth:`TriangleGeometry._oriented`), duplicate or
+    degenerate triangles, non-conforming connectivity (an edge shared by
+    more than two triangles) and folded meshes (two triangles on the same
+    side of their shared edge).  Each error names the lowest-index offender.
     """
     verts = np.array(vertices, dtype=float).reshape(-1, 2)
     tris = np.array(triangles, dtype=int).reshape(-1, 3)
@@ -290,10 +285,10 @@ def build_mesh(vertices, triangles) -> Mesh:
     if nt == 0:
         raise MeshError("a mesh needs at least one triangle")
 
-    geometries, clockwise = TriangleGeometry._oriented(verts[tris])
+    geometries, clockwise, degenerate = TriangleGeometry._oriented(verts[tris])
     if clockwise.any():
         tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
-    message = _first_offender(tris, _degenerate(geometries.area, geometries.edge_lengths))
+    message = _first_offender(tris, degenerate)
     if message:
         raise MeshError(message)
 
@@ -331,7 +326,7 @@ def build_mesh(vertices, triangles) -> Mesh:
     tail = start_v[own]
     head = end_v[own]
     tangent = verts[head] - verts[tail]
-    length = np.hypot(tangent[:, 0], tangent[:, 1])
+    length = geometries.edge_lengths.ravel()[own]  # half-edge own[e] is edge e
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
     neighbor = np.where(shared, other // 3, -1)
     neighbor_local = np.where(shared, other % 3, -1)

@@ -36,6 +36,13 @@ def jittered_rhombus(n: int = 5, seed: int = 7, amplitude: float = 0.15) -> Mesh
     return mesh
 
 
+def mesh_text(vertices, triangles) -> str:
+    """The ``ptg-mesh 1`` file of the given arrays, triangles as listed."""
+    rows = [f"{x:.17g} {y:.17g}" for x, y in np.asarray(vertices).tolist()]
+    rows += [f"{i} {j} {k}" for i, j, k in np.asarray(triangles).tolist()]
+    return f"ptg-mesh 1\n{len(vertices)} {len(triangles)}\n" + "\n".join(rows) + "\n"
+
+
 @pytest.fixture
 def rhombus1() -> Mesh:
     return generate_rhombus_equilateral(1)

@@ -27,9 +27,9 @@ from ptgfv.dual import (
     solve_delta_k,
 )
 from ptgfv.mesh import (
+    DEGENERATE_REL,
     MeshError,
     TriangleGeometry,
-    _degenerate,
     build_mesh,
     generate_rhombus_equilateral,
 )
@@ -49,7 +49,7 @@ def degenerate(corners) -> np.ndarray:
     divides by the zero area of a degenerate triangle)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         reference = indexed_geometry(corners)
-    return _degenerate(reference["area"], reference["edge_lengths"])
+    return reference["area"] <= DEGENERATE_REL * reference["edge_lengths"].max(axis=-1) ** 2
 
 
 @pytest.mark.parametrize("seed", [1, 42])
@@ -202,6 +202,26 @@ def test_build_mesh_names_first_degenerate_triangle():
     verts = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0)]
     with pytest.raises(MeshError, match=r"triangle 1 is degenerate"):
         build_mesh(verts, [(0, 1, 2), (0, 1, 3), (1, 4, 2), (1, 3, 5)])
+
+
+@pytest.mark.parametrize("edge, large", [(1.3e154, False), (1.35e154, True), (1e300, True)])
+def test_too_large_triangle_is_named_before_degeneracy(edge, large):
+    # a triangle is too large once its longest edge squared overflows, about
+    # 1.34e154; the check comes before the degeneracy test, which would
+    # otherwise call the overflowed triangle degenerate
+    corners = np.array([
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+        [(0.0, 0.0), (0.5 * edge, 0.0), (edge, 0.0)],   # degenerate
+        [(0.0, 0.0), (edge, 0.0), (0.5 * edge, 0.86 * edge)],
+    ])
+    message = r"triangle 1 is too large" if large else r"degenerate triangle 1 "
+    with pytest.raises(MeshError, match=message):
+        TriangleGeometry.from_vertices(corners)
+    if large:
+        with pytest.raises(MeshError, match=r"triangle 0 is too large"):
+            build_mesh(corners[2], [(0, 1, 2)])
+    else:
+        assert build_mesh(corners[2], [(0, 1, 2)]).num_triangles == 1
 
 
 def test_lemma_suite_spans_blocks():

@@ -19,7 +19,7 @@ from ptgfv.mesh import (
 )
 from ptgfv.solver import DirichletData, assemble, solve
 
-from conftest import diagonal_square_mesh, jittered_rhombus
+from conftest import diagonal_square_mesh, jittered_rhombus, mesh_text
 from oracles import cotan_coefficients_reference
 from test_dual import ISOSCELES_SLIVERS, NEEDLES
 from test_mesh import READ_CASES
@@ -584,10 +584,18 @@ def _band_text(eps: float) -> str:
     return f"ptg-mesh 1\n4 2\n0 0\n1 0\n1 1\n{-eps!r} {1 + eps!r}\n0 1 2\n0 2 3\n"
 
 
+def _needle_text(height: float) -> str:
+    """A needle (0,0),(1,0),(0.3,height), its longest edge shared with a
+    triangle whose far vertex keeps the edge Delaunay."""
+    return f"ptg-mesh 1\n4 2\n0 0\n1 0\n0.3 {height!r}\n0.5 {-10 / height!r}\n0 1 2\n1 0 3\n"
+
+
 SLIVER_APEXES = (1e-3, 1e-5, 1e-6, 3e-7, 1e-7, 1e-8, 1e-10)
 
-# bad or borderline meshes: every file of the reader's cases, the band
-# around COEFF_TOL, slivers, and meshes that fail the angle conditions
+# bad, borderline or adversarial meshes: every file of the reader's cases,
+# the band around COEFF_TOL, slivers, needles, coordinates at and past the
+# size limit, meshes that fail the angle conditions and an admissible mesh
+# with an angle above 90 degrees listed clockwise
 CORPUS = {f"read: {name}": text for name, text in READ_CASES.items()}
 CORPUS.update({f"band {eps:g}": _band_text(eps) for eps in np.geomspace(4e-13, 1e-11, 9)})
 CORPUS["band 7.5e-13"] = _band_text(7.5e-13)
@@ -595,6 +603,11 @@ CORPUS.update({f"sliver {apex:g}": _sliver_text(apex) for apex in SLIVER_APEXES}
 CORPUS["square"] = write_mesh(diagonal_square_mesh())
 CORPUS["right triangle"] = "ptg-mesh 1\n3 1\n0 0\n1 0\n0 1\n0 1 2\n"
 CORPUS["obtuse boundary"] = "ptg-mesh 1\n3 1\n0 0\n1 0\n0.5 0.1\n0 1 2\n"
+CORPUS.update({f"needle {height:g}": _needle_text(height) for height in NEEDLES})
+CORPUS["scale 1e154"] = "ptg-mesh 1\n3 1\n0 0\n1e154 0\n5e153 8.6e153\n0 1 2\n"
+CORPUS["scale 1e155"] = "ptg-mesh 1\n3 1\n0 0\n1e155 0\n5e154 8.6e154\n0 1 2\n"
+_JITTERED = jittered_rhombus(24, seed=1)
+CORPUS["clockwise jittered 24"] = mesh_text(_JITTERED.vertices, _JITTERED.triangles[:, [0, 2, 1]])
 
 
 def _strict_json(text: str):
@@ -671,12 +684,6 @@ def test_verify_evaluates_isosceles_slivers(tmp_path, capsys, apex):
     assert stability["all_passed"] is True
 
 
-def _needle_text(height: float) -> str:
-    """A needle (0,0),(1,0),(0.3,height), its longest edge shared with a
-    triangle whose far vertex keeps the edge Delaunay."""
-    return f"ptg-mesh 1\n4 2\n0 0\n1 0\n0.3 {height!r}\n0.5 {-10 / height!r}\n0 1 2\n1 0 3\n"
-
-
 @pytest.mark.parametrize("height", sorted(NEEDLES))
 def test_verify_on_an_admissible_needle(tmp_path, capsys, height):
     path = tmp_path / "needle.msh"
@@ -731,6 +738,22 @@ def test_verify_is_scale_free_up_to_1e154(tmp_path, capsys):
         else:
             assert big[key] == value, key
     assert big["passed_h1"] is True
+
+
+@pytest.mark.parametrize("command", [
+    ["mesh-info"], ["solve", "--rhs-const", "1", "--mesh"], ["verify", "--samples", "10", "--mesh"],
+])
+def test_too_large_triangle_exit_2(tmp_path, capsys, command):
+    # (0,0),(1e155,0),(5e154,8.6e154) is near-equilateral, not degenerate:
+    # its longest edge squared is past the largest float
+    path = tmp_path / "big.msh"
+    path.write_text(CORPUS["scale 1e155"], encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, *command, str(path)) == (2, "", (
+            "error: invalid mesh in file: triangle 0 is too large: "
+            "the square of its longest edge, 1e+155, overflows a float\n"
+        ))
 
 
 @pytest.mark.parametrize("args", [

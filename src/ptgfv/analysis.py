@@ -1,10 +1,13 @@
 """Verification instruments: manufactured-solution error norms and rates,
 randomized checks of the closed-form lemmas, and the stability inequalities.
 
-Everything randomized is seeded and reproducible.  Random triangles draw
-their vertices uniformly in the unit square and reject a minimum angle below
-5 degrees; every bound is then checked against the sampled triangle's own
-minimum angle, never a global one.
+Everything randomized is seeded and reproducible.  The draws come from
+:class:`SplitMix64`, a counter-based stream in this module, so seeded output
+does not depend on the numpy version (NEP 19 keeps numpy's ``Generator``
+streams stable only within a version).  Random triangles draw their vertices
+uniformly in the unit square and reject a minimum angle below 5 degrees;
+every bound is then checked against the sampled triangle's own minimum
+angle, never a global one.
 """
 
 from __future__ import annotations
@@ -241,12 +244,65 @@ def convergence_study(
     return ConvergenceReport(case=case.name, levels=tuple(rows))
 
 
+# SplitMix64's state increment, and the shift and multiplier of the first
+# two of its three xor-shift rounds.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+
+
+class SplitMix64:
+    """Counter-based uniform stream: draw k of seed s is the SplitMix64
+    finaliser of s + (k + 1) * 0x9E3779B97F4A7C15 mod 2^64 (G. Steele, D. Lea
+    and C. Flood, OOPSLA 2014), a pure hash of (s, k), so a block of n draws
+    is the n single draws that follow.  ``counter`` is the index of the next
+    draw; a stream started at another counter draws disjoint values while
+    the two counter ranges do not overlap.
+
+    Raises ValueError for a seed outside 0..2^64 - 1.
+    """
+
+    def __init__(self, seed: int, counter: int = 0):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in 0..2**64 - 1, got {seed}")
+        self.seed = seed
+        self.counter = counter
+
+    def uniform(self, size: tuple[int, ...]) -> np.ndarray:
+        """Uniforms on [0, 1) of shape ``size``: the top 53 bits of each of
+        the next draws, times 2^-53."""
+        n = int(math.prod(size))
+        # the first state in Python ints: a numpy scalar product would warn
+        # on the wrap-around that array arithmetic does silently
+        first = (self.seed + (self.counter + 1) * _GOLDEN) % (1 << 64)
+        self.counter += n
+        z = np.arange(n, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(first)
+        for shift, factor in _MIX:
+            z ^= z >> shift
+            z *= factor
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        u = z.astype(float)
+        u *= 2.0**-53
+        return u.reshape(size)
+
+
+# First counter of the h1 probe's draws; the lemma suite draws from 0, and
+# would need 2^63 draws to reach them.
+PROBE_COUNTER = 1 << 63
+
+
 def random_triangles(
-    rng: np.random.Generator, count: int, min_angle: float = MIN_SAMPLE_ANGLE
+    stream: SplitMix64, count: int, min_angle: float = MIN_SAMPLE_ANGLE
 ) -> TriangleGeometry:
     """``count`` triangles with vertices uniform in the unit square and
     minimum angle at least ``min_angle``, in the order a one-at-a-time
-    rejection sampler would draw them from the same generator.
+    rejection sampler would draw them from the same stream: each candidate
+    takes the next six uniforms as its corners.
 
     Raises ValueError for a ``count`` below 1 and for a ``min_angle`` of
     pi/3 or more, which only an equilateral triangle reaches.
@@ -259,8 +315,7 @@ def random_triangles(
     accepted = []
     found = 0
     while found < count:
-        # (k, 3, 2) uniforms are k draws of (3, 2) from the same stream
-        candidates = rng.uniform(size=(count - found, 3, 2))
+        candidates = stream.uniform((count - found, 3, 2))
         geom, _, degenerate = TriangleGeometry._oriented(candidates)
         keep = (geom.cot.max(axis=-1) <= cot_max) & ~degenerate
         accepted.append([getattr(geom, f.name)[keep] for f in dataclasses.fields(geom)])
@@ -319,6 +374,48 @@ class LemmaSuiteReport:
         return all(c.passed for c in self.checks)
 
 
+def _determinant(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Determinants of symmetric 3x3 matrices with diagonals ``diag`` (3, ...)
+    and entries (i, i+1 mod 3) ``upper`` (3, ...), entry index first: the
+    cofactor expansion multiplied out."""
+    a, b, c = diag
+    d, e, f = upper
+    return a * b * c + 2.0 * d * e * f - a * e * e - b * f * f - c * d * d
+
+
+def _eigenvalue_extremes(diag: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues of the symmetric 3x3 matrices A of
+    :func:`_determinant`, by the trigonometric solution of their
+    characteristic cubic (O. K. Smith, Comm. ACM 4 (1961) 168).
+
+    With q the mean eigenvalue and B = (A - qI) / p scaled to |B|_F^2 = 6,
+    the eigenvalues are q + 2p cos(phi + 2 pi j / 3), where cos(3 phi) is
+    det(B) / 2.  The angle is taken by arctan2 with sin(3 phi) = |B ^ C|_F / 6,
+    C = B^2 - 2I, the root of the cubic's discriminant as a sum of squares
+    (the Gram determinant of I, B, B^2): where two eigenvalues meet, 3 phi
+    is a multiple of pi and an arccos of det(B) / 2 alone would keep only
+    half the digits.  Where p is 0, A = qI and both angles are 0.
+    """
+    q = diag.sum(axis=0) / 3.0
+    x = diag - q
+    p = np.sqrt((np.sum(x * x, axis=0) + 2.0 * np.sum(upper * upper, axis=0)) / 6.0)
+    scale = np.where(p > 0.0, p, 1.0)
+    x = x / scale
+    y = upper / scale
+    # B^2 - 2I; the entry (i, i+1) of B^2 is y_i (x_i + x_{i+1}) + y_{i+1} y_{i+2}
+    # and x_i + x_{i+1} = -x_{i+2}
+    cx = x * x + y * y + y[_PREV] ** 2 - 2.0
+    cy = y[_NEXT] * y[_PREV] - x[_PREV] * y
+    # |B ^ C|^2 over the six distinct entries, an off-diagonal one counted twice
+    wedge2 = (
+        np.sum((x * cx[_NEXT] - x[_NEXT] * cx) ** 2, axis=0)
+        + 4.0 * np.sum((y * cy[_NEXT] - y[_NEXT] * cy) ** 2, axis=0)
+        + 2.0 * np.sum((x[:, None] * cy - cx[:, None] * y) ** 2, axis=(0, 1))
+    )
+    phi = np.arctan2(np.sqrt(wedge2) / 6.0, 0.5 * _determinant(x, y)) / 3.0
+    return q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0), q + 2.0 * p * np.cos(phi)
+
+
 def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-triangle slack of every named check, and the energy ratio I / nu.
 
@@ -331,18 +428,20 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     gyration = np.minimum(ratio - 1.0 / 6.0, cot_max / 3.0 - ratio) + 1e-12
 
     gram = local_gram_closed_form(geom)
-    eig = np.linalg.eigvalsh(gram)
+    # entry index first: row i of ``diag`` and of ``upper`` holds the
+    # entries (i, i) and (i, i+1 mod 3) of every matrix
+    diag = gram[..., [0, 1, 2], [0, 1, 2]].T
+    upper = gram[..., [0, 1, 2], [1, 2, 0]].T
+    eig_min, eig_max = _eigenvalue_extremes(diag, upper)
     lam_lo = 1.0 / (48.0 * cot_max**2)
     lam_hi = 1.25 * cot_max
-    eigen = np.minimum(eig.min(axis=-1) - lam_lo, lam_hi - eig.max(axis=-1)) + 1e-12
+    eigen = np.minimum(eig_min - lam_lo, lam_hi - eig_max) + 1e-12
 
     tr_expected = 15.0 * ratio / 4.0
-    trace = 1e-10 - np.abs(np.trace(gram, axis1=-2, axis2=-1) - tr_expected) / tr_expected
+    trace = 1e-10 - np.abs(diag.sum(axis=0) - tr_expected) / tr_expected
     det_expected = ratio / 16.0
-    determinant = 1e-10 - np.abs(np.linalg.det(gram) - det_expected) / det_expected
-    diag = np.diagonal(gram, axis1=-2, axis2=-1)
-    upper = gram[..., [0, 1, 2], [1, 2, 0]]
-    pairwise = np.sum(diag * diag[..., _NEXT] - upper**2, axis=-1)
+    determinant = 1e-10 - np.abs(_determinant(diag, upper) - det_expected) / det_expected
+    pairwise = np.sum(diag * diag[_NEXT] - upper**2, axis=0)
     pairwise_expected = 1.0 / 12.0 + 2.25 * ratio**2
     minors = 1e-10 - np.abs(pairwise - pairwise_expected) / pairwise_expected
 
@@ -389,9 +488,9 @@ def lemma_suite(samples: int = 10000, seed: int = 42) -> LemmaSuiteReport:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    stream = SplitMix64(seed)
     blocks = (
-        random_triangles(rng, min(QUAD_BLOCK, samples - start))
+        random_triangles(stream, min(QUAD_BLOCK, samples - start))
         for start in range(0, samples, QUAD_BLOCK)
     )
 
@@ -421,7 +520,9 @@ def lemma_suite(samples: int = 10000, seed: int = 42) -> LemmaSuiteReport:
 @dataclass(frozen=True)
 class StabilityReport:
     """Stability constants of a mesh against the explicit bounds of the
-    convergence analysis; h3 and h4 are exact, h1 is sampled.
+    convergence analysis; h3 and h4 are exact, h1 is sampled from ``trials``
+    flux fields of uniform entries, drawn from the package's SplitMix64
+    stream (see :func:`stability_check`).
 
     The h1 bound is <= 0 once an angle reaches a right angle, where every
     ratio passes it: on a mesh that is not ``all_acute`` ``passed_h1`` is
@@ -452,7 +553,7 @@ class StabilityReport:
 # Entries (i, j), i <= j, of a symmetric 3x3 matrix.
 _UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
 
-# Normal draws per block of the h1 probe (256 kB): a block's fields, their
+# Uniform draws per block of the h1 probe (256 kB): a block's fields, their
 # three gathers onto the triangles and one product of two gathers stay under
 # 1 MB whatever the number of trials and the mesh size.
 PROBE_BLOCK = 1 << 15
@@ -465,26 +566,31 @@ def probe_chunk(num_edges: int) -> int:
 
 def _h1_probe(mesh: Mesh, coefficients: np.ndarray, trials: int, seed: int) -> float:
     """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` flux fields p
-    of standard normal entries, evaluated ``probe_chunk`` fields at a time.
+    of i.i.d. entries uniform on [-1/2, 1/2), evaluated ``probe_chunk``
+    fields at a time.  The fields take the draws of ``SplitMix64(seed)``
+    from ``PROBE_COUNTER`` on, one field after another.
 
     p^T M p sums, over the six entries (i, j), i <= j, of each local mass
     matrix M_K, the products p[e_i] p[e_j] weighted by s_i s_j M_K[i, j],
     twice over off the diagonal, with e the triangle's edges and s their
-    signs.
+    signs.  The weights come from the closed form of M_K: cot_i/6 + (3/4)
+    rho^2/|K| on the diagonal, cot_k/6 - (3/4) rho^2/|K| off it, with
+    k = 3 - i - j the third vertex.
     """
-    rng = np.random.default_rng(seed)
-    grams = local_gram_closed_form(mesh.geometries)            # (nt, 3, 3)
-    signs = mesh.tri_signs
+    stream = SplitMix64(seed, PROBE_COUNTER)
+    geom = mesh.geometries
+    cot, ratio, signs = geom.cot, geom.ratio, mesh.tri_signs
     weights = [
-        (1.0 if i == j else 2.0) * grams[:, i, j] * signs[:, i] * signs[:, j]
+        cot[:, i] / 6.0 + 0.75 * ratio if i == j
+        else (cot[:, 3 - i - j] / 3.0 - 1.5 * ratio) * signs[:, i] * signs[:, j]
         for i, j in _UPPER
     ]
     edges = np.ascontiguousarray(mesh.tri_edges.T)             # (3, nt)
     chunk = probe_chunk(mesh.num_edges)
     h1_min = math.inf
     for start in range(0, trials, chunk):
-        # (k, num_edges) normals are k draws of one field from the same stream
-        p = rng.standard_normal((min(chunk, trials - start), mesh.num_edges))
+        p = stream.uniform((min(chunk, trials - start), mesh.num_edges))
+        p -= 0.5
         at = [np.take(p, e, axis=1) for e in edges]            # 3 x (k, nt)
         norm2 = np.zeros(len(p))
         for (i, j), w in zip(_UPPER, weights):
@@ -513,12 +619,17 @@ def stability_check(
     needle's profile has values near 1e14 that cancel to its mean 1.  The
     profiles are solved QUAD_BLOCK triangles at a time, so their memory does
     not grow with the mesh.  The h1 lower bound is probed with
-    ``trials`` flux fields of i.i.d. standard normal entries, whose smallest
-    ratio is an upper estimate of the infimum: the pairing reduces to
-    sum(c_a p_a^2) by the orthogonality of the dual basis, and the squared
-    field norm comes from the local mass matrices.  The fields are drawn and
-    evaluated a block at a time, so memory does not grow with ``trials``.
-    ``report`` is the mesh's quality report, computed when absent.
+    ``trials`` flux fields of i.i.d. entries uniform on [-1/2, 1/2), whose
+    smallest ratio is an upper estimate of the infimum (the ratio does not
+    depend on the field's scale, and any nonzero field bounds the infimum
+    from above): the pairing reduces to sum(c_a p_a^2) by the orthogonality
+    of the dual basis, and the squared field norm comes from the local mass
+    matrices.  The fields are drawn from the package's SplitMix64 stream,
+    on counters the lemma suite's triangles never reach, and are drawn and
+    evaluated a block of at most 2^15 draws at a time, so memory does not
+    grow with ``trials``.  The stream is the package's own, so a seeded
+    ``h1_min_ratio`` does not change with the numpy version.  ``report`` is
+    the mesh's quality report, computed when absent.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

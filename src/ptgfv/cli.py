@@ -57,15 +57,16 @@ def _fmt(x: float) -> str:
 
 
 def _seed(flag: int | None) -> int:
-    """``--seed`` if given, else PTG_SEED, else 42; a seed is an integer >= 0."""
+    """``--seed`` if given, else PTG_SEED, else 42; a seed is an integer in
+    0..2^64 - 1, the seeds of the package's SplitMix64 stream."""
     source = "PTG_SEED" if flag is None else "--seed"
     value = os.environ.get(source, "42") if flag is None else flag
     try:
         seed = int(value)
     except ValueError:
         raise UsageError(f"{source} must be an integer, got {value!r}") from None
-    if seed < 0:
-        raise UsageError(f"{source} must be >= 0, got {seed}")
+    if not 0 <= seed < 1 << 64:
+        raise UsageError(f"{source} must be >= 0 and below 2**64, got {seed}")
     return seed
 
 

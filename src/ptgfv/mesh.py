@@ -92,12 +92,19 @@ class TriangleGeometry:
         """Build from three 2D points, or from a (B, 3, 2) batch of them,
         reordering each triangle to counter-clockwise.
 
-        Raises :class:`MeshError` naming the first triangle that is too large
-        or degenerate.
+        Raises :class:`MeshError` naming the first triangle that has a
+        non-finite corner, is too large or is degenerate.
         """
         v = np.array(vertices, dtype=float)
         batched = v.ndim == 3
-        geom, _, degenerate = cls._oriented(v.reshape(-1, 3, 2))
+        v = v.reshape(-1, 3, 2)
+        nonfinite = np.flatnonzero(~np.isfinite(v).all(axis=(1, 2)))
+        if nonfinite.size:
+            where = f" {nonfinite[0]}" if batched else ""
+            raise MeshError(
+                f"triangle{where} has a non-finite corner: vertices {v[nonfinite[0]].tolist()}"
+            )
+        geom, _, degenerate = cls._oriented(v)
         bad = np.flatnonzero(degenerate)
         if bad.size:
             where = f" {bad[0]}" if batched else ""

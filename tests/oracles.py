@@ -2,7 +2,8 @@
 
 Each one evaluates a quantity the package computes in closed form or in
 batches, but by a different route: quadrature of the basis functions, the
-one-triangle-at-a-time random samplers, the one-trial-at-a-time h1 probe,
+one-triangle-at-a-time random samplers, the one-draw-at-a-time SplitMix64
+stream in Python ints, the one-trial-at-a-time h1 probe,
 the moments of the divergence profile from its coefficients, its
 energy from an exact Gram matrix in many-digit arithmetic,
 edge-flux interpolation by Gauss quadrature, the flux profile g of the dual
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ptgfv.analysis import MIN_SAMPLE_ANGLE
+from ptgfv.analysis import MIN_SAMPLE_ANGLE, PROBE_COUNTER
 from ptgfv.mesh import Mesh, TriangleGeometry, quality_report
 from ptgfv.quadrature import TriangleRule, triangle_rule
 from ptgfv.spaces import local_gram_closed_form
@@ -81,6 +82,34 @@ def angles(geometry: TriangleGeometry) -> np.ndarray:
     return indexed_geometry(geometry.vertices)["angles"].reshape(np.shape(geometry.cot))
 
 
+# -- the random stream -----------------------------------------------------
+
+def splitmix64(seed: int, counter: int = 0):
+    """Yield the SplitMix64 outputs of ``seed`` from draw ``counter`` on, one
+    at a time in Python ints: the sequential generator, whose state steps
+    by 0x9E3779B97F4A7C15 before each output."""
+    mask = (1 << 64) - 1
+    state = (seed + counter * 0x9E3779B97F4A7C15) & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+class ReferenceStream:
+    """Uniforms on [0, 1) from :func:`splitmix64`, one draw at a time: the
+    top 53 bits of each output times 2^-53."""
+
+    def __init__(self, seed: int, counter: int = 0):
+        self.draws = splitmix64(seed, counter)
+
+    def uniform(self, size) -> np.ndarray:
+        values = [(next(self.draws) >> 11) * 2.0**-53 for _ in range(math.prod(size))]
+        return np.array(values).reshape(size)
+
+
 # -- random triangles ------------------------------------------------------
 
 def random_triangle(rng: np.random.Generator, min_angle: float = MIN_SAMPLE_ANGLE) -> TriangleGeometry:
@@ -126,16 +155,16 @@ def random_triangle_min_angle(rng: np.random.Generator, theta_star: float) -> Tr
 # -- the h1 probe ----------------------------------------------------------
 
 def h1_probe_reference(mesh: Mesh, trials: int, seed: int) -> float:
-    """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` standard
-    normal flux fields, drawn and evaluated one field at a time from
-    ``default_rng(seed)``, with M assembled from the closed-form local mass
-    matrices by one einsum per field."""
+    """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` flux fields of
+    entries uniform on [-1/2, 1/2), drawn and evaluated one field at a time
+    from ``ReferenceStream(seed, PROBE_COUNTER)``, with M assembled from the
+    closed-form local mass matrices by one einsum per field."""
     coefficients = quality_report(mesh).coefficients
     grams = local_gram_closed_form(mesh.geometries)
-    rng = np.random.default_rng(seed)
+    stream = ReferenceStream(seed, PROBE_COUNTER)
     h1_min = math.inf
     for _ in range(trials):
-        p = rng.standard_normal(mesh.num_edges)
+        p = stream.uniform((mesh.num_edges,)) - 0.5
         loc = mesh.tri_signs * p[mesh.tri_edges]
         norm2 = float(np.einsum("ti,tij,tj->", loc, grams, loc))
         h1_min = min(h1_min, float(coefficients @ p**2) / norm2)

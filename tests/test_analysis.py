@@ -7,17 +7,21 @@ import pytest
 from ptgfv.analysis import (
     CASES,
     ManufacturedCase,
+    SplitMix64,
+    _determinant,
+    _eigenvalue_extremes,
     _lemma_slacks,
     convergence_study,
     error_norms,
     lemma_suite,
+    random_triangles,
     stability_check,
 )
 from ptgfv.dual import cotan_coefficients, nu_bound, solve_delta_k
 from ptgfv.mesh import TriangleGeometry, generate_rhombus_equilateral
 from ptgfv.quadrature import triangle_rule
 from ptgfv.solver import Solution, assemble, solve
-from ptgfv.spaces import QUAD_BLOCK, interpolate_p0
+from ptgfv.spaces import QUAD_BLOCK, interpolate_p0, local_gram_closed_form
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import angles, indexed_geometry, interpolate_rt, random_triangle_min_angle
@@ -277,6 +281,54 @@ def test_lemma_suite_near_degenerate_triangle():
     slacks, _ = _lemma_slacks(TriangleGeometry.from_vertices([geom.vertices, skinny]))
     assert _all_slacks_pass(slacks)
     assert apex > math.pi / 2  # obtuse stress case exercised
+
+
+def _needles(degrees: float) -> list:
+    theta = math.radians(degrees)
+    return [
+        [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5 * math.tan(theta))],        # isosceles, base angles theta
+        [(0.0, 0.0), (1.0, 0.0), (math.cos(theta), math.sin(theta))],  # isosceles, apex theta
+        [(0.0, 0.0), (1.0, 0.0), (3.0 * math.cos(theta), 3.0 * math.sin(theta))],
+    ]
+
+
+GRAM_FAMILIES = {
+    "sampled": lambda: random_triangles(SplitMix64(1), 10000).vertices,
+    # a double smallest eigenvalue, 1/6, in every orientation and scale
+    "right isosceles": lambda: [
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+        [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)],
+        [(3.0, 1.0), (1.0, 3.0), (1.0, 1.0)],
+        [(0.0, 0.0), (1e-3, 1e-3), (-1e-3, 1e-3)],
+    ],
+    "5 degree needles": lambda: _needles(5.0),
+    # a double largest eigenvalue
+    "equilateral": lambda: [equilateral_geometry().vertices, equilateral_geometry(7.0).vertices],
+}
+
+
+@pytest.mark.parametrize("family", GRAM_FAMILIES)
+def test_closed_form_gram_kernels_match_lapack(family):
+    # the lemma suite's closed forms against LAPACK, relative to the largest
+    # eigenvalue; an arccos of det(B)/2 alone would be 4e-9 off on the
+    # right-isosceles and equilateral families, where two eigenvalues meet
+    gram = local_gram_closed_form(TriangleGeometry.from_vertices(GRAM_FAMILIES[family]()))
+    diag = gram[..., [0, 1, 2], [0, 1, 2]].T
+    upper = gram[..., [0, 1, 2], [1, 2, 0]].T
+    eig = np.linalg.eigvalsh(gram)
+    scale = eig[:, -1]
+    lo, hi = _eigenvalue_extremes(diag, upper)
+    assert np.max(np.abs(lo - eig[:, 0]) / scale) <= 1e-12
+    assert np.max(np.abs(hi - eig[:, -1]) / scale) <= 1e-12
+    det = np.linalg.det(gram)
+    assert np.max(np.abs(_determinant(diag, upper) - det) / det) <= 1e-12
+
+
+def test_eigenvalue_extremes_of_scalar_matrices():
+    # no spread: both extremes are the diagonal, with no 0/0
+    diag = np.array([[0.0, 2.5, -1e-300], [0.0, 2.5, -1e-300], [0.0, 2.5, -1e-300]])
+    lo, hi = _eigenvalue_extremes(diag, np.zeros_like(diag))
+    assert lo.tolist() == hi.tolist() == [0.0, 2.5, -1e-300]
 
 
 def test_stability_on_equilateral_rhombus(rhombus4):

@@ -34,6 +34,8 @@ ORACLES = (
     "interpolate_rt",
     "local_gram_quadrature",
     "h1_probe_reference",
+    "splitmix64",
+    "ReferenceStream",
 )
 
 

@@ -12,6 +12,7 @@ from ptgfv import analysis, dual, spaces
 from ptgfv.analysis import (
     CASES,
     MIN_SAMPLE_ANGLE,
+    SplitMix64,
     circumcenter_edge_distances,
     error_norms,
     lemma_suite,
@@ -38,7 +39,7 @@ from ptgfv.solver import assemble, solve
 from ptgfv.spaces import QUAD_BLOCK, interpolate_p0, local_fluxes, local_gram_closed_form
 
 from conftest import jittered_rhombus
-from oracles import angles, h1_probe_reference, indexed_geometry, random_triangle
+from oracles import ReferenceStream, angles, h1_probe_reference, indexed_geometry, random_triangle
 
 GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "cot", "ratio")
 
@@ -54,21 +55,22 @@ def degenerate(corners) -> np.ndarray:
 
 @pytest.mark.parametrize("seed", [1, 42])
 def test_batched_sampler_draws_the_single_sampler_triangles(seed):
+    # the one-at-a-time sampler draws from the one-at-a-time reference stream
     count = 500
-    rng = np.random.default_rng(seed)
-    singles = np.stack([random_triangle(rng).vertices for _ in range(count)])
-    batch = random_triangles(np.random.default_rng(seed), count)
+    reference = ReferenceStream(seed)
+    singles = np.stack([random_triangle(reference).vertices for _ in range(count)])
+    batch = random_triangles(SplitMix64(seed), count)
     assert batch.vertices.shape == (count, 3, 2)
     assert np.array_equal(batch.vertices, singles)
 
 
-def random_triangles_rebuilt(rng, count, min_angle=MIN_SAMPLE_ANGLE):
+def random_triangles_rebuilt(stream, count, min_angle=MIN_SAMPLE_ANGLE):
     # keeps the accepted corners of every batch and builds the geometry of
     # all of them once more at the end
     accepted = []
     found = 0
     while found < count:
-        candidates = rng.uniform(size=(count - found, 3, 2))
+        candidates = stream.uniform((count - found, 3, 2))
         candidates = candidates[~degenerate(candidates)]
         geom = TriangleGeometry.from_vertices(candidates)
         keep = geom.vertices[angles(geom).min(axis=-1) >= min_angle]
@@ -84,8 +86,8 @@ def test_sampled_geometry_equals_the_rebuilt_geometry(count, min_angle):
     # the sampler slices the geometry of each batch of candidates by its
     # acceptance mask; at 40 degrees most candidates are rejected, so
     # several batches are drawn
-    batch = random_triangles(np.random.default_rng(8), count, min_angle)
-    rebuilt = random_triangles_rebuilt(np.random.default_rng(8), count, min_angle)
+    batch = random_triangles(SplitMix64(8), count, min_angle)
+    rebuilt = random_triangles_rebuilt(SplitMix64(8), count, min_angle)
     for name in GEOMETRY_FIELDS:
         field = getattr(batch, name)
         assert np.array_equal(field, getattr(rebuilt, name)), name
@@ -103,11 +105,10 @@ def test_sampled_geometry_equals_the_rebuilt_geometry(count, min_angle):
     ],
 )
 def test_sampler_refuses_before_drawing(count, min_angle, message):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    stream = SplitMix64(0)
     with pytest.raises(ValueError, match=message):
-        random_triangles(rng, count, min_angle)
-    assert rng.bit_generator.state == state
+        random_triangles(stream, count, min_angle)
+    assert stream.counter == 0
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,19 @@ def test_batch_names_first_degenerate_triangle():
     assert degenerate(corners).tolist() == [False, True, True]
     with pytest.raises(MeshError, match=r"degenerate triangle 1 "):
         TriangleGeometry.from_vertices(corners)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_corner_is_named(value):
+    # named before any area, cotangent or size is formed from it
+    corners = np.array([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]] * 3)
+    corners[1, 2, 0] = value
+    corners[2, 0, 1] = value
+    with pytest.raises(MeshError, match=r"^triangle 1 has a non-finite corner: vertices "
+                       r"\[\[0.0, 0.0\], \[1.0, 0.0\], \[-?(nan|inf), 1.0\]\]$"):
+        TriangleGeometry.from_vertices(corners)
+    with pytest.raises(MeshError, match=r"^triangle has a non-finite corner: vertices "):
+        TriangleGeometry.from_vertices(corners[2])
 
 
 def test_build_mesh_names_first_degenerate_triangle():
@@ -292,9 +306,9 @@ def test_quadrature_blocks_match_one_shot():
 
 @pytest.mark.parametrize("count", [None, 500])
 def test_symmetric_sums_equal_one_power_per_factor(count):
-    rng = np.random.default_rng(6)
-    lengths = (random_triangles(rng, 1).edge_lengths[0] if count is None
-               else random_triangles(rng, count).edge_lengths)
+    stream = SplitMix64(6)
+    lengths = (random_triangles(stream, 1).edge_lengths[0] if count is None
+               else random_triangles(stream, count).edge_lengths)
     powers = {e: lengths**e for e in range(13)}
     for pattern in [(10, 2, 0), (8, 4, 0), (8, 2, 2), (6, 6, 0), (6, 4, 2), (2, 2, 0), (1, 1, 1)]:
         reference = sum(
@@ -306,10 +320,12 @@ def test_symmetric_sums_equal_one_power_per_factor(count):
 
 # -- the h1 probe, a block of trials at a time -----------------------------
 
-def test_a_block_of_normals_is_the_single_draws():
-    rng = np.random.default_rng(5)
-    singles = np.stack([rng.standard_normal(97) for _ in range(13)])
-    assert np.array_equal(np.random.default_rng(5).standard_normal((13, 97)), singles)
+def test_a_block_of_uniforms_is_the_single_draws():
+    singly = SplitMix64(5)
+    singles = np.stack([singly.uniform((97,)) for _ in range(13)])
+    block = SplitMix64(5)
+    assert np.array_equal(block.uniform((13, 97)), singles)
+    assert block.counter == singly.counter == 13 * 97
 
 
 PROBE_MESHES = {

@@ -369,6 +369,7 @@ def test_verify_rejects_empty_runs(rhombus_file, capsys):
         (["--seed", "-1"], None, "--seed must be >= 0"),
         ([], "abc", "PTG_SEED must be an integer"),
         ([], "-5", "PTG_SEED must be >= 0"),
+        (["--seed", str(2**64)], None, "--seed must be >= 0 and below 2**64, got 18446744073709551616"),
     ],
 )
 def test_verify_rejects_bad_seeds(capsys, monkeypatch, flags, env, message):

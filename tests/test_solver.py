@@ -336,7 +336,9 @@ def test_near_threshold_delaunay_edges():
 def test_import_leaves_the_lu_solver_unloaded(tmp_path):
     # scipy is imported by the first assemble, so import ptgfv and the
     # commands that never assemble (generate, mesh-info, verify) do not pay
-    # its memory and start-up cost; all of them run in one fresh interpreter
+    # its memory and start-up cost; no command imports numpy.random, which
+    # only scipy loads (scipy.sparse does); all of them run in one fresh
+    # interpreter
     src = str(Path(ptgfv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -345,27 +347,37 @@ import contextlib, io, json, sys
 import ptgfv
 from ptgfv.cli import main
 mesh = {str(tmp_path / "m.msh")!r}
-report = {{"import": [0, "scipy" in sys.modules]}}
+def loaded():
+    return ["scipy" in sys.modules, "numpy.random" in sys.modules]
+report = {{"import": [0, *loaded()]}}
 for args in (["generate", "--n", "4", "--out", mesh], ["mesh-info", mesh],
              ["verify", "--samples", "10", "--mesh", mesh],
-             ["solve", "--mesh", mesh, "--rhs-const", "1"]):
+             ["solve", "--mesh", mesh, "--rhs-const", "1"],
+             ["convergence", "--levels", "2,4"]):
     with contextlib.redirect_stdout(io.StringIO()):
         exit_code = main(args)
-    report[args[0]] = [exit_code, "scipy" in sys.modules]
+    report[args[0]] = [exit_code, *loaded()]
 report["sparse"] = ["scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules]
 print(json.dumps(report))
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(out.stdout) == {
-        "import": [0, False],
-        "generate": [0, False],
-        "mesh-info": [0, False],
-        "verify": [0, False],
-        "solve": [0, True],
+    report = json.loads(out.stdout)
+    scipy_random = report["solve"][2]
+    assert report == {
+        "import": [0, False, False],
+        "generate": [0, False, False],
+        "mesh-info": [0, False, False],
+        "verify": [0, False, False],
+        "solve": [0, True, scipy_random],
+        "convergence": [report["convergence"][0], True, scipy_random],
         "sparse": [True, True],
     }
+    # whether scipy.sparse loads numpy.random is scipy's own business
+    probe = "import sys, scipy.sparse.linalg; print('numpy.random' in sys.modules)"
+    alone = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert alone.stdout.strip() == str(scipy_random)
 
 
 def test_solver_determinism(rhombus4):

@@ -450,14 +450,12 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
 
     energy = solve_delta_k(geom).energy
     energy_ratio = energy / (NU_SCALE * cot_max**4)      # nu(theta_min)
-    numer = delta_numerator(geom)
-    denom = delta_denominator(geom)
-    closed = delta_energy_closed_form(geom, numerator=numer, denominator=denom)
-    energy_match = 1e-8 - np.abs(energy - closed) / closed
+    closed = delta_energy_closed_form(geom)
+    energy_match = 1e-12 - np.abs(energy - closed) / closed
 
     sigma2 = np.sum(geom.edge_lengths**2, axis=-1)
-    denom_bound = denom / sigma2**2 - 5.0 / 12.0 + 1e-12
-    numer_bound = 23.0 - numer / sigma2**6
+    denom_bound = delta_denominator(geom) / sigma2**2 - 5.0 / 12.0 + 1e-12
+    numer_bound = 23.0 - delta_numerator(geom) / sigma2**6
 
     dist = circumcenter_edge_distances(geom)
     err = np.abs(0.5 * cot - dist / geom.edge_lengths)

@@ -41,6 +41,8 @@ EXIT_INADMISSIBLE = 3
 EXIT_VERIFY = 4
 
 BALANCE_FACTOR = 10.0  # balance passes when max residual <= factor * tol * |b|
+MIN_COMBINED_RATE = 0.9  # ``convergence`` passes when the last combined rate
+MIN_ECC_RATE = 1.8       # and the last circumcenter rate reach these
 
 
 class UsageError(Exception):
@@ -231,7 +233,8 @@ def cmd_convergence(args) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_IO
-    ok = report.final_rate("combined") >= 0.9 and report.final_rate("ecc") >= 1.8
+    ok = (report.final_rate("combined") >= MIN_COMBINED_RATE
+          and report.final_rate("ecc") >= MIN_ECC_RATE)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

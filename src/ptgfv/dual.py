@@ -12,14 +12,14 @@ test functions on one triangle: the minimum-norm quadratic ``delta`` with
 unit mean and zero pairing against the three squared vertex distances, its
 dimensionless energy ``I = |K| * int(delta^2)``, the closed-form evaluation
 of that energy as a ratio of symmetric edge-length polynomials (an identity
-checked by the lemma suite; its terms cancel on slivers, so it is no
-substitute for the solve), and the ``nu`` upper bound used by the stability
-analysis.
+checked by the lemma suite: an independent check on the solve, which stays
+because the h3 check of the stability analysis needs the profile's
+coefficients, not only its energy), and the ``nu`` upper bound used by the
+stability analysis.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,47 +150,37 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     return DeltaK(coefficients=coefficients, energy=energy, corners=corners, height=h)
 
 
-def _symmetric_sum(powers: dict[int, np.ndarray], pattern: tuple[int, int, int]):
-    # sum over distinct monomials |a_i|^n |a_j|^m |a_k|^p, with powers[e] the
-    # edge lengths to the power e; a repeated exponent pattern contributes
-    # each monomial once (so (1,1,1) gives the plain product and (2,2,0) the
-    # three pairwise products)
-    return sum(
-        powers[e[0]][..., 0] * powers[e[1]][..., 1] * powers[e[2]][..., 2]
-        for e in set(itertools.permutations(pattern))
-    )
-
-
 def delta_denominator(geometry: TriangleGeometry):
-    """Degree-4 symmetric polynomial D = (7/4) sigma_4 - (1/2) Sigma_{2,2,0}."""
-    powers = {e: geometry.edge_lengths**e for e in (0, 2, 4)}
-    return 1.75 * np.sum(powers[4], axis=-1) - 0.5 * _symmetric_sum(powers, (2, 2, 0))
+    """D = (3/4) sigma^4 - 16 |K|^2, sigma^2 = Sum l^2: the paper's degree-4
+    polynomial (7/4) Sum l^4 - (1/2) Sum l_i^2 l_j^2."""
+    sigma2 = np.sum(geometry.edge_lengths**2, axis=-1)
+    return 0.75 * sigma2**2 - 16.0 * geometry.area**2
+
+
+def _reduced_numerator(geometry: TriangleGeometry):
+    # B = N / (16 |K|^2)^2.  Prod cot stands for (sigma^2 - 8 R^2) / (4|K|),
+    # which cancels on a sliver when formed as that difference; taken from
+    # the cotangents it does not, and there every large term of B is positive
+    sigma2 = np.sum(geometry.edge_lengths**2, axis=-1)
+    area = geometry.area
+    r2 = (np.prod(geometry.edge_lengths, axis=-1) / (4.0 * area)) ** 2
+    return (
+        288.0 * r2**2 + 12.0 * sigma2 * r2 + 5.25 * sigma2**2 - 24.0 * area**2
+        - 0.5625 * sigma2**3 * np.prod(geometry.cot, axis=-1) / area
+    )
 
 
 def delta_numerator(geometry: TriangleGeometry):
-    """Degree-12 symmetric polynomial pairing with D in the energy formula."""
-    lengths = geometry.edge_lengths
-    powers = {e: lengths**e for e in range(0, 13, 2)}
-    product4 = np.prod(lengths, axis=-1) ** 4
-    return (
-        9.0 * np.sum(powers[12], axis=-1)
-        - 15.0 * _symmetric_sum(powers, (10, 2, 0))
-        + 15.0 * _symmetric_sum(powers, (8, 4, 0))
-        - 33.0 * _symmetric_sum(powers, (8, 2, 2))
-        - 18.0 * _symmetric_sum(powers, (6, 6, 0))
-        + 48.0 * _symmetric_sum(powers, (6, 4, 2))
-        + 558.0 * product4
-    )
+    """Degree-12 symmetric polynomial N = (16 |K|^2)^2 B pairing with D in the
+    energy formula, with B = 288 R^4 + 12 sigma^2 R^2 + (21/4) sigma^4
+    - 24 |K|^2 - (9/16) sigma^6 Prod cot / |K| and R the circumradius."""
+    return (16.0 * geometry.area**2) ** 2 * _reduced_numerator(geometry)
 
 
-def delta_energy_closed_form(geometry: TriangleGeometry, *, numerator=None, denominator=None):
-    """Closed-form energy I = N / (128 |K|^4 D) of the divergence profile;
-    ``numerator`` and ``denominator`` take N and D where the caller has them."""
-    if numerator is None:
-        numerator = delta_numerator(geometry)
-    if denominator is None:
-        denominator = delta_denominator(geometry)
-    return numerator / (128.0 * geometry.area**4 * denominator)
+def delta_energy_closed_form(geometry: TriangleGeometry):
+    """Closed-form energy I = N / (128 |K|^4 D) = 2B / D of the divergence
+    profile."""
+    return 2.0 * _reduced_numerator(geometry) / delta_denominator(geometry)
 
 
 def nu_bound(theta_star: float) -> float:

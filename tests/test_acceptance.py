@@ -215,7 +215,7 @@ def test_criterion_5_divergence_profile_energy():
         closed = delta_energy_closed_form(geom)
         energy = solve_delta_k(geom).energy
         err = abs(energy - closed) / closed
-        assert err <= 1e-8
+        assert err <= 1e-12
         worst_match = max(worst_match, err)
         assert energy <= nu_bound(float(angles(geom).min()))
         sigma2 = float(np.sum(geom.edge_lengths**2))

@@ -21,7 +21,7 @@ from ptgfv.dual import cotan_coefficients, nu_bound, solve_delta_k
 from ptgfv.mesh import TriangleGeometry, generate_rhombus_equilateral
 from ptgfv.quadrature import triangle_rule
 from ptgfv.solver import Solution, assemble, solve
-from ptgfv.spaces import QUAD_BLOCK, interpolate_p0, local_gram_closed_form
+from ptgfv.spaces import interpolate_p0, local_gram_closed_form
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import angles, indexed_geometry, interpolate_rt, random_triangle_min_angle
@@ -234,26 +234,10 @@ def test_lemma_suite_full_size():
     for check in report.checks:
         assert check.samples == 10000
         assert check.worst_slack >= 0.0
-
-
-def test_lemma_suite_computes_the_closed_form_parts_once(monkeypatch):
-    # the closed-form energy check and the two polynomial bounds share one
-    # N and one D per batch
-    from ptgfv import analysis, dual
-
-    calls = []
-    for name in ("delta_numerator", "delta_denominator"):
-        original = getattr(dual, name)
-
-        def counted(geometry, original=original, name=name):
-            calls.append(name)
-            return original(geometry)
-
-        for module in (analysis, dual):
-            monkeypatch.setattr(module, name, counted)
-    # three batches
-    assert lemma_suite(samples=2 * QUAD_BLOCK + 1, seed=1).all_passed
-    assert sorted(calls) == ["delta_denominator"] * 3 + ["delta_numerator"] * 3
+    # the closed form and the solve agree to round-off, so the check's
+    # slack is at most its tolerance of 1e-12
+    closed = next(c for c in report.checks if c.check == "divergence-profile-closed-form")
+    assert closed.worst_slack <= 1e-12
 
 
 def _all_slacks_pass(slacks):
@@ -343,6 +327,19 @@ def test_stability_on_equilateral_rhombus(rhombus4):
     assert report.max_energy == pytest.approx(128.0 / 3.0, rel=1e-9)
     assert report.passed_h1 is True
     assert report.all_passed
+
+
+@pytest.mark.parametrize("margin, passed", [(-1e-4, False), (1e-4, True)])
+def test_h4_gate_flips_at_its_bound(rhombus4, monkeypatch, margin, passed):
+    # nu patched so that bound_h4 sits just below or just above sqrt(max_energy)
+    from ptgfv import analysis
+
+    max_energy = stability_check(rhombus4, trials=1).max_energy
+    monkeypatch.setattr(analysis, "nu_bound", lambda theta: max_energy * (1.0 + margin) ** 2)
+    report = stability_check(rhombus4, trials=1)
+    assert report.bound_h4 == pytest.approx(math.sqrt(max_energy) * (1.0 + margin), rel=1e-14)
+    assert report.passed_h4 is passed
+    assert report.all_passed is passed
 
 
 def test_stability_on_nonuniform_admissible_mesh():

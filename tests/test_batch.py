@@ -1,14 +1,13 @@
 """Batched triangle kernels: a batch of B triangles on the leading axis gives,
 row by row, what B single-triangle calls give."""
 
-import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ptgfv import analysis, dual, spaces
+from ptgfv import analysis, spaces
 from ptgfv.analysis import (
     CASES,
     MIN_SAMPLE_ANGLE,
@@ -302,20 +301,6 @@ def test_quadrature_blocks_match_one_shot():
     np.testing.assert_allclose(
         error_norms(mesh, solution, case), np.sqrt([eu2, ep2, ediv2]), rtol=1e-13, atol=0
     )
-
-
-@pytest.mark.parametrize("count", [None, 500])
-def test_symmetric_sums_equal_one_power_per_factor(count):
-    stream = SplitMix64(6)
-    lengths = (random_triangles(stream, 1).edge_lengths[0] if count is None
-               else random_triangles(stream, count).edge_lengths)
-    powers = {e: lengths**e for e in range(13)}
-    for pattern in [(10, 2, 0), (8, 4, 0), (8, 2, 2), (6, 6, 0), (6, 4, 2), (2, 2, 0), (1, 1, 1)]:
-        reference = sum(
-            lengths[..., 0] ** e[0] * lengths[..., 1] ** e[1] * lengths[..., 2] ** e[2]
-            for e in set(itertools.permutations(pattern))
-        )
-        assert np.array_equal(dual._symmetric_sum(powers, pattern), reference), pattern
 
 
 # -- the h1 probe, a block of trials at a time -----------------------------

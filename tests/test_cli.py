@@ -279,6 +279,47 @@ def test_convergence_small_run(tmp_path, capsys):
     assert out.read_text() == stdout
 
 
+def _convergence_report(combined_rate, ecc_rate):
+    # two levels, h halved, whose final rates are the given ones
+    levels = tuple(
+        analysis.ConvergenceLevel(n=n, h=1.0 / n, eu=1.0, ep=1.0, ediv=1.0,
+                                  combined=2.0**-(k * combined_rate), ecc=2.0**-(k * ecc_rate))
+        for k, n in enumerate((4, 8))
+    )
+    return analysis.ConvergenceReport(case="rhombus-sine", levels=levels)
+
+
+@pytest.mark.parametrize(
+    "combined_rate, ecc_rate, code",
+    [(1.0, 1.79, 4), (1.0, 1.81, 0), (0.89, 2.0, 4), (0.91, 2.0, 0)],
+)
+def test_convergence_gates_at_their_thresholds(capsys, monkeypatch, combined_rate, ecc_rate, code):
+    report = _convergence_report(combined_rate, ecc_rate)
+    assert report.final_rate("combined") == pytest.approx(combined_rate, rel=1e-12)
+    assert report.final_rate("ecc") == pytest.approx(ecc_rate, rel=1e-12)
+    monkeypatch.setattr(cli, "convergence_study", lambda case, levels, tol: report)
+    assert run(capsys, "convergence", "--levels", "4,8")[0] == code
+
+
+@pytest.mark.parametrize("factor, code", [(11.0, 4), (9.0, 0)])
+def test_solve_balance_gate_at_its_threshold(rhombus_file, capsys, monkeypatch, factor, code):
+    # a cell residual of factor * tol * |b| around BALANCE_FACTOR = 10
+    from ptgfv.solver import FluxBalanceReport
+
+    mesh = read_mesh(rhombus_file.read_text())
+    coefficients = quality_report(mesh).coefficients
+    f_t = np.ones(mesh.num_triangles)
+    rhs_norm = assemble(mesh, coefficients, f_t, DirichletData.zero(mesh)).rhs_norm
+    residual = factor * 1e-10 * rhs_norm
+    report = FluxBalanceReport(cell_residuals=np.full(mesh.num_triangles, residual),
+                               max_cell_residual=residual, global_imbalance=0.0)
+    monkeypatch.setattr(cli, "flux_balance_check", lambda mesh, solution, f_t: report)
+    result, stdout, _ = run(capsys, "solve", "--mesh", str(rhombus_file), "--rhs-const", "1",
+                            "--tol", "1e-10")
+    assert result == code
+    assert f"balance_max {cli._fmt(residual)}" in stdout
+
+
 def test_verify_small_run(capsys):
     code, stdout, _ = run(capsys, "verify", "--samples", "1", "--seed", "42")
     assert code == 0

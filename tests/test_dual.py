@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -244,6 +245,9 @@ def test_delta_energy_on_needles_and_slivers(name, corners, energy):
     assert np.all(energies > 0.0)
     np.testing.assert_allclose(energies, energy, rtol=1e-14, atol=0)
     assert solve_delta_k(TriangleGeometry.from_vertices(corners)).energy == energies[0]
+    # the closed form holds no cancelling terms either
+    closed = delta_energy_closed_form(TriangleGeometry.from_vertices(variants))
+    np.testing.assert_allclose(closed, energy, rtol=1e-14, atol=0)
 
 
 def test_pinned_energies_match_the_many_digit_reference():
@@ -259,12 +263,59 @@ def test_closed_form_equilateral_pieces():
     assert delta_energy_closed_form(geom) == pytest.approx(128.0 / 3.0, rel=1e-12)
 
 
+def _power_sum(lengths, *pattern):
+    # the sum of the distinct monomials l_0^p0 l_1^p1 l_2^p2 over the
+    # permutations (p0, p1, p2) of ``pattern``
+    return sum(
+        math.prod(length**e for length, e in zip(lengths, powers))
+        for powers in set(itertools.permutations(pattern))
+    )
+
+
+def test_closed_form_equals_the_paper_polynomials():
+    # the code's own forms, run on symbols: sigma^2, |K|, R and Prod cot
+    # expand to the paper's power-sum N and D, and D / sigma^4 is
+    # 3/4 - 1/(81 r^2) with r = rho^2 / |K| = sigma^2 / (36 |K|)
+    sp = pytest.importorskip("sympy")
+    lengths = sp.symbols("l0:3", positive=True)
+    squares = [length**2 for length in lengths]
+    sigma2 = sum(squares)
+    area = sp.sqrt((2 * _power_sum(lengths, 2, 2, 0) - _power_sum(lengths, 4, 0, 0)) / 16)
+    geom = TriangleGeometry(
+        vertices=None,
+        area=area,
+        edge_lengths=np.array(lengths, dtype=object),
+        cot=np.array([(sigma2 - 2 * s) / (4 * area) for s in squares], dtype=object),
+        ratio=sigma2 / (36 * area),
+    )
+    paper_n = (
+        9 * _power_sum(lengths, 12, 0, 0) - 15 * _power_sum(lengths, 10, 2, 0)
+        + 15 * _power_sum(lengths, 8, 4, 0) - 33 * _power_sum(lengths, 8, 2, 2)
+        - 18 * _power_sum(lengths, 6, 6, 0) + 48 * _power_sum(lengths, 6, 4, 2)
+        + 558 * math.prod(lengths) ** 4
+    )
+    paper_d = sp.Rational(7, 4) * _power_sum(lengths, 4, 0, 0) - _power_sum(lengths, 2, 2, 0) / 2
+
+    def exact(expr):
+        # every float coefficient of the code is a short binary fraction
+        return sp.nsimplify(expr, rational=True)
+
+    numerator = exact(delta_numerator(geom))
+    denominator = exact(delta_denominator(geom))
+    assert sp.cancel(numerator - paper_n) == 0
+    assert sp.cancel(denominator - paper_d) == 0
+    weitzenboeck = sp.Rational(3, 4) - 1 / (81 * geom.ratio**2)
+    assert sp.cancel(denominator / sigma2**2 - weitzenboeck) == 0
+    closed = exact(delta_energy_closed_form(geom))
+    assert sp.cancel(closed - paper_n / (128 * area**4 * paper_d)) == 0
+
+
 def test_closed_form_matches_quadrature():
     rng = np.random.default_rng(59)
     for _ in range(300):
         geom = random_acute_triangle(rng)
         closed = delta_energy_closed_form(geom)
-        assert solve_delta_k(geom).energy == pytest.approx(closed, rel=1e-8)
+        assert solve_delta_k(geom).energy == pytest.approx(closed, rel=1e-12)
 
 
 def test_polynomial_bounds_random():

@@ -20,9 +20,8 @@ import numpy as np
 
 from .dual import (
     NU_SCALE,
-    delta_denominator,
+    _profile_terms,
     delta_energy_closed_form,
-    delta_numerator,
     nu_bound,
     solve_delta_k,
 )
@@ -383,37 +382,18 @@ def _determinant(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return a * b * c + 2.0 * d * e * f - a * e * e - b * f * f - c * d * d
 
 
-def _eigenvalue_extremes(diag: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalues of the symmetric 3x3 matrices A of
-    :func:`_determinant`, by the trigonometric solution of their
-    characteristic cubic (O. K. Smith, Comm. ACM 4 (1961) 168).
+def _mass_spectrum(geom: TriangleGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues of ``local_gram_closed_form(geom)``.
 
-    With q the mean eigenvalue and B = (A - qI) / p scaled to |B|_F^2 = 6,
-    the eigenvalues are q + 2p cos(phi + 2 pi j / 3), where cos(3 phi) is
-    det(B) / 2.  The angle is taken by arctan2 with sin(3 phi) = |B ^ C|_F / 6,
-    C = B^2 - 2I, the root of the cubic's discriminant as a sum of squares
-    (the Gram determinant of I, B, B^2): where two eigenvalues meet, 3 phi
-    is a multiple of pi and an arccos of det(B) / 2 alone would keep only
-    half the digits.  Where p is 0, A = qI and both angles are 0.
+    Its characteristic polynomial is (lam - 3r/4)(lam^2 - 3r lam + 1/12),
+    r = rho^2 / |K|, and the quadratic's discriminant 9r^2 - 1/3 is the sum
+    of squares s^2 = Sum_{i<j} (cot_i - cot_j)^2 / 18, 0 on the equilateral
+    triangle.  So the largest root is (3r + s) / 2 and the smallest of the
+    quadratic is 1/12 over it: no term cancels.
     """
-    q = diag.sum(axis=0) / 3.0
-    x = diag - q
-    p = np.sqrt((np.sum(x * x, axis=0) + 2.0 * np.sum(upper * upper, axis=0)) / 6.0)
-    scale = np.where(p > 0.0, p, 1.0)
-    x = x / scale
-    y = upper / scale
-    # B^2 - 2I; the entry (i, i+1) of B^2 is y_i (x_i + x_{i+1}) + y_{i+1} y_{i+2}
-    # and x_i + x_{i+1} = -x_{i+2}
-    cx = x * x + y * y + y[_PREV] ** 2 - 2.0
-    cy = y[_NEXT] * y[_PREV] - x[_PREV] * y
-    # |B ^ C|^2 over the six distinct entries, an off-diagonal one counted twice
-    wedge2 = (
-        np.sum((x * cx[_NEXT] - x[_NEXT] * cx) ** 2, axis=0)
-        + 4.0 * np.sum((y * cy[_NEXT] - y[_NEXT] * cy) ** 2, axis=0)
-        + 2.0 * np.sum((x[:, None] * cy - cx[:, None] * y) ** 2, axis=(0, 1))
-    )
-    phi = np.arctan2(np.sqrt(wedge2) / 6.0, 0.5 * _determinant(x, y)) / 3.0
-    return q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0), q + 2.0 * p * np.cos(phi)
+    cot, ratio = geom.cot, geom.ratio
+    top = 3.0 * ratio + np.sqrt(np.sum((cot - cot[..., _NEXT]) ** 2, axis=-1) / 18.0)
+    return np.minimum(0.75 * ratio, 1.0 / (6.0 * top)), 0.5 * top
 
 
 def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -427,16 +407,17 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     ratio = geom.ratio
     gyration = np.minimum(ratio - 1.0 / 6.0, cot_max / 3.0 - ratio) + 1e-12
 
-    gram = local_gram_closed_form(geom)
-    # entry index first: row i of ``diag`` and of ``upper`` holds the
-    # entries (i, i) and (i, i+1 mod 3) of every matrix
-    diag = gram[..., [0, 1, 2], [0, 1, 2]].T
-    upper = gram[..., [0, 1, 2], [1, 2, 0]].T
-    eig_min, eig_max = _eigenvalue_extremes(diag, upper)
+    eig_min, eig_max = _mass_spectrum(geom)
     lam_lo = 1.0 / (48.0 * cot_max**2)
     lam_hi = 1.25 * cot_max
     eigen = np.minimum(eig_min - lam_lo, lam_hi - eig_max) + 1e-12
 
+    # the trace, determinant and pairwise minors tie the code's mass matrix
+    # to r and fix the spectrum above.  Row i of ``diag`` and of ``upper``
+    # holds the entries (i, i) and (i, i+1 mod 3) of every matrix
+    gram = local_gram_closed_form(geom)
+    diag = gram[..., [0, 1, 2], [0, 1, 2]].T
+    upper = gram[..., [0, 1, 2], [1, 2, 0]].T
     tr_expected = 15.0 * ratio / 4.0
     trace = 1e-10 - np.abs(diag.sum(axis=0) - tr_expected) / tr_expected
     det_expected = ratio / 16.0
@@ -453,9 +434,10 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     closed = delta_energy_closed_form(geom)
     energy_match = 1e-12 - np.abs(energy - closed) / closed
 
-    sigma2 = np.sum(geom.edge_lengths**2, axis=-1)
-    denom_bound = delta_denominator(geom) / sigma2**2 - 5.0 / 12.0 + 1e-12
-    numer_bound = 23.0 - delta_numerator(geom) / sigma2**6
+    # D / sigma^4 and N / sigma^12 = k^2 B / sigma^4, k = 1 / (81 r^2)
+    denominator, reduced = _profile_terms(geom)
+    denom_bound = denominator - 5.0 / 12.0 + 1e-12
+    numer_bound = 23.0 - reduced / (81.0 * ratio**2) ** 2
 
     dist = circumcenter_edge_distances(geom)
     err = np.abs(0.5 * cot - dist / geom.edge_lengths)

@@ -11,11 +11,11 @@ The remaining objects quantify the prescribed divergence profile of the dual
 test functions on one triangle: the minimum-norm quadratic ``delta`` with
 unit mean and zero pairing against the three squared vertex distances, its
 dimensionless energy ``I = |K| * int(delta^2)``, the closed-form evaluation
-of that energy as a ratio of symmetric edge-length polynomials (an identity
-checked by the lemma suite: an independent check on the solve, which stays
-because the h3 check of the stability analysis needs the profile's
-coefficients, not only its energy), and the ``nu`` upper bound used by the
-stability analysis.
+of that energy from the triangle's shape alone, its cotangents and
+r = rho^2 / |K| (an identity checked by the lemma suite: an independent
+check on the solve, which stays because the h3 check of the stability
+analysis needs the profile's coefficients, not only its energy), and the
+``nu`` upper bound used by the stability analysis.
 """
 
 from __future__ import annotations
@@ -150,37 +150,29 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     return DeltaK(coefficients=coefficients, energy=energy, corners=corners, height=h)
 
 
-def delta_denominator(geometry: TriangleGeometry):
-    """D = (3/4) sigma^4 - 16 |K|^2, sigma^2 = Sum l^2: the paper's degree-4
-    polynomial (7/4) Sum l^4 - (1/2) Sum l_i^2 l_j^2."""
-    sigma2 = np.sum(geometry.edge_lengths**2, axis=-1)
-    return 0.75 * sigma2**2 - 16.0 * geometry.area**2
-
-
-def _reduced_numerator(geometry: TriangleGeometry):
-    # B = N / (16 |K|^2)^2.  Prod cot stands for (sigma^2 - 8 R^2) / (4|K|),
-    # which cancels on a sliver when formed as that difference; taken from
-    # the cotangents it does not, and there every large term of B is positive
-    sigma2 = np.sum(geometry.edge_lengths**2, axis=-1)
-    area = geometry.area
-    r2 = (np.prod(geometry.edge_lengths, axis=-1) / (4.0 * area)) ** 2
-    return (
-        288.0 * r2**2 + 12.0 * sigma2 * r2 + 5.25 * sigma2**2 - 24.0 * area**2
-        - 0.5625 * sigma2**3 * np.prod(geometry.cot, axis=-1) / area
-    )
-
-
-def delta_numerator(geometry: TriangleGeometry):
-    """Degree-12 symmetric polynomial N = (16 |K|^2)^2 B pairing with D in the
-    energy formula, with B = 288 R^4 + 12 sigma^2 R^2 + (21/4) sigma^4
-    - 24 |K|^2 - (9/16) sigma^6 Prod cot / |K| and R the circumradius."""
-    return (16.0 * geometry.area**2) ** 2 * _reduced_numerator(geometry)
+def _profile_terms(geometry: TriangleGeometry):
+    """D / sigma^4 and B / sigma^4 of the closed-form energy I = 2B / D, from
+    the cotangents and r = rho^2 / |K| alone, so that no power of a length
+    is formed: with k = 16 |K|^2 / sigma^4 = 1 / (81 r^2) and
+    x = R^2 / sigma^2 = 1 / (4 Sum sin^2(theta_i)), D / sigma^4 = 3/4 - k and
+    B / sigma^4 = 288 x^2 + 12 x + 21/4 - (3/2) k - (81/4) r Prod cot; the
+    paper's numerator is N / sigma^12 = k^2 B / sigma^4.  Neither sum
+    cancels: k <= 1/3, and x is large only where two angles are small and
+    the third is obtuse, so that Prod cot < 0.
+    """
+    cot = geometry.cot
+    ratio = geometry.ratio
+    k = 1.0 / (81.0 * ratio**2)
+    x = 0.25 / np.sum(1.0 / (1.0 + cot**2), axis=-1)
+    reduced = 288.0 * x**2 + 12.0 * x + 5.25 - 1.5 * k - 20.25 * ratio * np.prod(cot, axis=-1)
+    return 0.75 - k, reduced
 
 
 def delta_energy_closed_form(geometry: TriangleGeometry):
     """Closed-form energy I = N / (128 |K|^4 D) = 2B / D of the divergence
     profile."""
-    return 2.0 * _reduced_numerator(geometry) / delta_denominator(geometry)
+    denominator, reduced = _profile_terms(geometry)
+    return 2.0 * reduced / denominator
 
 
 def nu_bound(theta_star: float) -> float:

@@ -139,7 +139,8 @@ class TriangleGeometry:
             w = np.concatenate([v, v[:, :2]], axis=1)
             d = w[:, 2:5] - w[:, 1:4]
             lengths = np.hypot(d[..., 0], d[..., 1])
-            longest2 = lengths.max(axis=-1) ** 2
+            longest = lengths.max(axis=-1)
+            longest2 = longest**2
             big = np.flatnonzero(np.isinf(longest2))
             if big.size:
                 raise MeshError(
@@ -149,13 +150,19 @@ class TriangleGeometry:
             area = np.abs(signed)  # a clockwise area is the exact negative of its reordered one
             # angle i lies between the edges to vertices i+1 and i+2; the ratio
             # of their dot and cross products is its cotangent, exact to
-            # round-off on slivers and needles alike.  Each length is divided
-            # by 6 before it is squared, so the ratio is finite wherever the
-            # area is.
+            # round-off on slivers and needles alike.  The edges are divided
+            # by the power of two of the longest one, an exact scaling, so no
+            # product is subnormal on a tiny triangle and the dimensionless
+            # cot and ratio do not depend on the coordinate scale.
+            scale = np.ldexp(1.0, -np.frexp(longest)[1])
             a = w[:, 1:4] - v
             b = w[:, 2:5] - v
-            cot = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / np.abs(_cross(a, b))
-            ratio = np.sum((lengths / 6.0) ** 2, axis=-1) / area
+            a *= scale[:, None, None]
+            b *= scale[:, None, None]
+            cross = np.abs(_cross(a, b))
+            cot = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / cross
+            # cross[:, 0] is 2 |K| scaled, from the edges that give ``signed``
+            ratio = np.sum((lengths * scale[:, None] / 6.0) ** 2, axis=-1) / (0.5 * cross[:, 0])
         fields = (v, area, lengths, cot, ratio)
         for arr in fields:
             arr.flags.writeable = False

@@ -51,11 +51,8 @@ TINY = np.finfo(float).tiny
 
 
 class ConvergenceError(RuntimeError):
-    """The solve stagnated above the tolerance; carries the residual history."""
-
-    def __init__(self, message: str, history: list[float]):
-        super().__init__(message)
-        self.history = history
+    """The solve stagnated above the tolerance, or its right-hand side has no
+    digits to solve for; the message names the floor or the entry."""
 
 
 @dataclass
@@ -212,16 +209,13 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
     bad = np.flatnonzero(~np.isfinite(rhs))
     if bad.size:
         t = int(bad[0])
-        raise ConvergenceError(
-            f"non-finite right-hand side: b = {float(rhs[t])} in cell {t}", history
-        )
+        raise ConvergenceError(f"non-finite right-hand side: b = {float(rhs[t])} in cell {t}")
     if np.any(rhs):
         peak = float(np.abs(rhs).max())
         if peak < TINY:
             raise ConvergenceError(
                 f"subnormal right-hand side: max |b| = {peak:.3e} is below the "
-                f"smallest normal float {TINY:.3e}, so its entries have lost their digits",
-                history,
+                f"smallest normal float {TINY:.3e}, so its entries have lost their digits"
             )
         norm_rhs = system.rhs_norm
         # the matrix is exactly symmetric, so its transpose, a CSC view of
@@ -242,8 +236,7 @@ def solve(system: SparseSystem, tol: float = 1e-12) -> Solution:
         if not history[-1] <= tol:
             raise ConvergenceError(
                 f"direct solve did not reach {tol}: stagnated at the floor "
-                f"{history[-1]:.3e} after one refinement step",
-                history,
+                f"{history[-1]:.3e} after one refinement step"
             )
     p = discrete_gradient(system.mesh, system.coeffs, x, system.bc)
     residual = history[-1] if history else 0.0

@@ -20,10 +20,9 @@ from ptgfv.analysis import (
 )
 from ptgfv.cli import main
 from ptgfv.dual import (
+    _profile_terms,
     cotan_coefficients,
-    delta_denominator,
     delta_energy_closed_form,
-    delta_numerator,
     nu_bound,
     solve_delta_k,
 )
@@ -218,9 +217,10 @@ def test_criterion_5_divergence_profile_energy():
         assert err <= 1e-12
         worst_match = max(worst_match, err)
         assert energy <= nu_bound(float(angles(geom).min()))
-        sigma2 = float(np.sum(geom.edge_lengths**2))
-        assert delta_denominator(geom) >= (5.0 / 12.0) * sigma2**2 * (1.0 - 1e-12)
-        assert delta_numerator(geom) <= 23.0 * sigma2**6
+        # D / sigma^4 and N / sigma^12 = k^2 B / sigma^4, k = 1 / (81 r^2)
+        denominator, reduced = _profile_terms(geom)
+        assert denominator >= (5.0 / 12.0) * (1.0 - 1e-12)
+        assert reduced / (81.0 * geom.ratio**2) ** 2 <= 23.0
     equilateral_energy = solve_delta_k(equilateral_geometry()).energy
     assert equilateral_energy == pytest.approx(128.0 / 3.0, rel=1e-9)
     print(

@@ -9,8 +9,8 @@ from ptgfv.analysis import (
     ManufacturedCase,
     SplitMix64,
     _determinant,
-    _eigenvalue_extremes,
     _lemma_slacks,
+    _mass_spectrum,
     convergence_study,
     error_norms,
     lemma_suite,
@@ -236,8 +236,13 @@ def test_lemma_suite_full_size():
         assert check.worst_slack >= 0.0
     # the closed form and the solve agree to round-off, so the check's
     # slack is at most its tolerance of 1e-12
-    closed = next(c for c in report.checks if c.check == "divergence-profile-closed-form")
-    assert closed.worst_slack <= 1e-12
+    worst = {c.check: c.worst_slack for c in report.checks}
+    assert worst["divergence-profile-closed-form"] <= 1e-12
+    # the paper's constants 23 and 8942.4 leave these two checks 23x slack,
+    # so no sample nears their edge: a band around the seed-42 worst slack
+    # is what catches a loosened constant (23 -> 230, or nu -> 5 nu)
+    assert worst["numerator-upper-bound"] == pytest.approx(22.012357, abs=1e-6)
+    assert worst["divergence-profile-energy-bound"] == pytest.approx(0.957972, abs=1e-6)
 
 
 def _all_slacks_pass(slacks):
@@ -294,25 +299,42 @@ GRAM_FAMILIES = {
 @pytest.mark.parametrize("family", GRAM_FAMILIES)
 def test_closed_form_gram_kernels_match_lapack(family):
     # the lemma suite's closed forms against LAPACK, relative to the largest
-    # eigenvalue; an arccos of det(B)/2 alone would be 4e-9 off on the
-    # right-isosceles and equilateral families, where two eigenvalues meet
-    gram = local_gram_closed_form(TriangleGeometry.from_vertices(GRAM_FAMILIES[family]()))
+    # eigenvalue; two eigenvalues meet on the right-isosceles and
+    # equilateral families
+    geom = TriangleGeometry.from_vertices(GRAM_FAMILIES[family]())
+    gram = local_gram_closed_form(geom)
     diag = gram[..., [0, 1, 2], [0, 1, 2]].T
     upper = gram[..., [0, 1, 2], [1, 2, 0]].T
     eig = np.linalg.eigvalsh(gram)
     scale = eig[:, -1]
-    lo, hi = _eigenvalue_extremes(diag, upper)
+    lo, hi = _mass_spectrum(geom)
     assert np.max(np.abs(lo - eig[:, 0]) / scale) <= 1e-12
     assert np.max(np.abs(hi - eig[:, -1]) / scale) <= 1e-12
     det = np.linalg.det(gram)
     assert np.max(np.abs(_determinant(diag, upper) - det) / det) <= 1e-12
 
 
-def test_eigenvalue_extremes_of_scalar_matrices():
-    # no spread: both extremes are the diagonal, with no 0/0
-    diag = np.array([[0.0, 2.5, -1e-300], [0.0, 2.5, -1e-300], [0.0, 2.5, -1e-300]])
-    lo, hi = _eigenvalue_extremes(diag, np.zeros_like(diag))
-    assert lo.tolist() == hi.tolist() == [0.0, 2.5, -1e-300]
+def test_mass_matrix_characteristic_polynomial():
+    # the closed-form mass matrix on symbols, with the squared edge lengths
+    # s_i, Heron's |K| and cot_i = (sigma^2 - 2 s_i) / (4|K|): its
+    # characteristic polynomial is (lam - 3r/4)(lam^2 - 3r lam + 1/12), and
+    # the quadratic's discriminant is the sum of squares _mass_spectrum takes
+    sp = pytest.importorskip("sympy")
+    squares = sp.symbols("s0:3", positive=True)
+    sigma2 = sum(squares)
+    area = sp.sqrt(2 * sum(a * b for a, b in zip(squares, squares[1:] + squares[:1]))
+                   - sum(a * a for a in squares)) / 4
+    cot = [(sigma2 - 2 * a) / (4 * area) for a in squares]
+    ratio = sigma2 / (36 * area)
+    geom = TriangleGeometry(vertices=None, area=area, edge_lengths=None,
+                            cot=np.array(cot, dtype=object), ratio=ratio)
+    # every float of the closed form is 1/6 or 3/4
+    gram = sp.nsimplify(sp.Matrix(local_gram_closed_form(geom)))
+    lam = sp.Symbol("lam")
+    expected = (lam - 3 * ratio / 4) * (lam**2 - 3 * ratio * lam + sp.Rational(1, 12))
+    assert sp.simplify(gram.charpoly(lam).as_expr() - sp.expand(expected)) == 0
+    spread2 = sum((cot[i] - cot[j]) ** 2 for i, j in ((0, 1), (1, 2), (2, 0))) / 18
+    assert sp.simplify(9 * ratio**2 - sp.Rational(1, 3) - spread2) == 0
 
 
 def test_stability_on_equilateral_rhombus(rhombus4):

@@ -20,10 +20,9 @@ from ptgfv.analysis import (
     stability_check,
 )
 from ptgfv.dual import (
+    _profile_terms,
     cotan_coefficients,
-    delta_denominator,
     delta_energy_closed_form,
-    delta_numerator,
     solve_delta_k,
 )
 from ptgfv.mesh import (
@@ -168,8 +167,8 @@ def test_closed_forms_batch_match_single(triangles):
     for func in (
         local_gram_closed_form,
         circumcenter_edge_distances,
-        delta_numerator,
-        delta_denominator,
+        lambda g: np.stack(_profile_terms(g), axis=-1),
+        lambda g: np.stack(analysis._mass_spectrum(g), axis=-1),
         delta_energy_closed_form,
     ):
         assert_rows(func(batch), [func(g) for g in singles])

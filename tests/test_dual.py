@@ -6,10 +6,9 @@ import pytest
 
 from ptgfv.analysis import circumcenter_edge_distances
 from ptgfv.dual import (
+    _profile_terms,
     cotan_coefficients,
-    delta_denominator,
     delta_energy_closed_form,
-    delta_numerator,
     nu_bound,
     solve_delta_k,
 )
@@ -223,15 +222,23 @@ ISOSCELES_SLIVERS = {
     1e-8: 28.500000000000004,
     1e-10: 28.5,
 }
+SCALENE = [(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]
 SHAPES = (
     [(f"needle-{e:g}", [(0.0, 0.0), (1.0, 0.0), (0.3, e)], energy) for e, energy in NEEDLES.items()]
     + [(f"skew-{e:g}", [(0.0, 0.0), (1.0, -e), (1.0 + 0.3 * e, 2.0 * e)], energy)
        for e, energy in SKEW_SLIVERS.items()]
     + [(f"isosceles-{a:g}", _isosceles(a), energy) for a, energy in ISOSCELES_SLIVERS.items()]
+    + [("scalene", SCALENE, 41.54907212370422)]
 )
+# the scalene triangle at scales where sigma^12 or |K|^4 leaves the float
+# range; its pinned energy holds at any scale
+SCALED = [
+    (f"scalene-x{scale:g}", np.array(SCALENE) * scale, SHAPES[-1][2])
+    for scale in (1e-160, 1e-80, 1e40, 1e80, 1e150)
+]
 
 
-@pytest.mark.parametrize("name, corners, energy", SHAPES, ids=[s[0] for s in SHAPES])
+@pytest.mark.parametrize("name, corners, energy", SHAPES + SCALED, ids=[s[0] for s in SHAPES + SCALED])
 def test_delta_energy_on_needles_and_slivers(name, corners, energy):
     # in the constraint basis {1, |x-W_i|^2} these shapes give singular or
     # digit-free systems (negative energies on the needles).  Relabelling
@@ -257,9 +264,11 @@ def test_pinned_energies_match_the_many_digit_reference():
 
 
 def test_closed_form_equilateral_pieces():
+    # D / sigma^4 = 5/12 and N / sigma^12 = k^2 B / sigma^4 = 80/81, k = 1/3
     geom = equilateral_geometry()
-    assert delta_denominator(geom) == pytest.approx(15.0 / 4.0, rel=1e-13)
-    assert delta_numerator(geom) == pytest.approx(720.0, rel=1e-13)
+    denominator, reduced = _profile_terms(geom)
+    assert denominator == pytest.approx(5.0 / 12.0, rel=1e-13)
+    assert reduced / (81.0 * geom.ratio**2) ** 2 == pytest.approx(80.0 / 81.0, rel=1e-13)
     assert delta_energy_closed_form(geom) == pytest.approx(128.0 / 3.0, rel=1e-12)
 
 
@@ -273,9 +282,10 @@ def _power_sum(lengths, *pattern):
 
 
 def test_closed_form_equals_the_paper_polynomials():
-    # the code's own forms, run on symbols: sigma^2, |K|, R and Prod cot
-    # expand to the paper's power-sum N and D, and D / sigma^4 is
-    # 3/4 - 1/(81 r^2) with r = rho^2 / |K| = sigma^2 / (36 |K|)
+    # the code's own dimensionless terms, run on symbols: D / sigma^4 and
+    # B / sigma^4, multiplied back by sigma^4 and by sigma^4 (16 |K|^2)^2,
+    # are the paper's power-sum D and N; they are read off cot and
+    # r = rho^2 / |K| = sigma^2 / (36 |K|) alone
     sp = pytest.importorskip("sympy")
     lengths = sp.symbols("l0:3", positive=True)
     squares = [length**2 for length in lengths]
@@ -300,12 +310,11 @@ def test_closed_form_equals_the_paper_polynomials():
         # every float coefficient of the code is a short binary fraction
         return sp.nsimplify(expr, rational=True)
 
-    numerator = exact(delta_numerator(geom))
-    denominator = exact(delta_denominator(geom))
-    assert sp.cancel(numerator - paper_n) == 0
-    assert sp.cancel(denominator - paper_d) == 0
+    denominator, reduced = (exact(term) for term in _profile_terms(geom))
+    assert sp.cancel(denominator * sigma2**2 - paper_d) == 0
+    assert sp.cancel(reduced * sigma2**2 * (16 * area**2) ** 2 - paper_n) == 0
     weitzenboeck = sp.Rational(3, 4) - 1 / (81 * geom.ratio**2)
-    assert sp.cancel(denominator / sigma2**2 - weitzenboeck) == 0
+    assert sp.cancel(denominator - weitzenboeck) == 0
     closed = exact(delta_energy_closed_form(geom))
     assert sp.cancel(closed - paper_n / (128 * area**4 * paper_d)) == 0
 
@@ -322,9 +331,9 @@ def test_polynomial_bounds_random():
     rng = np.random.default_rng(61)
     for _ in range(500):
         geom = random_triangle(rng)
-        sigma2 = float(np.sum(geom.edge_lengths**2))
-        assert delta_denominator(geom) >= (5.0 / 12.0) * sigma2**2 * (1.0 - 1e-12)
-        assert delta_numerator(geom) <= 23.0 * sigma2**6
+        denominator, reduced = _profile_terms(geom)
+        assert denominator >= (5.0 / 12.0) * (1.0 - 1e-12)
+        assert reduced / (81.0 * geom.ratio**2) ** 2 <= 23.0
 
 
 def test_nu_bound_values():

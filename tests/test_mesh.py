@@ -338,6 +338,23 @@ def test_quality_invariance_under_relabel_and_motion(rhombus4):
         assert report.theta_max == pytest.approx(base.theta_max, abs=1e-9)
 
 
+def test_cotangents_and_ratio_do_not_depend_on_the_coordinate_scale():
+    # cot and r = rho^2 / |K| are dimensionless.  On the 1e-160 mesh of
+    # ``verify``'s scale test every area and every product of two edge
+    # components is subnormal; both are formed from edges scaled by a power
+    # of two, so that mesh has the coefficients of the unit mesh, and a
+    # power-of-two scale gives the very same floats
+    base = generate_rhombus_equilateral(2)
+    tiny = build_mesh(base.vertices * 1e-160, base.triangles).geometries
+    np.testing.assert_allclose(tiny.cot, base.geometries.cot, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(tiny.ratio, base.geometries.ratio, rtol=1e-15, atol=0)
+    jittered = jittered_rhombus(8, seed=1)
+    for scale in (2.0**-530, 2.0**500):
+        scaled = build_mesh(jittered.vertices * scale, jittered.triangles).geometries
+        assert np.array_equal(scaled.cot, jittered.geometries.cot)
+        assert np.array_equal(scaled.ratio, jittered.geometries.ratio)
+
+
 def test_generate_rhombus_counts():
     mesh = generate_rhombus_equilateral(1)
     assert mesh.num_triangles == 2

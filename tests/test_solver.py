@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,13 @@ def test_solve_conservation_identity():
     assert residual.max() <= 10.0 * tol * float(np.linalg.norm(f_t))
 
 
+def _floor(error: ConvergenceError) -> float:
+    """The floor a stagnated solve names in its message."""
+    match = re.search(r"stagnated at the floor (\S+) after one refinement step$", str(error))
+    assert match, str(error)
+    return float(match.group(1))
+
+
 def test_solve_below_the_floor_stagnates(rhombus4):
     # 1e-17 is below double precision: the LU solve and its one refinement
     # step both stay above it, and the error names the floor it reached
@@ -192,9 +200,7 @@ def test_solve_below_the_floor_stagnates(rhombus4):
     tol = 1e-17
     with pytest.raises(ConvergenceError, match="stagnated") as err:
         solve(system, tol=tol)
-    assert len(err.value.history) == 2
-    assert all(r > tol for r in err.value.history)
-    assert f"{err.value.history[-1]:.3e}" in str(err.value)
+    assert _floor(err.value) > tol
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -217,8 +223,7 @@ def test_solve_n256_ends_at_the_conditioning_floor():
     system = assemble(mesh, cotan_coefficients(mesh), interpolate_p0(case.f, mesh))
     with pytest.raises(ConvergenceError, match="did not reach") as err:
         solve(system, tol=1e-12)
-    assert len(err.value.history) == 2
-    assert min(err.value.history) > 1e-12
+    assert _floor(err.value) > 1e-12
     solution = solve(system, tol=1e-11)
     assert solution.residual <= 1e-11
     assert solution.iterations == 1

@@ -93,7 +93,7 @@ class TriangleGeometry:
         reordering each triangle to counter-clockwise.
 
         Raises :class:`MeshError` naming the first triangle that has a
-        non-finite corner, is too large or is degenerate.
+        non-finite corner, is too large, is too small or is degenerate.
         """
         v = np.array(vertices, dtype=float)
         batched = v.ndim == 3
@@ -124,8 +124,9 @@ class TriangleGeometry:
         the degenerate triangles: area <= DEGENERATE_REL * (longest edge)^2.
 
         Raises :class:`MeshError` naming the first triangle whose longest
-        edge squared overflows a float (an edge above about 1.34e154); below
-        that every area, product and ratio formed here is finite.  A
+        edge squared overflows a float (an edge above about 1.34e154), below
+        which every area, product and ratio formed here is finite, then the
+        first whose area underflows to 0 though it is not degenerate.  A
         degenerate triangle is flagged, not rejected: it gets infinite or NaN
         cotangents and ratio.
         """
@@ -140,8 +141,7 @@ class TriangleGeometry:
             d = w[:, 2:5] - w[:, 1:4]
             lengths = np.hypot(d[..., 0], d[..., 1])
             longest = lengths.max(axis=-1)
-            longest2 = longest**2
-            big = np.flatnonzero(np.isinf(longest2))
+            big = np.flatnonzero(np.isinf(longest**2))
             if big.size:
                 raise MeshError(
                     f"triangle {big[0]} is too large: the square of its longest edge, "
@@ -163,10 +163,16 @@ class TriangleGeometry:
             cot = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / cross
             # cross[:, 0] is 2 |K| scaled, from the edges that give ``signed``
             ratio = np.sum((lengths * scale[:, None] / 6.0) ** 2, axis=-1) / (0.5 * cross[:, 0])
+        # the test area <= DEGENERATE_REL * longest^2 times 2 scale^2, so that
+        # neither side underflows on a tiny triangle
+        degenerate = cross[:, 0] <= 2.0 * DEGENERATE_REL * (longest * scale) ** 2
+        small = np.flatnonzero((area == 0.0) & ~degenerate)
+        if small.size:
+            raise MeshError(f"triangle {small[0]} is too small: its area underflows to 0")
         fields = (v, area, lengths, cot, ratio)
         for arr in fields:
             arr.flags.writeable = False
-        return cls(*fields), clockwise, area <= DEGENERATE_REL * longest2
+        return cls(*fields), clockwise, degenerate
 
 
 # One row per edge of ``Mesh.edges``; see :class:`Mesh`.
@@ -279,8 +285,8 @@ def build_mesh(vertices, triangles) -> Mesh:
     """Build a mesh from vertex coordinates and vertex-index triples.
 
     Triangles given clockwise are reoriented.  Raises :class:`MeshError` for
-    non-finite coordinates, out-of-range indices, triangles too large to
-    measure (see :meth:`TriangleGeometry._oriented`), duplicate or
+    non-finite coordinates, out-of-range indices, triangles too large or too
+    small to measure (see :meth:`TriangleGeometry._oriented`), duplicate or
     degenerate triangles, non-conforming connectivity (an edge shared by
     more than two triangles) and folded meshes (two triangles on the same
     side of their shared edge).  Each error names the lowest-index offender.
@@ -456,40 +462,32 @@ def write_mesh(mesh: Mesh) -> str:
     )
 
 
-# Joins the rows of a block, which is then split in one piece: it is neither
-# whitespace nor a numeral, so it stays a token of its own and fails any
-# conversion.
-_ROW_END = "\0"
-
-
 def _plain(text: str) -> bool:
     """True if ``text`` may hold ASCII decimal numerals only: Python's
-    ``float`` and ``int`` also read ``_`` separators and non-ASCII digits."""
+    ``float`` and ``int`` also read ``_`` separators and non-ASCII digits,
+    and numpy's reader splits on a no-break space."""
     return text.isascii() and "_" not in text
 
 
 def _parse_block(rows: list[str], width: int, dtype, valid) -> np.ndarray | None:
     """Convert ``rows`` to a (len(rows), width) array, or None if they fail.
 
-    The rows are joined around ``_ROW_END``, split once and converted by one
-    ``np.array`` call.  A row of another width moves some ``_ROW_END`` off
-    the slots that follow every ``width`` tokens: either the slot check
-    fails, the token count misses len(rows) * width, or that token stays
-    among the values and fails the conversion.  ``valid`` checks the values
-    with array operations.
+    One ``np.loadtxt`` call converts the rows (none for no rows, on which it
+    warns); a carriage return, where numpy would end a line, reads as a
+    space.  ``valid`` checks the values with array operations.
     """
-    block = f" {_ROW_END} ".join(rows)
-    if not _plain(block):
+    if not rows:
+        return np.empty((0, width), dtype=dtype)
+    text = "".join(rows)
+    if not _plain(text):
         return None
-    tokens = block.split()
-    if tokens[width :: width + 1] != [_ROW_END] * (len(rows) - 1):
-        return None
-    del tokens[width :: width + 1]
+    if "\r" in text:
+        rows = [row.replace("\r", " ") for row in rows]
     try:
-        values = np.array(tokens, dtype=dtype).reshape(len(rows), width)
-    except (ValueError, OverflowError):
+        values = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
         return None
-    return values if valid(values) else None
+    return values if values.shape == (len(rows), width) and valid(values) else None
 
 
 def _read_rows(rows: list[str], line: Callable[[int], int]) -> Mesh:

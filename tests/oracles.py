@@ -258,7 +258,9 @@ def delta_energy_reference(vertices, digits: int = 100) -> float:
     The constraint basis {1, |x-W_i|^2} is multiplied out as polynomials in
     the barycentric coordinates, and its Gram matrix under the mean over
     the triangle is exact from mean(lambda^alpha) = 2 alpha! / (|alpha|+2)!;
-    the energy is the first entry of G^-1 e_0.
+    the energy is the first entry of G^-1 e_0.  It does not depend on the
+    scale, so the corners are first divided by their longest edge: mpmath's
+    LU calls a matrix singular against an absolute tolerance.
     """
     import mpmath
 
@@ -276,6 +278,10 @@ def delta_energy_reference(vertices, digits: int = 100) -> float:
 
     with mpmath.workdps(digits):
         v = [[mpmath.mpf(float(c)) for c in row] for row in vertices]
+        longest = max(
+            mpmath.hypot(v[i][0] - v[i - 1][0], v[i][1] - v[i - 1][1]) for i in range(3)
+        )
+        v = [[c / longest for c in row] for row in v]
         unit = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         basis = [{(0, 0, 0): mpmath.mpf(1)}]
         for w in v:

@@ -236,6 +236,28 @@ def test_too_large_triangle_is_named_before_degeneracy(edge, large):
         assert build_mesh(corners[2], [(0, 1, 2)]).num_triangles == 1
 
 
+@pytest.mark.parametrize("scale, small", [(1e-160, False), (1e-162, True), (1e-300, True)])
+def test_too_small_triangle_is_named_apart_from_degeneracy(scale, small):
+    # the area of the unit equilateral triangle underflows to 0 below about
+    # 1.1e-162 (it is subnormal at 1e-160); degeneracy is decided on the
+    # scaled edges, so a collinear triangle stays degenerate at any scale
+    equilateral = scale * np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.5 * math.sqrt(3.0))])
+    collinear = scale * np.array([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)])
+    with pytest.raises(MeshError, match=r"degenerate triangle 0 "):
+        TriangleGeometry.from_vertices(collinear[None])
+    with pytest.raises(MeshError, match=r"triangle 0 is degenerate"):
+        build_mesh(collinear, [(0, 1, 2)])
+    if small:
+        message = r"triangle 0 is too small: its area underflows to 0"
+        with pytest.raises(MeshError, match=message):
+            TriangleGeometry.from_vertices(equilateral)
+        with pytest.raises(MeshError, match=message):
+            build_mesh(equilateral, [(0, 1, 2)])
+    else:
+        assert TriangleGeometry.from_vertices(equilateral).area > 0.0
+        assert build_mesh(equilateral, [(0, 1, 2)]).areas[0] > 0.0
+
+
 def test_lemma_suite_spans_blocks():
     samples = 2 * QUAD_BLOCK + 1
     report = lemma_suite(samples=samples, seed=3)

@@ -231,7 +231,8 @@ SHAPES = (
     + [("scalene", SCALENE, 41.54907212370422)]
 )
 # the scalene triangle at scales where sigma^12 or |K|^4 leaves the float
-# range; its pinned energy holds at any scale
+# range; its energy does not depend on the scale, and the reference checks
+# it at each one
 SCALED = [
     (f"scalene-x{scale:g}", np.array(SCALENE) * scale, SHAPES[-1][2])
     for scale in (1e-160, 1e-80, 1e40, 1e80, 1e150)
@@ -259,7 +260,7 @@ def test_delta_energy_on_needles_and_slivers(name, corners, energy):
 
 def test_pinned_energies_match_the_many_digit_reference():
     pytest.importorskip("mpmath")
-    for name, corners, energy in SHAPES:
+    for name, corners, energy in SHAPES + SCALED:
         assert delta_energy_reference(corners) == pytest.approx(energy, rel=1e-15, abs=0), name
 
 

@@ -590,6 +590,14 @@ READ_CASES = {
     "blank lines before truncated triangles": "\n\n" + SQUARE[: SQUARE.rindex("0 2 3")],
     "crlf with a bad coordinate": SQUARE.replace("1 1\n", "1 y\n").replace("\n", "\r\n"),
     "trailing comment after extra content": MINIMAL + "extra stuff\n# end\n",
+    "carriage return inside a row": SQUARE.replace("0 2 3", "0 2\r3"),
+    "tab and unit separator between numbers": SQUARE.replace("1 1\n", "1\t1\n").replace(
+        "0 2 3", "0\x1f2 3"
+    ),
+    "no-break space inside a row": SQUARE.replace("0 2 3", "0 2\xa03"),
+    "signed and zero-padded indices": SQUARE.replace("0 1 2", "+0 001 2"),
+    "bare-point and exponent coordinates": "ptg-mesh 1\n3 1\n0 0\n.5 5.\n+.5e-3 1E0\n0 1 2\n",
+    "NUL in an index": SQUARE.replace("0 2 3", "0 2\x00 3"),
 }
 
 

@@ -36,7 +36,6 @@ from .mesh import (
     read_mesh,
     write_mesh,
 )
-from .quadrature import TriangleRule, triangle_rule
 from .solver import (
     ConvergenceError,
     DirichletData,

@@ -36,10 +36,11 @@ from .mesh import (
     generate_rhombus_equilateral,
     quality_report,
 )
-from .quadrature import triangle_rule
 from .solver import Solution, assemble, solve
 from .spaces import (
     QUAD_BLOCK,
+    QUAD_POINTS,
+    QUAD_WEIGHTS,
     interpolate_p0,
     local_fluxes,
     local_gram_closed_form,
@@ -148,9 +149,8 @@ def error_norms(
     The divergence error uses the identity div(grad u) = -f so the exact
     solution never has to be differentiated twice numerically.
     """
-    rule = triangle_rule()
     areas = mesh.areas
-    w = rule.weights
+    w = QUAD_WEIGHTS
     # affine flux per triangle: p(x) = a_t * x - b_t
     loc = local_fluxes(mesh, solution.p)                          # (nt, 3)
     net = loc.sum(axis=1)
@@ -159,7 +159,7 @@ def error_norms(
     div_t = net / areas
 
     eu2 = ep2 = ediv2 = 0.0
-    for block, x in quadrature_blocks(mesh, rule):              # x: (b, nq, 2)
+    for block, x in quadrature_blocks(mesh):                    # x: (b, nq, 2)
         xs, ys = x[..., 0], x[..., 1]
         area = areas[block]
         u_vals, gx, gy, f_vals = (
@@ -295,22 +295,17 @@ class SplitMix64:
 PROBE_COUNTER = 1 << 63
 
 
-def random_triangles(
-    stream: SplitMix64, count: int, min_angle: float = MIN_SAMPLE_ANGLE
-) -> TriangleGeometry:
+def random_triangles(stream: SplitMix64, count: int) -> TriangleGeometry:
     """``count`` triangles with vertices uniform in the unit square and
-    minimum angle at least ``min_angle``, in the order a one-at-a-time
+    minimum angle at least MIN_SAMPLE_ANGLE, in the order a one-at-a-time
     rejection sampler would draw them from the same stream: each candidate
     takes the next six uniforms as its corners.
 
-    Raises ValueError for a ``count`` below 1 and for a ``min_angle`` of
-    pi/3 or more, which only an equilateral triangle reaches.
+    Raises ValueError for a ``count`` below 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not min_angle < math.pi / 3:
-        raise ValueError(f"min_angle must be below pi/3, got {min_angle}")
-    cot_max = 1.0 / math.tan(min_angle)
+    cot_max = 1.0 / math.tan(MIN_SAMPLE_ANGLE)
     accepted = []
     found = 0
     while found < count:
@@ -618,15 +613,14 @@ def stability_check(
         raise ValueError("stability check requires an admissible mesh")
 
     geom = mesh.geometries
-    rule = triangle_rule()
     energy = np.empty(mesh.num_triangles)
     deviation = np.empty(mesh.num_triangles)
     for start in range(0, mesh.num_triangles, QUAD_BLOCK):
         block = slice(start, start + QUAD_BLOCK)
         delta = solve_delta_k(geom[block])
-        values = delta.values_at(rule.points)              # |K| delta, (b, nq)
+        values = delta.values_at(QUAD_POINTS)              # |K| delta, (b, nq)
         energy[block] = delta.energy
-        deviation[block] = np.abs(values @ rule.weights - 1.0) / (np.abs(values) @ rule.weights)
+        deviation[block] = np.abs(values @ QUAD_WEIGHTS - 1.0) / (np.abs(values) @ QUAD_WEIGHTS)
     max_energy = float(energy.max())
     h3_deviation = float(deviation.max())
     h1_min = _h1_probe(mesh, report.coefficients, trials, seed)

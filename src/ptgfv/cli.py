@@ -49,6 +49,10 @@ class UsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -83,6 +87,13 @@ def _print_inadmissible(report) -> int:
     return EXIT_INADMISSIBLE
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_mesh(path: str):
     try:
         data = Path(path).read_bytes()
@@ -106,11 +117,7 @@ def cmd_generate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     mesh = generate_rhombus_equilateral(args.n)
-    try:
-        Path(args.out).write_text(write_mesh(mesh), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
+    _write_out(args.out, write_mesh(mesh))
     print(f"cells {mesh.num_triangles}")
     print(f"edges {mesh.num_edges}")
     print(f"h {_fmt(mesh.h_max)}")
@@ -120,19 +127,23 @@ def cmd_generate(args) -> int:
 def cmd_mesh_info(args) -> int:
     mesh = _load_mesh(args.mesh)
     report = quality_report(mesh)
-    info = report.to_dict()
-    info.update(
-        {
-            "vertices": mesh.num_vertices,
-            "cells": mesh.num_triangles,
-            "edges": mesh.num_edges,
-            "internal_edges": len(mesh.internal_edges),
-            "boundary_edges": len(mesh.boundary_edges),
-            "h": mesh.h_max,
-            "coefficient_min": float(report.coefficients.min()),
-            "coefficient_max": float(report.coefficients.max()),
-        }
-    )
+    info = {
+        "theta_min": report.theta_min,
+        "theta_max": report.theta_max,
+        "theta_min_degrees": math.degrees(report.theta_min),
+        "theta_max_degrees": math.degrees(report.theta_max),
+        "all_acute": report.all_acute,
+        "admissible": report.admissible,
+        "offending_edges": report.offending_edges(),
+        "vertices": mesh.num_vertices,
+        "cells": mesh.num_triangles,
+        "edges": mesh.num_edges,
+        "internal_edges": len(mesh.internal_edges),
+        "boundary_edges": len(mesh.boundary_edges),
+        "h": mesh.h_max,
+        "coefficient_min": float(report.coefficients.min()),
+        "coefficient_max": float(report.coefficients.max()),
+    }
     print(json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -148,17 +159,14 @@ def _csv_section(header: str, values: np.ndarray) -> str:
 
 
 def _write_solution(path: str, solution, tol: float, mesh_file: str) -> None:
-    text = _csv_section("cell,u", solution.u) + _csv_section("edge,flux", solution.p)
-    Path(path).write_text(text, encoding="utf-8")
+    _write_out(path, _csv_section("cell,u", solution.u) + _csv_section("edge,flux", solution.p))
     sidecar = {
         "mesh_file": mesh_file,
         "tol": tol,
         "iterations": solution.iterations,
         "residual": solution.residual,
     }
-    Path(path + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_out(path + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -194,11 +202,7 @@ def cmd_solve(args) -> int:
         print(f"error_p {_fmt(ep)}")
         print(f"error_div {_fmt(ediv)}")
     if args.out:
-        try:
-            _write_solution(args.out, solution, args.tol, args.mesh)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_IO
+        _write_solution(args.out, solution, args.tol, args.mesh)
     ok = solution.residual <= args.tol and balance.passes(threshold)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -228,11 +232,7 @@ def cmd_convergence(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_IO
+        _write_out(args.out, text)
     ok = (report.final_rate("combined") >= MIN_COMBINED_RATE
           and report.final_rate("ecc") >= MIN_ECC_RATE)
     return EXIT_OK if ok else EXIT_VERIFY
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MeshError as exc:
+    except (MeshError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ConvergenceError as exc:

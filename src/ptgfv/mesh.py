@@ -153,8 +153,10 @@ class TriangleGeometry:
             # round-off on slivers and needles alike.  The edges are divided
             # by the power of two of the longest one, an exact scaling, so no
             # product is subnormal on a tiny triangle and the dimensionless
-            # cot and ratio do not depend on the coordinate scale.
-            scale = np.ldexp(1.0, -np.frexp(longest)[1])
+            # cot and ratio do not depend on the coordinate scale.  The scale
+            # is capped at 2^1023, the largest finite one, which only a
+            # longest edge below 2^-1023 reaches.
+            scale = np.ldexp(1.0, np.minimum(-np.frexp(longest)[1], 1023))
             a = w[:, 1:4] - v
             b = w[:, 2:5] - v
             a *= scale[:, None, None]
@@ -400,17 +402,6 @@ class MeshQualityReport:
 
     def offending_edges(self) -> list[int]:
         return np.flatnonzero(~self.edge_ok).tolist()
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_min": self.theta_min,
-            "theta_max": self.theta_max,
-            "theta_min_degrees": math.degrees(self.theta_min),
-            "theta_max_degrees": math.degrees(self.theta_max),
-            "all_acute": bool(self.all_acute),
-            "admissible": bool(self.admissible),
-            "offending_edges": self.offending_edges(),
-        }
 
 
 def quality_report(mesh: Mesh) -> MeshQualityReport:

@@ -8,15 +8,17 @@ vector basis function attached to edge i of a triangle is
 through edge i and zero flux through the other two, and the field
 reconstructed from edge fluxes is affine per triangle with a constant
 divergence ``(sum of outward local fluxes) / |K|``.  Its local mass matrix
-is evaluated in closed form; cell means use the one triangle rule.
+is evaluated in closed form; every cell integral of the package uses the one
+triangle rule ``QUAD_POINTS``/``QUAD_WEIGHTS``.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .mesh import Mesh, TriangleGeometry
-from .quadrature import TriangleRule, triangle_rule
 
 __all__ = [
     "divergence",
@@ -31,6 +33,34 @@ __all__ = [
 QUAD_BLOCK = 2048
 
 
+def _dunavant6() -> tuple[np.ndarray, np.ndarray]:
+    # Dunavant's symmetric 12-point rule of degree 6 (IJNME 21 (1985)
+    # 1129-1148): two 3-point orbits and one 6-point orbit of barycentric
+    # points, weights summing to 1.
+    orbits3 = [
+        (0.501426509658179, 0.249286745170910, 0.116786275726379),
+        (0.873821971016996, 0.063089014491502, 0.050844906370207),
+    ]
+    orbit6 = (0.053145049844817, 0.310352451033784, 0.082851075618374)
+    points, weights = [], []
+    for a, b, w in orbits3:
+        for bary in ((a, b, b), (b, a, b), (b, b, a)):
+            points.append(bary)
+            weights.append(w)
+    a, b, w = orbit6
+    for bary in sorted(set(itertools.permutations((a, b, 1.0 - a - b)))):
+        points.append(bary)
+        weights.append(w)
+    points, weights = np.array(points), np.array(weights)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
+
+
+# The triangle rule: barycentric points (12, 3) and weights (12,), read-only.
+QUAD_POINTS, QUAD_WEIGHTS = _dunavant6()
+
+
 def local_fluxes(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     """Per-triangle outward fluxes, shape (nt, 3): sign * canonical flux."""
     return mesh.tri_signs * p[mesh.tri_edges]
@@ -43,26 +73,25 @@ def divergence(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     return local_fluxes(mesh, p).sum(axis=1) / mesh.areas
 
 
-def quadrature_blocks(mesh: Mesh, rule: TriangleRule):
+def quadrature_blocks(mesh: Mesh):
     """Yield ``(block, x)`` over the mesh in slices of QUAD_BLOCK triangles,
-    with ``x`` the (len(block), nq, 2) quadrature points of those triangles."""
+    with ``x`` the (len(block), 12, 2) quadrature points of those triangles."""
     corners = mesh.geometries.vertices                           # (nt, 3, 2)
     for start in range(0, mesh.num_triangles, QUAD_BLOCK):
         block = slice(start, start + QUAD_BLOCK)
-        yield block, rule.points @ corners[block]
+        yield block, QUAD_POINTS @ corners[block]
 
 
 def interpolate_p0(f, mesh: Mesh) -> np.ndarray:
     """Cell means of ``f(x, y)`` (vectorized over numpy arrays) by quadrature;
     ``f`` may return a scalar or any shape that broadcasts to its arguments'."""
-    rule = triangle_rule()
     means = np.empty(mesh.num_triangles)
-    for block, x in quadrature_blocks(mesh, rule):
+    for block, x in quadrature_blocks(mesh):
         values = np.broadcast_to(np.asarray(f(x[..., 0], x[..., 1]), dtype=float), x.shape[:-1])
         # np.dot hands a broadcast view to BLAS as a full array would be, so
         # a constant has the means of its full array (matmul sums a view in
         # another order)
-        means[block] = np.dot(values, rule.weights)
+        means[block] = np.dot(values, QUAD_WEIGHTS)
     return means
 
 

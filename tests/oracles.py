@@ -20,8 +20,7 @@ import numpy as np
 
 from ptgfv.analysis import MIN_SAMPLE_ANGLE, PROBE_COUNTER
 from ptgfv.mesh import Mesh, TriangleGeometry, quality_report
-from ptgfv.quadrature import TriangleRule, triangle_rule
-from ptgfv.spaces import local_gram_closed_form
+from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS, local_gram_closed_form
 
 
 def geometry(mesh: Mesh, t: int) -> TriangleGeometry:
@@ -206,16 +205,16 @@ def interval_rule() -> IntervalRule:
     return IntervalRule((nodes + 1.0) / 2.0, weights / 2.0, degree=7)
 
 
-def physical_points(rule: TriangleRule, geometry: TriangleGeometry) -> np.ndarray:
-    """Map the rule's barycentric nodes onto a physical triangle, shape (nq, 2)."""
-    return rule.points @ geometry.vertices
+def physical_points(geometry: TriangleGeometry) -> np.ndarray:
+    """Map the triangle rule's barycentric nodes onto a physical triangle, shape (nq, 2)."""
+    return QUAD_POINTS @ geometry.vertices
 
 
-def integrate_triangle(rule: TriangleRule, geometry: TriangleGeometry, f) -> float:
-    """Integrate ``f(x, y)`` (vectorized) over a triangle; exact for
-    polynomials up to the rule's degree."""
-    x = physical_points(rule, geometry)
-    return geometry.area * float(rule.weights @ np.asarray(f(x[:, 0], x[:, 1]), dtype=float))
+def integrate_triangle(geometry: TriangleGeometry, f) -> float:
+    """Integrate ``f(x, y)`` (vectorized) over a triangle with the triangle
+    rule; exact for polynomials up to degree 6."""
+    x = physical_points(geometry)
+    return geometry.area * float(QUAD_WEIGHTS @ np.asarray(f(x[:, 0], x[:, 1]), dtype=float))
 
 
 def delta_moments(geometry: TriangleGeometry, coefficients) -> np.ndarray:
@@ -229,7 +228,6 @@ def delta_moments(geometry: TriangleGeometry, coefficients) -> np.ndarray:
     the opposite vertex), divided by its length L, h = 2|K|/L^2 and
     mean(rho^2) is the rule's mean of xi^2 + eta^2.
     """
-    rule = triangle_rule()
     v = geometry.vertices
     k = int(np.argmax(geometry.edge_lengths))
     tail, head = v[(k + 1) % 3], v[(k + 2) % 3]
@@ -238,16 +236,16 @@ def delta_moments(geometry: TriangleGeometry, coefficients) -> np.ndarray:
     across = np.array([-along[1], along[0]])
     if (v[k] - tail) @ across < 0.0:
         across = -across
-    x = physical_points(rule, geometry)                           # (nq, 2)
+    x = physical_points(geometry)                                 # (nq, 2)
     xi = (x - v.mean(axis=0)) @ along / length
     eta = (x - v.mean(axis=0)) @ across / length
     height = 2.0 * geometry.area / length**2
     rho2 = xi**2 + eta**2
-    profile = np.vstack([np.ones(len(x)), xi, eta / height, rho2 - rule.weights @ rho2])
+    profile = np.vstack([np.ones(len(x)), xi, eta / height, rho2 - QUAD_WEIGHTS @ rho2])
     delta = coefficients @ profile / geometry.area
     squared = np.sum((x[None] - v[:, None]) ** 2, axis=-1)        # (3, nq)
     basis = np.vstack([np.ones(len(x)), squared])                 # (4, nq)
-    return geometry.area * (basis * delta) @ rule.weights
+    return geometry.area * (basis * delta) @ QUAD_WEIGHTS
 
 
 def delta_energy_reference(vertices, digits: int = 100) -> float:
@@ -374,10 +372,9 @@ def interpolate_rt(v, mesh: Mesh) -> np.ndarray:
 
 def local_gram_quadrature(geometry: TriangleGeometry) -> np.ndarray:
     """Local flux mass matrix by quadrature (exact: quadratic integrands)."""
-    rule = triangle_rule()
-    x = physical_points(rule, geometry)                  # (nq, 2)
+    x = physical_points(geometry)                        # (nq, 2)
     basis = np.stack(
         [eval_local_basis(geometry, i, x) for i in range(3)]
     )                                                    # (3, nq, 2)
-    gram = np.einsum("q,iqd,jqd->ij", rule.weights, basis, basis) * geometry.area
+    gram = np.einsum("q,iqd,jqd->ij", QUAD_WEIGHTS, basis, basis) * geometry.area
     return 0.5 * (gram + gram.T)

@@ -19,9 +19,8 @@ from ptgfv.analysis import (
 )
 from ptgfv.dual import cotan_coefficients, nu_bound, solve_delta_k
 from ptgfv.mesh import TriangleGeometry, generate_rhombus_equilateral
-from ptgfv.quadrature import triangle_rule
 from ptgfv.solver import Solution, assemble, solve
-from ptgfv.spaces import interpolate_p0, local_gram_closed_form
+from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS, interpolate_p0, local_gram_closed_form
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import angles, indexed_geometry, interpolate_rt, random_triangle_min_angle
@@ -415,10 +414,9 @@ def test_stability_h3_h4_are_exact_extrema():
     mesh = jittered_rhombus(24)
     report = stability_check(mesh, trials=5, seed=3)
     delta = solve_delta_k(mesh.geometries)
-    rule = triangle_rule()
-    values = delta.values_at(rule.points)
-    means = values @ rule.weights
-    scales = np.abs(values) @ rule.weights
+    values = delta.values_at(QUAD_POINTS)
+    means = values @ QUAD_WEIGHTS
+    scales = np.abs(values) @ QUAD_WEIGHTS
     assert report.h3_max_deviation == float((np.abs(means - 1.0) / scales).max())
     assert report.h4_max_ratio == math.sqrt(delta.energy.max())
     assert report.h4_max_ratio == pytest.approx(6.600, abs=1e-3)

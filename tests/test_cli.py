@@ -362,6 +362,24 @@ def test_verify_inadmissible_mesh_exit_3(square_file, capsys):
     assert json.loads(stdout)["admissible"] is False
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "convergence"])
+def test_unwritable_out_exit_2(rhombus_file, tmp_path, capsys, command):
+    # --out names a directory: the command prints what it prints before the
+    # write, names the path on stderr and exits 2
+    args = {
+        "generate": ["generate", "--n", "2"],
+        "solve": ["solve", "--mesh", str(rhombus_file), "--case", "rhombus-sine"],
+        "convergence": ["convergence", "--levels", "4,8"],
+    }[command]
+    code, stdout, err = run(capsys, *args, "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    if command == "generate":
+        assert stdout == ""
+    else:
+        assert (0, stdout, "") == run(capsys, *args)
+
+
 def test_solve_missing_mesh_exit_2(tmp_path, capsys):
     code, _, err = run(
         capsys, "solve", "--mesh", str(tmp_path / "nope.msh"), "--rhs-const", "1"

@@ -13,7 +13,7 @@ from ptgfv.dual import (
     solve_delta_k,
 )
 from ptgfv.mesh import TriangleGeometry, build_mesh, generate_rhombus_equilateral, quality_report
-from ptgfv.quadrature import triangle_rule
+from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import (
@@ -123,13 +123,11 @@ def test_delta_equilateral_symmetry_and_energy():
     moments = delta_moments(equilateral_geometry(), delta.coefficients)
     assert moments[0] == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(moments[1:], 0.0, atol=1e-10)
-    rule = triangle_rule()
-    assert delta.values_at(rule.points) @ rule.weights == pytest.approx(1.0, abs=1e-10)
+    assert delta.values_at(QUAD_POINTS) @ QUAD_WEIGHTS == pytest.approx(1.0, abs=1e-10)
 
 
 def test_delta_constraints_random():
     rng = np.random.default_rng(47)
-    rule = triangle_rule()
     for _ in range(200):
         geom = random_triangle(rng)
         delta = solve_delta_k(geom)
@@ -137,7 +135,7 @@ def test_delta_constraints_random():
         moments = delta_moments(geom, delta.coefficients)
         assert moments[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(moments[1:])) < 1e-10 * max(1.0, geom.area**2)
-        mean = delta.values_at(rule.points) @ rule.weights
+        mean = delta.values_at(QUAD_POINTS) @ QUAD_WEIGHTS
         assert mean == pytest.approx(moments[0], abs=1e-10)
 
 
@@ -154,8 +152,7 @@ def test_delta_mean_round_off_on_fine_meshes(make):
     # stability_check passes h3 up to 1e-12; the rule's mean of every
     # profile stays within 1e-13 of 1 at n=128, and a rewrite that loses
     # digits must fail here before it fails that gate
-    rule = triangle_rule()
-    mean = solve_delta_k(make().geometries).values_at(rule.points) @ rule.weights
+    mean = solve_delta_k(make().geometries).values_at(QUAD_POINTS) @ QUAD_WEIGHTS
     assert np.abs(mean - 1.0).max() <= 1e-13
 
 

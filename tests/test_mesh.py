@@ -17,7 +17,6 @@ from ptgfv.mesh import (
     read_mesh,
     write_mesh,
 )
-from ptgfv.quadrature import triangle_rule
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import angles, geometry, integrate_triangle
@@ -190,9 +189,7 @@ def test_gyration_radius_against_quadrature():
         except MeshError:
             continue
         gx, gy = geom.vertices.mean(axis=-2)
-        integral = integrate_triangle(
-            triangle_rule(), geom, lambda x, y: (x - gx) ** 2 + (y - gy) ** 2
-        )
+        integral = integrate_triangle(geom, lambda x, y: (x - gx) ** 2 + (y - gy) ** 2)
         assert integral / geom.area**2 == pytest.approx(geom.ratio, rel=1e-12)
 
 

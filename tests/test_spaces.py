@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ptgfv.mesh import TriangleGeometry, build_mesh, generate_rhombus_equilateral
-from ptgfv.quadrature import triangle_rule
 from ptgfv.spaces import (
+    QUAD_POINTS,
     divergence,
     interpolate_p0,
     local_fluxes,
@@ -79,7 +79,7 @@ def test_rt_reproduces_constant_fields():
     mesh = jittered_rhombus(3, seed=5)
     p = interpolate_rt(lambda x, y: (np.ones_like(x), np.zeros_like(y)), mesh)
     for t in range(mesh.num_triangles):
-        x = triangle_rule().points @ geometry(mesh, t).vertices
+        x = QUAD_POINTS @ geometry(mesh, t).vertices
         vals = eval_rt_field(mesh, p, t, x)
         np.testing.assert_allclose(vals[:, 0], 1.0, atol=1e-13)
         np.testing.assert_allclose(vals[:, 1], 0.0, atol=1e-13)

@@ -301,6 +301,11 @@ def random_triangles(stream: SplitMix64, count: int) -> TriangleGeometry:
     rejection sampler would draw them from the same stream: each candidate
     takes the next six uniforms as its corners.
 
+    About 87% of the candidates pass, so each batch reads ahead 1.25 times
+    the triangles still missing, plus 16.  The stream is counter-based, so
+    its counter is then set just past the last candidate kept: the samples
+    and the stream's final counter do not depend on the batch size.
+
     Raises ValueError for a ``count`` below 1.
     """
     if count < 1:
@@ -309,11 +314,17 @@ def random_triangles(stream: SplitMix64, count: int) -> TriangleGeometry:
     accepted = []
     found = 0
     while found < count:
-        candidates = stream.uniform((count - found, 3, 2))
+        need = count - found
+        start = stream.counter
+        candidates = stream.uniform((need + need // 4 + 16, 3, 2))
+        # corners are multiples of 2^-53 in [0, 1): no edge overflows, and a
+        # zero area is always flagged degenerate, so this never raises
         geom, _, degenerate = TriangleGeometry._oriented(candidates)
-        keep = (geom.cot.max(axis=-1) <= cot_max) & ~degenerate
+        keep = np.flatnonzero((geom.cot.max(axis=-1) <= cot_max) & ~degenerate)[:need]
+        if len(keep) == need:
+            stream.counter = start + 6 * (int(keep[-1]) + 1)
         accepted.append([getattr(geom, f.name)[keep] for f in dataclasses.fields(geom)])
-        found += np.count_nonzero(keep)
+        found += len(keep)
     fields = [np.concatenate(parts) for parts in zip(*accepted)]
     for field in fields:
         field.flags.writeable = False
@@ -605,14 +616,25 @@ def stability_check(
     grow with ``trials``.  The stream is the package's own, so a seeded
     ``h1_min_ratio`` does not change with the numpy version.  ``report`` is
     the mesh's quality report, computed when absent.
+
+    Raises ValueError for a ``report`` whose coefficients or angle extrema
+    are not those of ``mesh``, before any work.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    report = report or quality_report(mesh)
+    geom = mesh.geometries
+    cot = geom.cot
+    if report is None:
+        report = quality_report(mesh)
+    elif not (
+        np.array_equal(report.coefficients, mesh.coefficients)
+        and report.theta_min == math.atan2(1.0, cot.max())
+        and report.theta_max == math.atan2(1.0, cot.min())
+    ):
+        raise ValueError("report is not the quality report of this mesh")
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
 
-    geom = mesh.geometries
     energy = np.empty(mesh.num_triangles)
     deviation = np.empty(mesh.num_triangles)
     for start in range(0, mesh.num_triangles, QUAD_BLOCK):
@@ -625,7 +647,6 @@ def stability_check(
     h3_deviation = float(deviation.max())
     h1_min = _h1_probe(mesh, report.coefficients, trials, seed)
 
-    cot = geom.cot
     bound_h1 = 0.4 * float(cot.min() / cot.max())
     bound_h4 = math.sqrt(nu_bound(report.theta_min))
     return StabilityReport(

@@ -102,11 +102,14 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     the longest edge takes the first one; each gives the same profile up to
     round-off.
     """
-    v = geometry.vertices
-    shift = np.argmax(geometry.edge_lengths, axis=-1)[..., None] + 1
-    order = (shift + np.arange(3)) % 3                 # base start, base end, apex
-    start, end, apex = np.moveaxis(np.take_along_axis(v, order[..., None], axis=-2), -2, 0)
-    length = np.take_along_axis(geometry.edge_lengths, shift - 1, axis=-1)
+    shape = geometry.edge_lengths.shape[:-1]
+    v = geometry.vertices.reshape(-1, 3, 2)
+    lengths = geometry.edge_lengths.reshape(-1, 3)
+    k = np.argmax(lengths, axis=-1)                     # the apex
+    rows = np.arange(len(k))
+    order = [(k + 1) % 3, (k + 2) % 3, k]               # base start, base end, apex
+    start, end, apex = (v[rows, i] for i in order)
+    length = lengths[rows, k, None]
     tangent = (end - start) / length
     to_apex = (apex - start) / length
     a = _dot(to_apex, tangent)
@@ -143,11 +146,16 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     s1 = m1 / g11 - l21 * s2 - l31 * s3
     energy = 1.0 + m1 * m1 / g11 + y2 * y2 / d2 + y3 * s3
 
-    coefficients = np.stack([np.ones_like(s1), s1, s2, s3], axis=-1)
-    frame = np.stack([xi, np.broadcast_to(_ZETA, xi.shape)], axis=-1)
-    corners = np.take_along_axis(frame, ((np.arange(3) - shift) % 3)[..., None], axis=-2)
+    coefficients = np.stack([np.ones_like(s1), s1, s2, s3], axis=-1).reshape(*shape, 4)
+    corners = np.empty_like(v)
+    for j, i in enumerate(order):
+        corners[rows, i, 0] = xi[:, j]
+        corners[rows, i, 1] = _ZETA[j]
+    corners = corners.reshape(*shape, 3, 2)
     coefficients.flags.writeable = corners.flags.writeable = False
-    return DeltaK(coefficients=coefficients, energy=energy, corners=corners, height=h)
+    # [()] turns the 0-d energy and height of a single triangle into scalars
+    return DeltaK(coefficients=coefficients, energy=energy.reshape(shape)[()],
+                  corners=corners, height=h.reshape(shape)[()])
 
 
 def _profile_terms(geometry: TriangleGeometry):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -130,16 +131,17 @@ class TriangleGeometry:
         degenerate triangle is flagged, not rejected: it gets infinite or NaN
         cotangents and ratio.
         """
+        x, y = v[..., 0], v[..., 1]                  # (B, 3) views of v
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            signed = 0.5 * _cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+            signed = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                            - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
             clockwise = signed < 0.0
             if clockwise.any():
                 v[clockwise] = v[clockwise][:, [0, 2, 1]]
-            # the slice [:, k:k+3] of the wrapped corners holds corner i+k
-            # (mod 3) at i; edge i runs from vertex i+1 to vertex i+2
-            w = np.concatenate([v, v[:, :2]], axis=1)
-            d = w[:, 2:5] - w[:, 1:4]
-            lengths = np.hypot(d[..., 0], d[..., 1])
+            # edge i runs from vertex i+1 to vertex i+2
+            dx = x[:, _PREV] - x[:, _NEXT]
+            dy = y[:, _PREV] - y[:, _NEXT]
+            lengths = np.hypot(dx, dy)
             longest = lengths.max(axis=-1)
             big = np.flatnonzero(np.isinf(longest**2))
             if big.size:
@@ -157,12 +159,16 @@ class TriangleGeometry:
             # is capped at 2^1023, the largest finite one, which only a
             # longest edge below 2^-1023 reaches.
             scale = np.ldexp(1.0, np.minimum(-np.frexp(longest)[1], 1023))
-            a = w[:, 1:4] - v
-            b = w[:, 2:5] - v
-            a *= scale[:, None, None]
-            b *= scale[:, None, None]
-            cross = np.abs(_cross(a, b))
-            cot = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) / cross
+            dx *= scale[:, None]
+            dy *= scale[:, None]
+            # the edges from vertex i to vertices i+1 and i+2 are edges i+2
+            # and -(edge i+1); 0 - d, not -d, keeps the +0 of a difference of
+            # equal coordinates, so a right angle's cotangent keeps its sign
+            ax, ay = dx[:, _PREV], dy[:, _PREV]
+            bx, by = 0.0 - dx[:, _NEXT], 0.0 - dy[:, _NEXT]
+            del dx, dy           # freed before the products: a lower peak on a large mesh
+            cross = np.abs(ax * by - ay * bx)
+            cot = (ax * bx + ay * by) / cross
             # cross[:, 0] is 2 |K| scaled, from the edges that give ``signed``
             ratio = np.sum((lengths * scale[:, None] / 6.0) ** 2, axis=-1) / (0.5 * cross[:, 0])
         # the test area <= DEGENERATE_REL * longest^2 times 2 scale^2, so that
@@ -214,6 +220,7 @@ class Mesh:
     tri_signs : (nt, 3) int array, +1 where the canonical normal is outward
         for that triangle, -1 otherwise
     internal_edges, boundary_edges : int arrays of edge ids
+    coefficients : ``cotan_coefficients(mesh)``, computed on first use
     """
 
     def __init__(self, vertices, triangles, edges, tri_edges, tri_signs, geometries):
@@ -257,6 +264,11 @@ class Mesh:
     @property
     def areas(self) -> np.ndarray:
         return self.geometries.area
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        # kept, so that a quality report is checked against its mesh for free
+        return cotan_coefficients(self)
 
 
 def _first_offender(tris: np.ndarray, degenerate: np.ndarray) -> str | None:
@@ -407,7 +419,7 @@ class MeshQualityReport:
 def quality_report(mesh: Mesh) -> MeshQualityReport:
     """Compute the cotangent coefficients and check each against COEFF_TOL."""
     cot = mesh.geometries.cot
-    coefficients = cotan_coefficients(mesh)
+    coefficients = mesh.coefficients
     edge_ok = coefficients >= COEFF_TOL
     edge_ok.flags.writeable = False
     return MeshQualityReport(

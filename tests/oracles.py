@@ -99,12 +99,15 @@ def splitmix64(seed: int, counter: int = 0):
 
 class ReferenceStream:
     """Uniforms on [0, 1) from :func:`splitmix64`, one draw at a time: the
-    top 53 bits of each output times 2^-53."""
+    top 53 bits of each output times 2^-53.  ``counter`` is the index of the
+    next draw."""
 
     def __init__(self, seed: int, counter: int = 0):
         self.draws = splitmix64(seed, counter)
+        self.counter = counter
 
     def uniform(self, size) -> np.ndarray:
+        self.counter += math.prod(size)
         values = [(next(self.draws) >> 11) * 2.0**-53 for _ in range(math.prod(size))]
         return np.array(values).reshape(size)
 

@@ -379,6 +379,40 @@ def test_stability_on_nonuniform_admissible_mesh():
     assert report.h4_max_ratio <= math.sqrt(report.max_energy) * (1.0 + 1e-12)
 
 
+def test_stability_check_refuses_the_report_of_another_mesh(monkeypatch):
+    # before any profile is solved: a report of another size, one of the
+    # same size (the equilateral mesh's says 60/60 degrees where the truth
+    # is 34.6/91.6), and the mesh's own report with one coefficient or one
+    # angle moved by an ulp
+    from ptgfv import analysis
+    from ptgfv.mesh import quality_report
+
+    mesh = jittered_rhombus(24, seed=1)
+    own = quality_report(mesh)
+    moved = np.array(own.coefficients)
+    moved[7] = np.nextafter(moved[7], math.inf)
+    reports = [
+        quality_report(generate_rhombus_equilateral(8)),
+        quality_report(generate_rhombus_equilateral(24)),
+        dataclasses.replace(own, coefficients=moved),
+        dataclasses.replace(own, theta_min=math.nextafter(own.theta_min, 0.0)),
+        dataclasses.replace(own, theta_max=math.nextafter(own.theta_max, math.inf)),
+    ]
+    assert len(reports[1].coefficients) == mesh.num_edges
+    solved = []
+    monkeypatch.setattr(analysis, "solve_delta_k", lambda geom: solved.append(geom))
+    for report in reports:
+        with pytest.raises(ValueError, match="report is not the quality report of this mesh"):
+            stability_check(mesh, trials=1, report=report)
+    assert solved == []
+    monkeypatch.undo()
+    checked = stability_check(mesh, trials=1, report=own)
+    assert checked == stability_check(mesh, trials=1)
+    assert math.degrees(checked.theta_min) == pytest.approx(34.6, abs=0.05)
+    assert math.degrees(checked.theta_max) == pytest.approx(91.6, abs=0.05)
+    assert checked.passed_h1 is None
+
+
 def test_stability_h1_not_applicable_past_a_right_angle():
     # admissible, but one angle is 90.59 degrees: the paper's h1 bound is
     # negative there and would pass any ratio

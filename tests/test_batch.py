@@ -1,6 +1,7 @@
 """Batched triangle kernels: a batch of B triangles on the leading axis gives,
 row by row, what B single-triangle calls give."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -42,7 +43,7 @@ from ptgfv.spaces import (
     local_gram_closed_form,
 )
 
-from conftest import jittered_rhombus
+from conftest import equilateral_geometry, jittered_rhombus
 from oracles import ReferenceStream, angles, h1_probe_reference, indexed_geometry, random_triangle
 
 GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "cot", "ratio")
@@ -59,13 +60,33 @@ def degenerate(corners) -> np.ndarray:
 
 @pytest.mark.parametrize("seed", [1, 42])
 def test_batched_sampler_draws_the_single_sampler_triangles(seed):
-    # the one-at-a-time sampler draws from the one-at-a-time reference stream
-    count = 500
-    reference = ReferenceStream(seed)
-    singles = np.stack([random_triangle(reference).vertices for _ in range(count)])
-    batch = random_triangles(SplitMix64(seed), count)
-    assert batch.vertices.shape == (count, 3, 2)
-    assert np.array_equal(batch.vertices, singles)
+    # the one-at-a-time sampler draws from the one-at-a-time reference
+    # stream; the batched one reads candidates ahead, yet leaves its stream
+    # where the reference stream ends
+    for count in (1, 7, 500, QUAD_BLOCK):
+        reference = ReferenceStream(seed)
+        singles = np.stack([random_triangle(reference).vertices for _ in range(count)])
+        stream = SplitMix64(seed)
+        batch = random_triangles(stream, count)
+        assert batch.vertices.shape == (count, 3, 2)
+        assert np.array_equal(batch.vertices, singles), count
+        assert stream.counter == reference.counter, count
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_lemma_suite_builds_one_candidate_batch_per_block(seed, monkeypatch):
+    # 10 000 samples are five blocks, and each block's candidates are read
+    # ahead in one batch, so the geometry kernel runs once per block
+    calls = []
+    oriented = TriangleGeometry._oriented.__func__
+
+    def counted(cls, v):
+        calls.append(len(v))
+        return oriented(cls, v)
+
+    monkeypatch.setattr(TriangleGeometry, "_oriented", classmethod(counted))
+    assert lemma_suite(samples=10000, seed=seed).all_passed
+    assert len(calls) == 5
 
 
 def random_triangles_rebuilt(stream, count, min_angle):
@@ -181,6 +202,49 @@ def test_delta_solve_batch_matches_single(triangles):
     assert_rows(delta.coefficients, [d.coefficients for d in single_deltas])
     assert_rows(delta.corners, [d.corners for d in single_deltas])
     assert_rows(delta.height, [d.height for d in single_deltas])
+
+
+def test_profile_frame_at_every_apex_position():
+    # the longest edge at local index 0, 1 and 2, two-way ties for it at
+    # each pair of positions, and the equilateral triangle
+    scalene = np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 0.4)])     # longest edge 2
+    isosceles = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 2.0)])   # edges 0 and 1 tie
+    rotations = [np.roll(t, shift, axis=0) for t in (scalene, isosceles) for shift in range(3)]
+    corners = np.stack(rotations + [equilateral_geometry().vertices])
+    batch = TriangleGeometry.from_vertices(corners)
+    lengths = batch.edge_lengths
+    longest = lengths == lengths.max(axis=-1, keepdims=True)
+    assert sorted(map(tuple, longest[:6].tolist())) == sorted(
+        [(True, False, False), (False, True, False), (False, False, True),
+         (True, True, False), (False, True, True), (True, False, True)]
+    )
+    delta = solve_delta_k(batch)
+    single_deltas = [solve_delta_k(TriangleGeometry.from_vertices(c)) for c in corners]
+    for name in ("energy", "coefficients", "corners", "height"):
+        assert_rows(getattr(delta, name), [getattr(d, name) for d in single_deltas])
+    for row, v, lengths_row, is_longest in zip(delta.corners, batch.vertices, lengths, longest):
+        apex = int(np.flatnonzero(is_longest)[0])      # the first longest edge's vertex
+        zeta = np.full(3, -1.0 / 3.0)
+        zeta[apex] = 2.0 / 3.0
+        assert np.array_equal(row[:, 1], zeta)
+        # xi: the centred corners along the base, from its start to its end
+        start, end = v[(apex + 1) % 3], v[(apex + 2) % 3]
+        tangent = (end - start) / lengths_row[apex]
+        xi = (v - v.mean(axis=0)) @ tangent / lengths_row[apex]
+        np.testing.assert_allclose(row[:, 0], xi, rtol=0, atol=1e-15)
+
+
+def test_right_angle_cotangent_keeps_the_sign_of_its_zero():
+    # the 24 ordered right triangles on the corners of the unit square: the
+    # right angle's cotangent is a zero whose sign the reference's edge
+    # differences decide, so negated edges would flip it on half of them
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    corners = square[list(itertools.permutations(range(4), 3))]
+    cot = TriangleGeometry.from_vertices(corners).cot
+    reference = indexed_geometry(corners)["cot"]
+    assert np.count_nonzero(cot == 0.0) == len(corners)
+    assert np.signbit(reference[reference == 0.0]).any()
+    assert np.array_equal(np.signbit(cot), np.signbit(reference))
 
 
 def test_batch_names_first_degenerate_triangle():

@@ -32,6 +32,9 @@ from .mesh import (
     MeshQualityReport,
     TriangleGeometry,
     _cross,
+    _dot,
+    _max3,
+    _sum3,
     cotan_coefficients,
     generate_rhombus_equilateral,
     quality_report,
@@ -153,7 +156,7 @@ def error_norms(
     w = QUAD_WEIGHTS
     # affine flux per triangle: p(x) = a_t * x - b_t
     loc = local_fluxes(mesh, solution.p)                          # (nt, 3)
-    net = loc.sum(axis=1)
+    net = _sum3(loc)
     a_t = net / (2.0 * areas)
     b_t = np.einsum("ti,tid->td", loc, mesh.geometries.vertices) / (2.0 * areas[:, None])
     div_t = net / areas
@@ -320,7 +323,7 @@ def random_triangles(stream: SplitMix64, count: int) -> TriangleGeometry:
         # corners are multiples of 2^-53 in [0, 1): no edge overflows, and a
         # zero area is always flagged degenerate, so this never raises
         geom, _, degenerate = TriangleGeometry._oriented(candidates)
-        keep = np.flatnonzero((geom.cot.max(axis=-1) <= cot_max) & ~degenerate)[:need]
+        keep = np.flatnonzero((_max3(geom.cot) <= cot_max) & ~degenerate)[:need]
         if len(keep) == need:
             stream.counter = start + 6 * (int(keep[-1]) + 1)
         accepted.append([getattr(geom, f.name)[keep] for f in dataclasses.fields(geom)])
@@ -336,8 +339,8 @@ def _circumcenter(v: np.ndarray) -> np.ndarray:
     d1 = v[..., 1, :] - v[..., 0, :]
     d2 = v[..., 2, :] - v[..., 0, :]
     denom = 2.0 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-    n1 = np.sum(d1 * d1, axis=-1)
-    n2 = np.sum(d2 * d2, axis=-1)
+    n1 = _dot(d1, d1)
+    n2 = _dot(d2, d2)
     return v[..., 0, :] + np.stack(
         [(d2[..., 1] * n1 - d1[..., 1] * n2) / denom, (d1[..., 0] * n2 - d2[..., 0] * n1) / denom],
         axis=-1,
@@ -398,7 +401,7 @@ def _mass_spectrum(geom: TriangleGeometry) -> tuple[np.ndarray, np.ndarray]:
     quadratic is 1/12 over it: no term cancels.
     """
     cot, ratio = geom.cot, geom.ratio
-    top = 3.0 * ratio + np.sqrt(np.sum((cot - cot[..., _NEXT]) ** 2, axis=-1) / 18.0)
+    top = 3.0 * ratio + np.sqrt(_sum3((cot - cot[..., _NEXT]) ** 2) / 18.0)
     return np.minimum(0.75 * ratio, 1.0 / (6.0 * top)), 0.5 * top
 
 
@@ -409,7 +412,7 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     checks is folded into the slack.
     """
     cot = geom.cot
-    cot_max = cot.max(axis=-1)                  # cot(theta_min)
+    cot_max = _max3(cot)                        # cot(theta_min)
     ratio = geom.ratio
     gyration = np.minimum(ratio - 1.0 / 6.0, cot_max / 3.0 - ratio) + 1e-12
 
@@ -432,8 +435,8 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     pairwise_expected = 1.0 / 12.0 + 2.25 * ratio**2
     minors = 1e-10 - np.abs(pairwise - pairwise_expected) / pairwise_expected
 
-    cotan_sum = 1e-11 - np.abs(cot.sum(axis=-1) - 9.0 * ratio) / (9.0 * ratio)
-    cotan_prod = 1e-11 - np.abs(np.sum(cot * cot[..., _NEXT], axis=-1) - 1.0)
+    cotan_sum = 1e-11 - np.abs(_sum3(cot) - 9.0 * ratio) / (9.0 * ratio)
+    cotan_prod = 1e-11 - np.abs(_sum3(cot * cot[..., _NEXT]) - 1.0)
 
     energy = solve_delta_k(geom).energy
     energy_ratio = energy / (NU_SCALE * cot_max**4)      # nu(theta_min)
@@ -447,7 +450,7 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
 
     dist = circumcenter_edge_distances(geom)
     err = np.abs(0.5 * cot - dist / geom.edge_lengths)
-    circum = 1e-11 - err.max(axis=-1)
+    circum = 1e-11 - _max3(err)
 
     slacks = {
         "gyration-radius-bounds": gyration,
@@ -488,11 +491,14 @@ def lemma_suite(samples: int = 10000, seed: int = 42) -> LemmaSuiteReport:
         count += len(geom.vertices)
         slacks, energy_ratio = _lemma_slacks(geom)
         max_ratio = max(max_ratio, float(energy_ratio.max()))
-        for name, slack in slacks.items():
-            slack = np.where(np.isnan(slack), -math.inf, slack)
-            i = int(np.argmin(slack))
-            if name not in worst or slack[i] < worst[name]:
-                worst[name] = float(slack[i])
+        # one row per check; each row's first smallest slack is its worst
+        table = np.stack(list(slacks.values()))
+        table[np.isnan(table)] = -math.inf
+        rows = np.argmin(table, axis=1)
+        smallest = table[np.arange(len(table)), rows].tolist()
+        for name, i, slack in zip(slacks, rows.tolist(), smallest):
+            if name not in worst or slack < worst[name]:
+                worst[name] = slack
                 witness[name] = geom.vertices[i].tolist()
 
     checks = tuple(
@@ -652,7 +658,9 @@ def stability_check(
     return StabilityReport(
         theta_min=report.theta_min,
         theta_max=report.theta_max,
-        theta_max_triangle=int(cot.min(axis=1).argmin()),
+        # the first smallest cotangent in row order lies in the first
+        # triangle whose smallest cotangent is the mesh's smallest
+        theta_max_triangle=int(cot.argmin()) // 3,
         trials=trials,
         bound_h1=bound_h1,
         bound_h3=1.0,

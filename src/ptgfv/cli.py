@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -74,6 +75,16 @@ def _seed(flag: int | None) -> int:
     if not 0 <= seed < 1 << 64:
         raise UsageError(f"{source} must be >= 0 and below 2**64, got {seed}")
     return seed
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None: strict
+    JSON (RFC 8259) has no NaN or infinity."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _check_tol(tol: float) -> None:
@@ -261,7 +272,8 @@ def cmd_verify(args) -> int:
         }
         ok = ok and stability.all_passed
     output["all_passed"] = ok
-    print(json.dumps(output, indent=2, sort_keys=True))
+    # strict JSON: a non-finite value, such as the -inf slack of a NaN sample, prints as null
+    print(json.dumps(_finite_or_null(output), indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -332,10 +344,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built on the first call of ``main`` and reused: each parse fills a new
+# namespace from the flags and their defaults, so no call sees another's.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

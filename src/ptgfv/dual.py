@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleGeometry, _cross, cotan_coefficients
+from .mesh import TriangleGeometry, _argmax3, _cross, _dot, _sum3, cotan_coefficients
 
 __all__ = [
     "DeltaK",
@@ -41,10 +41,6 @@ NU_SCALE = 8942.4
 # eta/h of the corners in the frame of ``solve_delta_k``, in its order: the
 # two ends of the longest edge, then the apex opposite it.
 _ZETA = np.array([-1.0, -1.0, 2.0]) / 3.0
-
-
-def _dot(u, v):
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ class DeltaK:
         xi, zeta = x[..., 0], x[..., 1]
         h2 = np.asarray(self.height)[..., None] ** 2
         # mean(rho^2) = tr(S) / 12 with S the corners' second-moment matrix
-        mean_r2 = (np.sum(self.corners[..., 0] ** 2, axis=-1)[..., None] + 2.0 / 3.0 * h2) / 12.0
+        mean_r2 = (_sum3(self.corners[..., 0] ** 2)[..., None] + 2.0 / 3.0 * h2) / 12.0
         c = np.moveaxis(self.coefficients, -1, 0)[..., None]
         return c[0] + c[1] * xi + c[2] * zeta + c[3] * (xi**2 + h2 * zeta**2 - mean_r2)
 
@@ -105,7 +101,7 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     shape = geometry.edge_lengths.shape[:-1]
     v = geometry.vertices.reshape(-1, 3, 2)
     lengths = geometry.edge_lengths.reshape(-1, 3)
-    k = np.argmax(lengths, axis=-1)                     # the apex
+    k = _argmax3(lengths)                               # the apex
     rows = np.arange(len(k))
     order = [(k + 1) % 3, (k + 2) % 3, k]               # base start, base end, apex
     start, end, apex = (v[rows, i] for i in order)
@@ -120,13 +116,13 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     xi = np.stack([-(1.0 + a), 1.0 + b, a - b], axis=-1) / 3.0
     h2 = h * h
     r2 = xi * xi + h2[..., None] * _ZETA**2
-    s_xx = np.sum(xi * xi, axis=-1)
+    s_xx = _sum3(xi * xi)
     s_xz = (a - b) / 3.0                               # Sum xi_k eta_k / h
     trace = s_xx + 2.0 / 3.0 * h2
     g11 = s_xx / 12.0
     g12 = s_xz / 12.0
     g22 = 1.0 / 18.0
-    g13 = np.sum(xi * r2, axis=-1) / 30.0
+    g13 = _sum3(xi * r2) / 30.0
     g23 = r2 @ _ZETA / 30.0
     g33 = (s_xx**2 + 2.0 * h2 * s_xz**2 + (2.0 / 3.0 * h2) ** 2) / 90.0 - trace**2 / 720.0
     m1 = (b - a) / 6.0
@@ -171,8 +167,9 @@ def _profile_terms(geometry: TriangleGeometry):
     cot = geometry.cot
     ratio = geometry.ratio
     k = 1.0 / (81.0 * ratio**2)
-    x = 0.25 / np.sum(1.0 / (1.0 + cot**2), axis=-1)
-    reduced = 288.0 * x**2 + 12.0 * x + 5.25 - 1.5 * k - 20.25 * ratio * np.prod(cot, axis=-1)
+    x = 0.25 / _sum3(1.0 / (1.0 + cot**2))
+    prod = cot[..., 0] * cot[..., 1] * cot[..., 2]
+    reduced = 288.0 * x**2 + 12.0 * x + 5.25 - 1.5 * k - 20.25 * ratio * prod
     return 0.75 - k, reduced
 
 

@@ -64,6 +64,36 @@ def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _dot(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
+# numpy reduces a last axis of width 3 one row at a time, 10-25 times slower
+# than the same arithmetic on its three columns.  These column forms add,
+# compare and pick in numpy's own order, so they give its bits: the maximum
+# propagates NaN, and a tie or a NaN keeps the first index.
+def _sum3(a):
+    """``a.sum(axis=-1)`` of an array whose last axis has width 3."""
+    # numpy adds a0, a1 and a2 in turn to +0.0; that start changes only the
+    # sum of three -0.0, to +0.0, and so does the trailing + 0.0 here
+    return a[..., 0] + a[..., 1] + a[..., 2] + 0.0
+
+
+def _max3(a):
+    """``a.max(axis=-1)`` of an array whose last axis has width 3."""
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+
+
+def _argmax3(a):
+    """``np.argmax(a, axis=-1)`` of an array whose last axis has width 3."""
+    # a column wins over the maximum m before it unless it is <= m, so a NaN
+    # wins, and none wins over a NaN m (m == m fails)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    top = np.maximum(a0, a1)
+    k = (~(a1 <= a0) & (a0 == a0)).astype(np.intp)
+    return np.where(~(a2 <= top) & (top == top), 2, k)
+
+
 # Local index of vertex i+1 and vertex i+2 (mod 3): edge i joins them.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -136,18 +166,18 @@ class TriangleGeometry:
             signed = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                             - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
             clockwise = signed < 0.0
-            if clockwise.any():
-                v[clockwise] = v[clockwise][:, [0, 2, 1]]
+            flip = np.flatnonzero(clockwise)
+            v[flip, 1:] = v[flip, :0:-1]
             # edge i runs from vertex i+1 to vertex i+2
             dx = x[:, _PREV] - x[:, _NEXT]
             dy = y[:, _PREV] - y[:, _NEXT]
             lengths = np.hypot(dx, dy)
-            longest = lengths.max(axis=-1)
+            longest = _max3(lengths)
             big = np.flatnonzero(np.isinf(longest**2))
             if big.size:
                 raise MeshError(
                     f"triangle {big[0]} is too large: the square of its longest edge, "
-                    f"{lengths[big[0]].max():.6g}, overflows a float"
+                    f"{longest[big[0]]:.6g}, overflows a float"
                 )
             area = np.abs(signed)  # a clockwise area is the exact negative of its reordered one
             # angle i lies between the edges to vertices i+1 and i+2; the ratio
@@ -170,7 +200,7 @@ class TriangleGeometry:
             cross = np.abs(ax * by - ay * bx)
             cot = (ax * bx + ay * by) / cross
             # cross[:, 0] is 2 |K| scaled, from the edges that give ``signed``
-            ratio = np.sum((lengths * scale[:, None] / 6.0) ** 2, axis=-1) / (0.5 * cross[:, 0])
+            ratio = _sum3((lengths * scale[:, None] / 6.0) ** 2) / (0.5 * cross[:, 0])
         # the test area <= DEGENERATE_REL * longest^2 times 2 scale^2, so that
         # neither side underflows on a tiny triangle
         degenerate = cross[:, 0] <= 2.0 * DEGENERATE_REL * (longest * scale) ** 2
@@ -275,12 +305,12 @@ def _first_offender(tris: np.ndarray, degenerate: np.ndarray) -> str | None:
     """Message for the lowest-index triangle that repeats a vertex, repeats
     an earlier triangle or is degenerate (checked in that order), or None."""
     ordered = np.sort(tris, axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    repeats = (ordered[:, 0] == ordered[:, 1]) | (ordered[:, 1] == ordered[:, 2])
     # a stable sort keeps equal triangles in index order, so every one but
     # the first of a run is a duplicate of an earlier triangle
     order = np.lexsort(ordered.T[::-1])
     duplicate = np.zeros(len(tris), dtype=bool)
-    duplicate[order[1:]] = (ordered[order[1:]] == ordered[order[:-1]]).all(axis=1)
+    duplicate[order[1:]] = ~_max3(ordered[order[1:]] != ordered[order[:-1]])  # all equal
     found = [
         (int(np.argmax(mask)), rank) for rank, mask in enumerate((repeats, duplicate, degenerate))
         if mask.any()
@@ -310,18 +340,18 @@ def build_mesh(vertices, triangles) -> Mesh:
     nv, nt = len(verts), len(tris)
     if nv < 3:
         raise MeshError("a mesh needs at least 3 vertices")
-    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    bad = np.flatnonzero(~(np.isfinite(verts[:, 0]) & np.isfinite(verts[:, 1])))
     if bad.size:
         raise MeshError(f"vertex {bad[0]} has a non-finite coordinate {verts[bad[0]].tolist()}")
-    bad = np.flatnonzero(((tris < 0) | (tris >= nv)).any(axis=1))
+    bad = np.flatnonzero(_max3((tris < 0) | (tris >= nv)))  # any out of range
     if bad.size:
         raise MeshError(f"triangle {bad[0]} has a vertex index out of range 0..{nv - 1}")
     if nt == 0:
         raise MeshError("a mesh needs at least one triangle")
 
     geometries, clockwise, degenerate = TriangleGeometry._oriented(verts[tris])
-    if clockwise.any():
-        tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+    flip = np.flatnonzero(clockwise)
+    tris[flip, 1:] = tris[flip, :0:-1]
     message = _first_offender(tris, degenerate)
     if message:
         raise MeshError(message)

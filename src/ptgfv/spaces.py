@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .mesh import Mesh, TriangleGeometry
+from .mesh import Mesh, TriangleGeometry, _sum3
 
 __all__ = [
     "divergence",
@@ -70,7 +70,7 @@ def divergence(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     """Per-triangle divergence of edge fluxes: net outward flux divided by the area."""
     if len(p) != mesh.num_edges:
         raise ValueError("flux field length does not match the edge count")
-    return local_fluxes(mesh, p).sum(axis=1) / mesh.areas
+    return _sum3(local_fluxes(mesh, p)) / mesh.areas
 
 
 def quadrature_blocks(mesh: Mesh):

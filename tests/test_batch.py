@@ -1,9 +1,12 @@
 """Batched triangle kernels: a batch of B triangles on the leading axis gives,
 row by row, what B single-triangle calls give."""
 
+import cProfile
 import itertools
 import math
+import pstats
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ from ptgfv.mesh import (
     DEGENERATE_REL,
     MeshError,
     TriangleGeometry,
+    _argmax3,
+    _max3,
+    _sum3,
     build_mesh,
     generate_rhombus_equilateral,
 )
@@ -426,3 +432,113 @@ def test_h1_probe_memory_does_not_grow_with_trials():
         peaks[trials] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[1000] <= peaks[10] + 0.25e6
+
+
+# -- three-wide axes reduced as column arithmetic ---------------------------
+
+# every ordered triple of these: signed zeros, infinities, NaN, subnormals,
+# and ties, both exact and between the zeros
+SPECIAL = [-math.inf, -1.5, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.0, math.inf, math.nan]
+
+
+def special_rows() -> np.ndarray:
+    rows = np.array(list(itertools.product(SPECIAL, repeat=3)))
+    rng = np.random.default_rng(5)
+    ties = rng.integers(-2, 3, size=(2000, 3)) * 0.5
+    spread = rng.standard_normal((2000, 3)) * np.exp(10.0 * rng.standard_normal((2000, 3)))
+    return np.concatenate([rows, ties, spread])
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected, equal_nan=True)
+    numbers = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(actual[numbers]), np.signbit(expected[numbers]))
+
+
+def test_column_helpers_give_numpys_reductions_bit_for_bit():
+    a = special_rows()
+    # a row of three -0.0, which numpy sums to +0.0
+    assert ((a == 0.0) & np.signbit(a)).all(axis=-1).any()
+    with np.errstate(all="ignore"):
+        assert_same_bits(_sum3(a), a.sum(axis=-1))
+        assert_same_bits(_max3(a), a.max(axis=-1))
+        assert_same_bits(_sum3(a * a), np.sum(a * a, axis=-1))
+        # the column product of ``_profile_terms``
+        assert_same_bits(a[:, 0] * a[:, 1] * a[:, 2], np.prod(a, axis=-1))
+        # leading axes are kept
+        assert _sum3(a.reshape(-1, 10, 3)).shape == (len(a) // 10, 10)
+    assert np.array_equal(_argmax3(a), np.argmax(a, axis=-1))
+    assert _argmax3(np.array([1.0, 3.0, 3.0])) == 1
+    # booleans reduce to any, integers to their max
+    mask = a > 0.0
+    assert np.array_equal(_max3(mask), mask.any(axis=-1))
+    ints = np.round(a[-2000:]).astype(int)
+    assert np.array_equal(_max3(ints), ints.max(axis=-1))
+
+
+def test_profile_terms_equal_their_axis_reductions():
+    # the same arithmetic as the closed form's sum and np.prod over the
+    # cotangent axis, on cotangents that hold the special values
+    cot = special_rows()
+    ratio = np.linspace(0.2, 3.0, len(cot))
+    with np.errstate(all="ignore"):
+        denominator, reduced = _profile_terms(SimpleNamespace(cot=cot, ratio=ratio))
+        k = 1.0 / (81.0 * ratio**2)
+        x = 0.25 / np.sum(1.0 / (1.0 + cot**2), axis=-1)
+        expected = (288.0 * x**2 + 12.0 * x + 5.25 - 1.5 * k
+                    - 20.25 * ratio * np.prod(cot, axis=-1))
+    assert_same_bits(reduced, expected)
+    assert_same_bits(denominator, 0.75 - k)
+
+
+# ufunc reductions and ndarray arg-reductions; every reduction over a
+# three-wide axis is column arithmetic, so these are the reductions of whole
+# arrays and the few boolean tests left
+REDUCTIONS = {
+    "<method 'reduce' of 'numpy.ufunc' objects>",
+    "<method 'argmax' of 'numpy.ndarray' objects>",
+    "<method 'argmin' of 'numpy.ndarray' objects>",
+}
+
+
+def reductions(call) -> int:
+    profile = cProfile.Profile()
+    profile.runcall(call)
+    return sum(
+        stat[1] for (_, _, name), stat in pstats.Stats(profile).stats.items()
+        if name in REDUCTIONS
+    )
+
+
+@pytest.fixture(scope="module")
+def solved32():
+    mesh = generate_rhombus_equilateral(32)
+    case = CASES["rhombus-sine"]
+    f_t = interpolate_p0(case.f, mesh)
+    return mesh, case, solve(assemble(mesh, mesh.coefficients, f_t), tol=1e-12)
+
+
+def build_flipped(mesh):
+    # every other triangle clockwise, so build_mesh reorders them
+    triangles = np.array(mesh.triangles)
+    triangles[::2] = triangles[::2][:, [0, 2, 1]]
+    return build_mesh(mesh.vertices, triangles)
+
+
+# call -> reductions it makes (numpy 2.4).  A whole ``verify`` op on the n=32
+# mesh makes 42 ufunc reductions; reducing the three-wide axes with numpy's
+# axis reductions made it 139.
+REDUCTION_COUNTS = {
+    "lemma_suite": (lambda mesh, case, sol: lemma_suite(samples=10000, seed=42), 20),
+    "stability_check": (lambda mesh, case, sol: stability_check(mesh, trials=100, seed=42), 20),
+    "build_mesh": (lambda mesh, case, sol: build_flipped(mesh), 3),
+    "divergence": (lambda mesh, case, sol: spaces.divergence(mesh, sol.p), 0),
+    "error_norms": (lambda mesh, case, sol: error_norms(mesh, sol, case), 0),
+}
+
+
+@pytest.mark.parametrize("name", REDUCTION_COUNTS)
+def test_reduction_count_is_pinned(solved32, name):
+    call, expected = REDUCTION_COUNTS[name]
+    assert reductions(lambda: call(*solved32)) == expected

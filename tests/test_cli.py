@@ -836,3 +836,59 @@ def test_each_command_computes_the_coefficients_once(rhombus_file, capsys, monke
     code, _, _ = run(capsys, *args, str(rhombus_file))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_main_builds_one_parser_and_leaks_no_flag(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each call parses into a new
+    # namespace, so a flag of one call never shows in the next
+    monkeypatch.delenv("PTG_SEED", raising=False)
+    cli._parser.cache_clear()
+    seeded = run(capsys, "verify", "--samples", "25", "--seed", "1")
+    unseeded = run(capsys, "verify", "--samples", "25")
+    assert unseeded == run(capsys, "verify", "--samples", "25", "--seed", "42")
+    assert seeded != unseeded
+    path = tmp_path / "m.msh"
+    assert run(capsys, "generate", "--n", "2", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "solve", "--mesh", str(path), "--rhs-const", "1")
+    assert (code, err) == (0, "") and out.startswith("cells 8\n")
+    assert not path.with_name("m.msh.json").exists()   # solve's --out stays unset
+    assert cli._parser.cache_info().misses == 1
+
+    parser = cli._parser()
+    assert parser.parse_args(["verify", "--seed", "1"]).seed == 1
+    assert parser.parse_args(["verify"]).seed is None
+    generate = parser.parse_args(["generate", "--n", "2", "--out", "m.msh"])
+    solve_args = parser.parse_args(["solve", "--mesh", "m.msh", "--rhs-const", "1"])
+    assert (generate.out, solve_args.out) == ("m.msh", None)
+    assert not hasattr(solve_args, "n") and not hasattr(solve_args, "domain")
+
+
+def test_verify_prints_strict_json_for_a_nan_slack(capsys, monkeypatch):
+    # a NaN slack makes its check's worst slack -inf, printed as null; the
+    # check and the run still fail
+    _, passing, _ = run(capsys, "verify", "--samples", "10", "--seed", "3")
+    lemma_slacks = analysis._lemma_slacks
+
+    def with_nan(geom):
+        slacks, energy_ratio = lemma_slacks(geom)
+        slacks["cotangent-sum-identity"] = np.full(len(geom.area), np.nan)
+        return slacks, energy_ratio
+
+    monkeypatch.setattr(analysis, "_lemma_slacks", with_nan)
+    code, out, err = run(capsys, "verify", "--samples", "10", "--seed", "3")
+    assert (code, err) == (4, "")
+    report = _strict_json(out)
+    checks = {c["check"]: c for c in report["lemmas"]["checks"]}
+    assert checks["cotangent-sum-identity"]["worst_slack"] is None
+    assert checks["cotangent-sum-identity"]["passed"] is False
+    assert report["lemmas"]["all_passed"] is False and report["all_passed"] is False
+    # the rest of the record is the passing run's; the witness is the first
+    # NaN sample
+    expected = _strict_json(passing)
+    witness = checks["cotangent-sum-identity"]["witness"]
+    assert np.shape(witness) == (3, 2)
+    for check in expected["lemmas"]["checks"]:
+        if check["check"] == "cotangent-sum-identity":
+            check.update(worst_slack=None, passed=False, witness=witness)
+    expected["lemmas"]["all_passed"] = expected["all_passed"] = False
+    assert report == expected

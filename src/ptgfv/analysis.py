@@ -29,13 +29,11 @@ from .mesh import (
     _NEXT,
     _PREV,
     Mesh,
-    MeshQualityReport,
     TriangleGeometry,
     _cross,
     _dot,
     _max3,
     _sum3,
-    cotan_coefficients,
     generate_rhombus_equilateral,
     quality_report,
 )
@@ -224,9 +222,8 @@ def convergence_study(
     rows = []
     for n in levels:
         mesh = case.generator(n)
-        coeffs = cotan_coefficients(mesh)
         f_t = interpolate_p0(case.f, mesh)
-        solution = solve(assemble(mesh, coeffs, f_t), tol=tol)
+        solution = solve(assemble(mesh, mesh.coefficients, f_t), tol=tol)
         eu, ep, ediv = error_norms(mesh, solution, case)
         centers = _circumcenter(mesh.geometries.vertices)
         ecc = mesh.areas @ (solution.u - case.u(centers[:, 0], centers[:, 1])) ** 2
@@ -357,9 +354,9 @@ def circumcenter_edge_distances(geometry: TriangleGeometry) -> np.ndarray:
     its start, divided by its length.  Shape (3,), or (B, 3) for a batch.
     """
     v = geometry.vertices
-    p = v[..., _NEXT, :]
+    p = v.take(_NEXT, axis=-2)
     center = _circumcenter(v)[..., None, :]
-    return _cross(v[..., _PREV, :] - p, center - p) / geometry.edge_lengths
+    return _cross(v.take(_PREV, axis=-2) - p, center - p) / geometry.edge_lengths
 
 
 @dataclass(frozen=True)
@@ -556,7 +553,7 @@ def probe_chunk(num_edges: int) -> int:
     return max(1, PROBE_BLOCK // num_edges)
 
 
-def _h1_probe(mesh: Mesh, coefficients: np.ndarray, trials: int, seed: int) -> float:
+def _h1_probe(mesh: Mesh, trials: int, seed: int) -> float:
     """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` flux fields p
     of i.i.d. entries uniform on [-1/2, 1/2), evaluated ``probe_chunk``
     fields at a time.  The fields take the draws of ``SplitMix64(seed)``
@@ -587,7 +584,7 @@ def _h1_probe(mesh: Mesh, coefficients: np.ndarray, trials: int, seed: int) -> f
         norm2 = np.zeros(len(p))
         for (i, j), w in zip(_UPPER, weights):
             norm2 += (at[i] * at[j]) @ w
-        pairing = np.square(p, out=p) @ coefficients
+        pairing = np.square(p, out=p) @ mesh.coefficients
         h1_min = min(h1_min, float((pairing / norm2).min()))
         del p, at                # free this block before the next one is drawn
     return h1_min
@@ -597,7 +594,6 @@ def stability_check(
     mesh: Mesh,
     trials: int = 100,
     seed: int = 42,
-    report: MeshQualityReport | None = None,
 ) -> StabilityReport:
     """Evaluate the three computable stability inequalities on a mesh.
 
@@ -620,24 +616,15 @@ def stability_check(
     on counters the lemma suite's triangles never reach, and are drawn and
     evaluated a block of at most 2^15 draws at a time, so memory does not
     grow with ``trials``.  The stream is the package's own, so a seeded
-    ``h1_min_ratio`` does not change with the numpy version.  ``report`` is
-    the mesh's quality report, computed when absent.
-
-    Raises ValueError for a ``report`` whose coefficients or angle extrema
-    are not those of ``mesh``, before any work.
+    ``h1_min_ratio`` does not change with the numpy version.  The angle
+    extrema and admissibility come from ``quality_report(mesh)`` and the
+    coefficients from ``mesh.coefficients``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     geom = mesh.geometries
     cot = geom.cot
-    if report is None:
-        report = quality_report(mesh)
-    elif not (
-        np.array_equal(report.coefficients, mesh.coefficients)
-        and report.theta_min == math.atan2(1.0, cot.max())
-        and report.theta_max == math.atan2(1.0, cot.min())
-    ):
-        raise ValueError("report is not the quality report of this mesh")
+    report = quality_report(mesh)
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
 
@@ -651,7 +638,7 @@ def stability_check(
         deviation[block] = np.abs(values @ QUAD_WEIGHTS - 1.0) / (np.abs(values) @ QUAD_WEIGHTS)
     max_energy = float(energy.max())
     h3_deviation = float(deviation.max())
-    h1_min = _h1_probe(mesh, report.coefficients, trials, seed)
+    h1_min = _h1_probe(mesh, trials, seed)
 
     bound_h1 = 0.4 * float(cot.min() / cot.max())
     bound_h4 = math.sqrt(nu_bound(report.theta_min))

@@ -152,8 +152,8 @@ def cmd_mesh_info(args) -> int:
         "internal_edges": len(mesh.internal_edges),
         "boundary_edges": len(mesh.boundary_edges),
         "h": mesh.h_max,
-        "coefficient_min": float(report.coefficients.min()),
-        "coefficient_max": float(report.coefficients.max()),
+        "coefficient_min": float(mesh.coefficients.min()),
+        "coefficient_max": float(mesh.coefficients.max()),
     }
     print(json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
@@ -198,7 +198,7 @@ def cmd_solve(args) -> int:
     else:
         case = None
         f_t = np.full(mesh.num_triangles, args.rhs_const)
-    system = assemble(mesh, report.coefficients, f_t, DirichletData.zero(mesh))
+    system = assemble(mesh, mesh.coefficients, f_t, DirichletData.zero(mesh))
     solution = solve(system, tol=args.tol)
     balance = flux_balance_check(mesh, solution, f_t)
     threshold = BALANCE_FACTOR * args.tol * system.rhs_norm
@@ -265,7 +265,7 @@ def cmd_verify(args) -> int:
     output = {"lemmas": dataclasses.asdict(suite) | {"all_passed": suite.all_passed}}
     ok = suite.all_passed
     if mesh is not None:
-        stability = stability_check(mesh, trials=args.trials, seed=seed, report=report)
+        stability = stability_check(mesh, trials=args.trials, seed=seed)
         output["stability"] = dataclasses.asdict(stability) | {
             "all_passed": stability.all_passed,
             "max_energy_sqrt": math.sqrt(stability.max_energy),

@@ -104,8 +104,8 @@ def solve_delta_k(geometry: TriangleGeometry) -> DeltaK:
     k = _argmax3(lengths)                               # the apex
     rows = np.arange(len(k))
     order = [(k + 1) % 3, (k + 2) % 3, k]               # base start, base end, apex
-    start, end, apex = (v[rows, i] for i in order)
-    length = lengths[rows, k, None]
+    start, end, apex = (v.reshape(-1, 2).take(3 * rows + i, axis=0) for i in order)
+    length = lengths.take(3 * rows + k)[:, None]        # flat takes beat 2-D fancy indexing
     tangent = (end - start) / length
     to_apex = (apex - start) / length
     a = _dot(to_apex, tangent)

@@ -297,7 +297,7 @@ class Mesh:
 
     @cached_property
     def coefficients(self) -> np.ndarray:
-        # kept, so that a quality report is checked against its mesh for free
+        # the one home of the coefficients; quality reports read it too
         return cotan_coefficients(self)
 
 
@@ -427,17 +427,16 @@ def cotan_coefficients(mesh: Mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeshQualityReport:
-    """Angle extrema, cotangent coefficients and per-edge admissibility flags.
+    """Angle extrema and per-edge admissibility flags of a mesh.
 
-    ``edge_ok[e]`` is ``coefficients[e] >= COEFF_TOL``: strict Delaunay for an
-    internal edge, an acute opposite angle for a boundary edge.  The mesh is
-    admissible iff every flag holds, exactly when ``assemble`` accepts
-    ``coefficients``.
+    ``edge_ok[e]`` is ``mesh.coefficients[e] >= COEFF_TOL``: strict Delaunay
+    for an internal edge, an acute opposite angle for a boundary edge.  The
+    mesh is admissible iff every flag holds, exactly when ``assemble``
+    accepts ``mesh.coefficients``.
     """
 
     theta_min: float
     theta_max: float
-    coefficients: np.ndarray
     edge_ok: np.ndarray
     all_acute: bool
     admissible: bool
@@ -447,15 +446,13 @@ class MeshQualityReport:
 
 
 def quality_report(mesh: Mesh) -> MeshQualityReport:
-    """Compute the cotangent coefficients and check each against COEFF_TOL."""
+    """Check each of ``mesh.coefficients`` against COEFF_TOL."""
     cot = mesh.geometries.cot
-    coefficients = mesh.coefficients
-    edge_ok = coefficients >= COEFF_TOL
+    edge_ok = mesh.coefficients >= COEFF_TOL
     edge_ok.flags.writeable = False
     return MeshQualityReport(
         theta_min=math.atan2(1.0, cot.max()),
         theta_max=math.atan2(1.0, cot.min()),
-        coefficients=coefficients,
         edge_ok=edge_ok,
         all_acute=bool(cot.min() > ANGLE_GUARD),
         admissible=bool(edge_ok.all()),

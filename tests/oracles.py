@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ptgfv.analysis import MIN_SAMPLE_ANGLE, PROBE_COUNTER
-from ptgfv.mesh import Mesh, TriangleGeometry, quality_report
+from ptgfv.mesh import Mesh, TriangleGeometry
 from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS, local_gram_closed_form
 
 
@@ -161,7 +161,7 @@ def h1_probe_reference(mesh: Mesh, trials: int, seed: int) -> float:
     entries uniform on [-1/2, 1/2), drawn and evaluated one field at a time
     from ``ReferenceStream(seed, PROBE_COUNTER)``, with M assembled from the
     closed-form local mass matrices by one einsum per field."""
-    coefficients = quality_report(mesh).coefficients
+    coefficients = mesh.coefficients
     grams = local_gram_closed_form(mesh.geometries)
     stream = ReferenceStream(seed, PROBE_COUNTER)
     h1_min = math.inf

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from ptgfv import analysis
 from ptgfv.analysis import (
     CASES,
     circumcenter_edge_distances,
@@ -26,7 +25,7 @@ from ptgfv.dual import (
     nu_bound,
     solve_delta_k,
 )
-from ptgfv.mesh import build_mesh, generate_rhombus_equilateral, write_mesh
+from ptgfv.mesh import Mesh, build_mesh, generate_rhombus_equilateral, write_mesh
 from ptgfv.solver import DirichletData, assemble, discrete_gradient, solve
 from ptgfv.spaces import divergence, interpolate_p0, local_gram_closed_form
 
@@ -103,7 +102,7 @@ def test_circumcenter_gate_rejects_centroid_transmissibilities(monkeypatch, seed
     # family the centroid scheme's circumcenter error stalls below first
     # order on every pair, while its combined rate passes the first-order
     # gate up to n = 32
-    monkeypatch.setattr(analysis, "cotan_coefficients", centroid_coefficients)
+    monkeypatch.setattr(Mesh, "coefficients", property(centroid_coefficients))
     report = convergence_study(jittered_case(seed), [8, 16, 32, 64])
     assert max(report.rates("ecc")) < 1.8
     assert report.rates("combined")[1] >= 0.9

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import ptgfv
 from ptgfv import analysis, solver
-from ptgfv.mesh import Mesh
+from ptgfv.mesh import Mesh, MeshQualityReport
 
 MODULES = ("analysis", "dual", "mesh", "solver", "spaces")
 
@@ -79,3 +79,12 @@ def test_benchmark_bindings_exist():
     # the probe's trials is a benchmark change
     assert "trials" in inspect.signature(analysis.stability_check).parameters
     assert "trials" in {f.name for f in dataclasses.fields(analysis.StabilityReport)}
+
+
+def test_the_coefficients_have_one_home():
+    # the coupling coefficients are held by the mesh alone: no quality report
+    # carries a copy and the stability check takes no report to compare
+    assert list(inspect.signature(analysis.stability_check).parameters) == [
+        "mesh", "trials", "seed"
+    ]
+    assert "coefficients" not in {f.name for f in dataclasses.fields(MeshQualityReport)}

@@ -307,9 +307,8 @@ def test_solve_balance_gate_at_its_threshold(rhombus_file, capsys, monkeypatch, 
     from ptgfv.solver import FluxBalanceReport
 
     mesh = read_mesh(rhombus_file.read_text())
-    coefficients = quality_report(mesh).coefficients
     f_t = np.ones(mesh.num_triangles)
-    rhs_norm = assemble(mesh, coefficients, f_t, DirichletData.zero(mesh)).rhs_norm
+    rhs_norm = assemble(mesh, mesh.coefficients, f_t, DirichletData.zero(mesh)).rhs_norm
     residual = factor * 1e-10 * rhs_norm
     report = FluxBalanceReport(cell_residuals=np.full(mesh.num_triangles, residual),
                                max_cell_residual=residual, global_imbalance=0.0)
@@ -490,22 +489,6 @@ def test_non_finite_coordinate_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--mesh", str(path), "--rhs-const", "1")
     assert (code, out) == (2, "")
     assert "line 3: coordinates must be finite" in err
-
-
-def test_verify_makes_one_quality_report(rhombus_file, capsys, monkeypatch):
-    calls = []
-
-    def counted(mesh):
-        calls.append(mesh)
-        return quality_report(mesh)
-
-    for module in (analysis, cli):
-        monkeypatch.setattr(module, "quality_report", counted)
-    code, _, _ = run(
-        capsys, "verify", "--samples", "10", "--trials", "3", "--mesh", str(rhombus_file)
-    )
-    assert code == 0
-    assert len(calls) == 1
 
 
 def _reference_csv(solution) -> str:
@@ -698,7 +681,7 @@ def test_no_command_raises_and_all_agree_on_admissibility(tmp_path, capsys, name
         return
     report = quality_report(mesh)
     try:
-        assemble(mesh, report.coefficients, np.ones(mesh.num_triangles))
+        assemble(mesh, mesh.coefficients, np.ones(mesh.num_triangles))
         accepted = True
     except ValueError:
         accepted = False

@@ -298,7 +298,7 @@ def test_sliver_angles_and_coefficients_are_exact(apex):
     np.testing.assert_allclose(coeffs[legs], s / 2, rtol=0, atol=5e-16)
     report = quality_report(mesh)
     assert report.admissible
-    assert np.array_equal(report.coefficients, coeffs)
+    assert np.array_equal(mesh.coefficients, coeffs)
     assert report.theta_min == pytest.approx(2 * math.atan(s), rel=1e-14, abs=0)
     assert report.theta_max == pytest.approx(math.pi / 2 - math.atan(s), rel=0, abs=5e-16)
 
@@ -312,9 +312,9 @@ def test_quality_report_flags_exactly_the_coefficients_below_tolerance():
         mesh = build_mesh([a, (a[0], -a[1]), (-1.0, 0.0), (1.0 + shift, 0.0)],
                           [(0, 1, 2), (0, 1, 3)])
         report = quality_report(mesh)
-        assert not report.coefficients.flags.writeable
-        assert np.array_equal(report.coefficients, cotan_coefficients(mesh))
-        assert np.array_equal(report.edge_ok, report.coefficients >= mesh_module.COEFF_TOL)
+        assert not mesh.coefficients.flags.writeable
+        assert np.array_equal(mesh.coefficients, cotan_coefficients(mesh))
+        assert np.array_equal(report.edge_ok, mesh.coefficients >= mesh_module.COEFF_TOL)
         assert report.admissible == (shift >= 2e-13)
 
 

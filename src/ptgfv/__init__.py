@@ -38,7 +38,6 @@ from .mesh import (
 )
 from .solver import (
     ConvergenceError,
-    DirichletData,
     FluxBalanceReport,
     Solution,
     SparseSystem,

@@ -32,7 +32,7 @@ from .mesh import (
     read_mesh,
     write_mesh,
 )
-from .solver import ConvergenceError, DirichletData, assemble, flux_balance_check, solve
+from .solver import ConvergenceError, assemble, flux_balance_check, solve
 from .spaces import interpolate_p0
 
 EXIT_OK = 0
@@ -198,7 +198,7 @@ def cmd_solve(args) -> int:
     else:
         case = None
         f_t = np.full(mesh.num_triangles, args.rhs_const)
-    system = assemble(mesh, mesh.coefficients, f_t, DirichletData.zero(mesh))
+    system = assemble(mesh, mesh.coefficients, f_t)
     solution = solve(system, tol=args.tol)
     balance = flux_balance_check(mesh, solution, f_t)
     threshold = BALANCE_FACTOR * args.tol * system.rhs_norm

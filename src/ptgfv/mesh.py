@@ -94,6 +94,12 @@ def _argmax3(a):
     return np.where(~(a2 <= top) & (top == top), 2, k)
 
 
+def _sort3(a):
+    """``np.sort(a, axis=-1)`` of an integer array whose last axis has width 3."""
+    lo, hi, c = np.minimum(a[..., 0], a[..., 1]), np.maximum(a[..., 0], a[..., 1]), a[..., 2]
+    return np.stack([np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)], -1)
+
+
 # Local index of vertex i+1 and vertex i+2 (mod 3): edge i joins them.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -304,7 +310,7 @@ class Mesh:
 def _first_offender(tris: np.ndarray, degenerate: np.ndarray) -> str | None:
     """Message for the lowest-index triangle that repeats a vertex, repeats
     an earlier triangle or is degenerate (checked in that order), or None."""
-    ordered = np.sort(tris, axis=1)
+    ordered = _sort3(tris)
     repeats = (ordered[:, 0] == ordered[:, 1]) | (ordered[:, 1] == ordered[:, 2])
     # a stable sort keeps equal triangles in index order, so every one but
     # the first of a run is a duplicate of an earlier triangle
@@ -534,40 +540,31 @@ def _read_rows(rows: list[str], line: Callable[[int], int]) -> Mesh:
         raise MeshFormatError(
             "unexpected end of file, expected vertex and triangle counts", line(1)
         )
-    parts = rows[1].split()
-    if len(parts) != 2:
-        raise MeshFormatError("expected '<nv> <nt>'", line(1))
-    try:
-        if not _plain(rows[1]):
-            raise ValueError
-        nv, nt = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MeshFormatError("counts must be integers", line(1)) from None
+
+    def fields(row: int, shape: str, convert, message: str) -> list:
+        """The fields of data row ``row``, as many as ``shape`` names, each
+        read by ``convert``; ``message`` names a field that fails."""
+        parts = rows[row].split()
+        if len(parts) != len(shape.split()):
+            raise MeshFormatError(f"expected '{shape}'", line(row))
+        try:
+            if not _plain(rows[row]):
+                raise ValueError
+            return [convert(p) for p in parts]
+        except ValueError:
+            raise MeshFormatError(message, line(row)) from None
+
+    nv, nt = fields(1, "<nv> <nt>", int, "counts must be integers")
     if nv < 3 or nt < 1:
         raise MeshFormatError(f"implausible counts nv={nv} nt={nt}", line(1))
 
-    def check_vertex(row: int, parts: list[str]) -> None:
-        if len(parts) != 2:
-            raise MeshFormatError("expected 'x y'", line(row))
-        try:
-            if not _plain(rows[row]):
-                raise ValueError
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise MeshFormatError("coordinates must be decimal floats", line(row)) from None
+    def check_vertex(row: int) -> None:
+        x, y = fields(row, "x y", float, "coordinates must be decimal floats")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise MeshFormatError("coordinates must be finite", line(row))
 
-    def check_triangle(row: int, parts: list[str]) -> None:
-        if len(parts) != 3:
-            raise MeshFormatError("expected 'i j k'", line(row))
-        try:
-            if not _plain(rows[row]):
-                raise ValueError
-            tri = tuple(int(p) for p in parts)
-        except ValueError:
-            raise MeshFormatError("indices must be integers", line(row)) from None
-        for idx in tri:
+    def check_triangle(row: int) -> None:
+        for idx in fields(row, "i j k", int, "indices must be integers"):
             if not 0 <= idx < nv:
                 raise MeshFormatError(f"vertex index {idx} out of range 0..{nv - 1}", line(row))
 
@@ -575,7 +572,7 @@ def _read_rows(rows: list[str], line: Callable[[int], int]) -> Mesh:
         values = _parse_block(rows[first : first + count], width, dtype, valid)
         if values is None:
             for row in range(first, min(first + count, len(rows))):
-                check_row(row, rows[row].split())
+                check_row(row)
             raise AssertionError("a block failed its bulk parse but no row check")
         if len(values) < count:
             raise MeshFormatError(f"unexpected end of file, expected {what}", line(len(rows)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,7 +28,6 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 __all__ = [
-    "DirichletData",
     "SparseSystem",
     "Solution",
     "FluxBalanceReport",
@@ -55,20 +55,21 @@ class ConvergenceError(RuntimeError):
     digits to solve for; the message names the floor or the entry."""
 
 
-@dataclass
-class DirichletData:
-    """Boundary trace means, one value per boundary edge (aligned with
-    ``mesh.boundary_edges``); all zeros in the model problem."""
+def _trace(mesh: Mesh, bc: np.ndarray | None) -> np.ndarray:
+    """The boundary trace ``bc``, one mean per boundary edge in the order of
+    ``mesh.boundary_edges``; None is the zero trace of the model problem."""
+    if bc is None:
+        return np.zeros(len(mesh.boundary_edges))
+    if len(bc) != len(mesh.boundary_edges):
+        raise ValueError("boundary data length does not match the boundary edge count")
+    return bc
 
-    values: np.ndarray
 
-    @classmethod
-    def zero(cls, mesh: Mesh) -> "DirichletData":
-        return cls(np.zeros(len(mesh.boundary_edges)))
-
-    def check(self, mesh: Mesh) -> None:
-        if len(self.values) != len(mesh.boundary_edges):
-            raise ValueError("boundary data length does not match the boundary edge count")
+# The benchmark's binding: perfbench/workloads.py builds its zero trace as
+# ``solver.DirichletData.zero(mesh)`` (pinned by
+# tests/test_api.py::test_benchmark_bindings_exist).  It is no type, and it
+# goes when the benchmark builds the array itself (ROADMAP item 1).
+DirichletData = SimpleNamespace(zero=lambda mesh: _trace(mesh, None))
 
 
 def _check_cells(mesh: Mesh, values: np.ndarray) -> None:
@@ -80,23 +81,23 @@ def discrete_gradient(
     mesh: Mesh,
     coeffs: np.ndarray,
     u: np.ndarray,
-    bc: DirichletData | None = None,
+    bc: np.ndarray | None = None,
 ) -> np.ndarray:
     """Edge fluxes of the discrete gradient of the cell values ``u``.
 
     Internal edge (owner K, neighbor L): (u_L - u_K) / c; boundary edge:
-    (trace - u_K) / c.  Requires every coefficient to be nonzero.
+    (bc - u_K) / c, with ``bc`` the boundary trace (None: zero).  Requires
+    every coefficient to be nonzero.
     """
     _check_cells(mesh, u)
-    bc = bc or DirichletData.zero(mesh)
-    bc.check(mesh)
+    bc = _trace(mesh, bc)
     zero = np.flatnonzero(np.abs(coeffs) < COEFF_TOL)
     if zero.size:
         raise ValueError(f"zero coupling coefficient on edge {int(zero[0])}")
     far = np.empty(mesh.num_edges)
     internal = mesh.internal_edges
     far[internal] = u[mesh.edges.neighbor[internal]]
-    far[mesh.boundary_edges] = bc.values
+    far[mesh.boundary_edges] = bc
     return (far - u[mesh.edges.owner]) / coeffs
 
 
@@ -117,7 +118,7 @@ class SparseSystem:
     rhs: np.ndarray
     mesh: Mesh
     coeffs: np.ndarray
-    bc: DirichletData
+    bc: np.ndarray  # boundary trace, one mean per boundary edge
 
     @property
     def rhs_norm(self) -> float:
@@ -129,9 +130,10 @@ def assemble(
     mesh: Mesh,
     coeffs: np.ndarray,
     f_t: np.ndarray,
-    bc: DirichletData | None = None,
+    bc: np.ndarray | None = None,
 ) -> SparseSystem:
-    """Assemble the cell-centered system A u = b for the cell source means ``f_t``.
+    """Assemble the cell-centered system A u = b for the cell source means
+    ``f_t`` and the boundary trace ``bc`` (None: zero).
 
     Refuses any coupling coefficient below COEFF_TOL (the edges that
     ``quality_report`` flags), since positivity guarantees a unique solution.
@@ -142,8 +144,7 @@ def assemble(
     from scipy.sparse import csr_matrix
 
     _check_cells(mesh, f_t)
-    bc = bc or DirichletData.zero(mesh)
-    bc.check(mesh)
+    bc = _trace(mesh, bc)
     bad = np.flatnonzero(coeffs < COEFF_TOL)
     if bad.size:
         raise ValueError(
@@ -157,7 +158,7 @@ def assemble(
     # a product past the largest float is an inf entry, which ``solve`` names
     with np.errstate(over="ignore"):
         rhs = mesh.areas * f_t
-    np.add.at(rhs, owner[boundary], bc.values * w[boundary])
+    np.add.at(rhs, owner[boundary], bc * w[boundary])
     # the diagonal sums 1/c over each triangle's edges; the owner and
     # neighbor entries are interleaved in edge order so that every row adds
     # its terms in the same order as an edge-by-edge loop

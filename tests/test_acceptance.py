@@ -26,7 +26,7 @@ from ptgfv.dual import (
     solve_delta_k,
 )
 from ptgfv.mesh import Mesh, build_mesh, generate_rhombus_equilateral, write_mesh
-from ptgfv.solver import DirichletData, assemble, discrete_gradient, solve
+from ptgfv.solver import assemble, discrete_gradient, solve
 from ptgfv.spaces import divergence, interpolate_p0, local_gram_closed_form
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
@@ -131,7 +131,7 @@ def test_criterion_2_scheme_equivalence():
         bound = 10.0 * tol * float(np.linalg.norm(system.rhs))
         assert cell.max() <= bound
         worst_balance = max(worst_balance, cell.max() / bound)
-        again = discrete_gradient(mesh_i, coeffs, solution.u, DirichletData.zero(mesh_i))
+        again = discrete_gradient(mesh_i, coeffs, solution.u)
         assert np.array_equal(solution.p, again)
 
     # cotangent coefficients equal the circumcenter-distance transmissibilities

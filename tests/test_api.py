@@ -11,8 +11,12 @@ import types
 from pathlib import Path
 
 import ptgfv
+import numpy as np
+
 from ptgfv import analysis, solver
 from ptgfv.mesh import Mesh, MeshQualityReport
+
+from conftest import jittered_rhombus
 
 MODULES = ("analysis", "dual", "mesh", "solver", "spaces")
 
@@ -88,3 +92,22 @@ def test_the_coefficients_have_one_home():
         "mesh", "trials", "seed"
     ]
     assert "coefficients" not in {f.name for f in dataclasses.fields(MeshQualityReport)}
+
+
+def test_the_boundary_trace_is_a_plain_array():
+    # the library takes the trace as a float array; ``DirichletData.zero``
+    # is no type and survives only as the benchmark's binding
+    assert "DirichletData" not in solver.__all__
+    assert not hasattr(ptgfv, "DirichletData")
+    assert not isinstance(solver.DirichletData, type)
+    m = jittered_rhombus(4, seed=3)
+    zero = solver.DirichletData.zero(m)
+    assert isinstance(zero, np.ndarray) and zero.dtype == float
+    assert zero.shape == (len(m.boundary_edges),) and not zero.any()
+    f_t = np.random.default_rng(11).normal(size=m.num_triangles)
+    given = solver.assemble(m, m.coefficients, f_t, zero)
+    default = solver.assemble(m, m.coefficients, f_t)
+    assert given.rhs.tobytes() == default.rhs.tobytes()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(given.matrix, name).tobytes() == getattr(default.matrix, name).tobytes()
+    assert default.bc.tobytes() == zero.tobytes()

@@ -35,6 +35,7 @@ from ptgfv.mesh import (
     TriangleGeometry,
     _argmax3,
     _max3,
+    _sort3,
     _sum3,
     build_mesh,
     generate_rhombus_equilateral,
@@ -475,6 +476,15 @@ def test_column_helpers_give_numpys_reductions_bit_for_bit():
     assert np.array_equal(_max3(mask), mask.any(axis=-1))
     ints = np.round(a[-2000:]).astype(int)
     assert np.array_equal(_max3(ints), ints.max(axis=-1))
+
+
+def test_sort3_equals_numpys_row_sort():
+    # indices from 0..3 put two or three equal entries in many rows
+    tris = np.random.default_rng(5).integers(0, 4, size=(5000, 3))
+    assert (tris[:, 0] == tris[:, 1]).any() and (tris.min(axis=1) == tris.max(axis=1)).any()
+    ordered = _sort3(tris)
+    assert ordered.dtype == tris.dtype and ordered.flags.c_contiguous
+    assert np.array_equal(ordered, np.sort(tris, axis=1))
 
 
 def test_profile_terms_equal_their_axis_reductions():

@@ -17,7 +17,7 @@ from ptgfv.mesh import (
     read_mesh,
     write_mesh,
 )
-from ptgfv.solver import DirichletData, assemble, solve
+from ptgfv.solver import assemble, solve
 
 from conftest import diagonal_square_mesh, jittered_rhombus, mesh_text
 from oracles import cotan_coefficients_reference
@@ -246,6 +246,26 @@ def test_solve_usage_errors(rhombus_file, capsys):
     assert "rhombus-sine" in err  # the known cases are listed
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve", "--case", "rhombus-sine"], "the following arguments are required: --mesh"),
+        (["solve", "--mesh", "m", "--case", "rhombus-sine", "--tol", "abc"],
+         "argument --tol: invalid float value: 'abc'"),
+        (["verify", "--samples", "ten"], "argument --samples: invalid int value: 'ten'"),
+        (["frobnicate"], "argument command: invalid choice: "),
+    ],
+    ids=["no-mesh", "tol-not-a-number", "samples-not-a-number", "unknown-command"],
+)
+def test_argparse_errors_are_one_usage_line(capsys, args, message):
+    # the parser's own errors exit 1 like the commands' usage errors, with
+    # no argparse usage block and no traceback
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_convergence_usage_errors(capsys):
     code, _, err = run(capsys, "convergence", "--levels", "8")
     assert code == 1
@@ -308,7 +328,7 @@ def test_solve_balance_gate_at_its_threshold(rhombus_file, capsys, monkeypatch, 
 
     mesh = read_mesh(rhombus_file.read_text())
     f_t = np.ones(mesh.num_triangles)
-    rhs_norm = assemble(mesh, mesh.coefficients, f_t, DirichletData.zero(mesh)).rhs_norm
+    rhs_norm = assemble(mesh, mesh.coefficients, f_t).rhs_norm
     residual = factor * 1e-10 * rhs_norm
     report = FluxBalanceReport(cell_residuals=np.full(mesh.num_triangles, residual),
                                max_cell_residual=residual, global_imbalance=0.0)
@@ -510,7 +530,7 @@ def test_solve_csv_matches_per_value_format(tmp_path, capsys, rhs):
     assert code == 0
     mesh = read_mesh(mesh_path.read_text(encoding="utf-8"))
     f_t = np.full(mesh.num_triangles, float(rhs))
-    system = assemble(mesh, dual.cotan_coefficients(mesh), f_t, DirichletData.zero(mesh))
+    system = assemble(mesh, dual.cotan_coefficients(mesh), f_t)
     solution = solve(system, tol=1e-12)
     values = np.concatenate([solution.u, solution.p])
     if rhs == "0":

@@ -92,6 +92,8 @@ def test_build_errors():
         )
     with pytest.raises(MeshError):
         build_mesh([(0, 0), (1, 0)], [])
+    with pytest.raises(MeshError, match="^a mesh needs at least one triangle$"):
+        build_mesh([(0, 0), (1, 0), (0, 1)], np.empty((0, 3), dtype=int))
     # both triangles lie above their shared edge (0, 1)
     with pytest.raises(MeshError, match=r"folded mesh: triangles 0 and 1 .* edge \(0, 1\)"):
         build_mesh([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], [(0, 1, 2), (0, 1, 3)])

@@ -16,7 +16,6 @@ from ptgfv.dual import cotan_coefficients
 from ptgfv.mesh import build_mesh, generate_rhombus_equilateral, quality_report
 from ptgfv.solver import (
     ConvergenceError,
-    DirichletData,
     assemble,
     discrete_gradient,
     flux_balance_check,
@@ -34,7 +33,7 @@ def test_gradient_of_constant_with_matching_trace():
     mesh = generate_rhombus_equilateral(2)
     coeffs = cotan_coefficients(mesh)
     u = np.full(mesh.num_triangles, 2.5)
-    bc = DirichletData(np.full(len(mesh.boundary_edges), 2.5))
+    bc = np.full(len(mesh.boundary_edges), 2.5)
     p = discrete_gradient(mesh, coeffs, u, bc)
     assert np.max(np.abs(p)) < 1e-14
 
@@ -70,10 +69,10 @@ def test_gradient_rejects_zero_coefficient():
     "call, message",
     [
         (lambda m, c: assemble(m, c, np.ones(1)), "scalar field length"),
-        (lambda m, c: assemble(m, c, np.ones(2), DirichletData(np.zeros(3))),
+        (lambda m, c: assemble(m, c, np.ones(2), np.zeros(3)),
          "boundary data length"),
         (lambda m, c: discrete_gradient(m, c, np.ones(3)), "scalar field length"),
-        (lambda m, c: discrete_gradient(m, c, np.ones(2), DirichletData(np.zeros(5))),
+        (lambda m, c: discrete_gradient(m, c, np.ones(2), np.zeros(5)),
          "boundary data length"),
         (lambda m, c: flux_balance_check(m, solve(assemble(m, c, np.ones(2))), np.ones(1)),
          "scalar field length"),
@@ -233,7 +232,7 @@ def test_solution_flux_equals_discrete_gradient(rhombus4):
     coeffs = cotan_coefficients(rhombus4)
     f_t = interpolate_p0(lambda x, y: np.cos(x) + y, rhombus4)
     solution = solve(assemble(rhombus4, coeffs, f_t))
-    again = discrete_gradient(rhombus4, coeffs, solution.u, DirichletData.zero(rhombus4))
+    again = discrete_gradient(rhombus4, coeffs, solution.u)
     assert np.array_equal(solution.p, again)
 
 
@@ -279,7 +278,7 @@ def test_solution_invariant_under_scaling():
 def test_inhomogeneous_constant_trace_exact():
     mesh = jittered_rhombus(3, seed=29)
     coeffs = cotan_coefficients(mesh)
-    bc = DirichletData(np.full(len(mesh.boundary_edges), 3.25))
+    bc = np.full(len(mesh.boundary_edges), 3.25)
     solution = solve(assemble(mesh, coeffs, np.zeros(mesh.num_triangles), bc))
     np.testing.assert_allclose(solution.u, 3.25, atol=1e-11)
     assert np.max(np.abs(solution.p)) < 1e-10
@@ -296,7 +295,7 @@ def test_inhomogeneous_linear_solution_exact_on_rhombus(n):
         edge = mesh.edges[e]
         mid = 0.5 * (mesh.vertices[edge.tail] + mesh.vertices[edge.head])
         traces.append(mid[0])
-    bc = DirichletData(np.array(traces))
+    bc = np.array(traces)
     solution = solve(assemble(mesh, coeffs, np.zeros(mesh.num_triangles), bc))
     expected_u = np.array(
         [geometry(mesh, t).vertices.mean(axis=-2)[0] for t in range(mesh.num_triangles)]

@@ -1,10 +1,11 @@
 """Verification instruments: manufactured-solution error norms and rates,
-randomized checks of the closed-form lemmas, and the stability inequalities.
+randomized checks of the closed-form lemmas, and the stability inequalities,
+evaluated in closed form triangle by triangle.
 
-Everything randomized is seeded and reproducible.  The draws come from
-:class:`SplitMix64`, a counter-based stream in this module, so seeded output
-does not depend on the numpy version (NEP 19 keeps numpy's ``Generator``
-streams stable only within a version).  Random triangles draw their vertices
+The lemma suite is the one randomized check; it is seeded and reproducible.
+Its draws come from :class:`SplitMix64`, a counter-based stream in this
+module, so seeded output does not depend on the numpy version (NEP 19 keeps
+numpy's ``Generator`` streams stable only within a version).  Random triangles draw their vertices
 uniformly in the unit square and reject a minimum angle below 5 degrees;
 every bound is then checked against the sampled triangle's own minimum
 angle, never a global one.
@@ -257,17 +258,16 @@ class SplitMix64:
     finaliser of s + (k + 1) * 0x9E3779B97F4A7C15 mod 2^64 (G. Steele, D. Lea
     and C. Flood, OOPSLA 2014), a pure hash of (s, k), so a block of n draws
     is the n single draws that follow.  ``counter`` is the index of the next
-    draw; a stream started at another counter draws disjoint values while
-    the two counter ranges do not overlap.
+    draw; it starts at 0, and setting it moves the stream to that draw.
 
     Raises ValueError for a seed outside 0..2^64 - 1.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be in 0..2**64 - 1, got {seed}")
         self.seed = seed
-        self.counter = counter
+        self.counter = 0
 
     def uniform(self, size: tuple[int, ...]) -> np.ndarray:
         """Uniforms on [0, 1) of shape ``size``: the top 53 bits of each of
@@ -288,11 +288,6 @@ class SplitMix64:
         u = z.astype(float)
         u *= 2.0**-53
         return u.reshape(size)
-
-
-# First counter of the h1 probe's draws; the lemma suite draws from 0, and
-# would need 2^63 draws to reach them.
-PROBE_COUNTER = 1 << 63
 
 
 def random_triangles(stream: SplitMix64, count: int) -> TriangleGeometry:
@@ -509,14 +504,13 @@ def lemma_suite(samples: int = 10000, seed: int = 42) -> LemmaSuiteReport:
 @dataclass(frozen=True)
 class StabilityReport:
     """Stability constants of a mesh against the explicit bounds of the
-    convergence analysis; h3 and h4 are exact, h1 is sampled from ``trials``
-    flux fields of uniform entries, drawn from the package's SplitMix64
-    stream (see :func:`stability_check`).
+    convergence analysis (see :func:`stability_check`): h3 and h4 are
+    exact, and ``h1_certified`` is a proved lower bound on the h1 constant.
 
     The h1 bound is <= 0 once an angle reaches a right angle, where every
-    ratio passes it: on a mesh that is not ``all_acute`` ``passed_h1`` is
+    value passes it: on a mesh that is not ``all_acute`` ``passed_h1`` is
     None (not applicable), with ``theta_max_triangle`` as the witness, and
-    ``h1_min_ratio`` is still reported.
+    ``h1_certified`` is still reported.  No check uses ``trials``.
     """
 
     theta_min: float
@@ -526,7 +520,8 @@ class StabilityReport:
     bound_h1: float          # (2/5) cot(theta_max) tan(theta_min)
     bound_h3: float          # exactly 1
     bound_h4: float          # sqrt(nu(theta_min))
-    h1_min_ratio: float
+    h1_certified: float      # (1 - 1e-12) min over triangles of lambda_K
+    h1_certified_triangle: int  # the first triangle with the smallest lambda_K
     h3_max_deviation: float  # max over triangles of |int(delta) - 1| / int(|delta|)
     h4_max_ratio: float      # sqrt(max_energy)
     max_energy: float        # max per-triangle |K| int(delta^2)
@@ -539,62 +534,55 @@ class StabilityReport:
         return self.passed_h1 is not False and self.passed_h3 and self.passed_h4
 
 
-# Entries (i, j), i <= j, of a symmetric 3x3 matrix.
-_UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+def _largest_eigenvalue(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Largest eigenvalues of the symmetric 3x3 matrices A of
+    :func:`_determinant`, by the trigonometric solution of their
+    characteristic cubic (O. K. Smith, Comm. ACM 4 (1961) 168).
 
-# Uniform draws per block of the h1 probe (256 kB): a block's fields, their
-# three gathers onto the triangles and one product of two gathers stay under
-# 1 MB whatever the number of trials and the mesh size.
-PROBE_BLOCK = 1 << 15
-
-
-def probe_chunk(num_edges: int) -> int:
-    """Flux fields per block of the h1 probe on a mesh of ``num_edges`` edges."""
-    return max(1, PROBE_BLOCK // num_edges)
-
-
-def _h1_probe(mesh: Mesh, trials: int, seed: int) -> float:
-    """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` flux fields p
-    of i.i.d. entries uniform on [-1/2, 1/2), evaluated ``probe_chunk``
-    fields at a time.  The fields take the draws of ``SplitMix64(seed)``
-    from ``PROBE_COUNTER`` on, one field after another.
-
-    p^T M p sums, over the six entries (i, j), i <= j, of each local mass
-    matrix M_K, the products p[e_i] p[e_j] weighted by s_i s_j M_K[i, j],
-    twice over off the diagonal, with e the triangle's edges and s their
-    signs.  The weights come from the closed form of M_K: cot_i/6 + (3/4)
-    rho^2/|K| on the diagonal, cot_k/6 - (3/4) rho^2/|K| off it, with
-    k = 3 - i - j the third vertex.
+    With q the mean eigenvalue and B = (A - qI) / p scaled to |B|_F^2 = 6,
+    the largest eigenvalue is q + 2p cos(phi), where cos(3 phi) is
+    det(B) / 2.  The angle is taken by arctan2 with sin(3 phi) = |B ^ C|_F / 6,
+    C = B^2 - 2I, the root of the cubic's discriminant as a sum of squares
+    (the Gram determinant of I, B, B^2): where two eigenvalues meet, 3 phi
+    is a multiple of pi and an arccos of det(B) / 2 alone would keep only
+    half the digits.  Where p is 0, A = qI and the angle is 0.
     """
-    stream = SplitMix64(seed, PROBE_COUNTER)
-    geom = mesh.geometries
-    cot, ratio, signs = geom.cot, geom.ratio, mesh.tri_signs
-    weights = [
-        cot[:, i] / 6.0 + 0.75 * ratio if i == j
-        else (cot[:, 3 - i - j] / 3.0 - 1.5 * ratio) * signs[:, i] * signs[:, j]
-        for i, j in _UPPER
-    ]
-    edges = np.ascontiguousarray(mesh.tri_edges.T)             # (3, nt)
-    chunk = probe_chunk(mesh.num_edges)
-    h1_min = math.inf
-    for start in range(0, trials, chunk):
-        p = stream.uniform((min(chunk, trials - start), mesh.num_edges))
-        p -= 0.5
-        at = [np.take(p, e, axis=1) for e in edges]            # 3 x (k, nt)
-        norm2 = np.zeros(len(p))
-        for (i, j), w in zip(_UPPER, weights):
-            norm2 += (at[i] * at[j]) @ w
-        pairing = np.square(p, out=p) @ mesh.coefficients
-        h1_min = min(h1_min, float((pairing / norm2).min()))
-        del p, at                # free this block before the next one is drawn
-    return h1_min
+    q = diag.sum(axis=0) / 3.0
+    x = diag - q
+    p = np.sqrt((np.sum(x * x, axis=0) + 2.0 * np.sum(upper * upper, axis=0)) / 6.0)
+    scale = np.where(p > 0.0, p, 1.0)
+    x = x / scale
+    y = upper / scale
+    # B^2 - 2I; the entry (i, i+1) of B^2 is y_i (x_i + x_{i+1}) + y_{i+1} y_{i+2}
+    # and x_i + x_{i+1} = -x_{i+2}
+    cx = x * x + y * y + y[_PREV] ** 2 - 2.0
+    cy = y[_NEXT] * y[_PREV] - x[_PREV] * y
+    # |B ^ C|^2 over the six distinct entries, an off-diagonal one counted twice
+    wedge2 = (
+        np.sum((x * cx[_NEXT] - x[_NEXT] * cx) ** 2, axis=0)
+        + 4.0 * np.sum((y * cy[_NEXT] - y[_NEXT] * cy) ** 2, axis=0)
+        + 2.0 * np.sum((x[:, None] * cy - cx[:, None] * y) ** 2, axis=(0, 1))
+    )
+    phi = np.arctan2(np.sqrt(wedge2) / 6.0, 0.5 * _determinant(x, y)) / 3.0
+    return q + 2.0 * p * np.cos(phi)
 
 
-def stability_check(
-    mesh: Mesh,
-    trials: int = 100,
-    seed: int = 42,
-) -> StabilityReport:
+def _h1_split_bound(geom: TriangleGeometry, share: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue lambda_K of the pencil (G_K, M_K) of each
+    triangle, G_K = diag(``share``) of its edges, (B, 3), and M_K its local
+    mass matrix: 1 / lambda_max of B_K = G_K^(-1/2) M_K G_K^(-1/2), whose
+    entries are cot_i/6 + (3/4) r on the diagonal and cot_(i+2)/6 - (3/4) r
+    at (i, i+1), r = rho^2/|K|, divided by sqrt(g_i g_j).  G_K is diagonal,
+    so the edge signs of the global mass matrix cancel.
+    """
+    cot, g = geom.cot.T, share.T                           # (3, B)
+    three_quarters_r = 0.75 * geom.ratio
+    diag = (cot / 6.0 + three_quarters_r) / g
+    upper = (cot[_PREV] / 6.0 - three_quarters_r) / np.sqrt(g * g[_NEXT])
+    return 1.0 / _largest_eigenvalue(diag, upper)
+
+
+def stability_check(mesh: Mesh, trials: int = 100) -> StabilityReport:
     """Evaluate the three computable stability inequalities on a mesh.
 
     The divergence-side ratios weigh a per-triangle quantity by |K| div(p)^2,
@@ -604,21 +592,24 @@ def stability_check(
     largest profile energy (h4).  The mean is the rule's mean of the
     profile's values at its points, and its deviation is measured relative
     to the mean of their absolute values, the scale of its round-off: a
-    needle's profile has values near 1e14 that cancel to its mean 1.  The
-    profiles are solved QUAD_BLOCK triangles at a time, so their memory does
-    not grow with the mesh.  The h1 lower bound is probed with
-    ``trials`` flux fields of i.i.d. entries uniform on [-1/2, 1/2), whose
-    smallest ratio is an upper estimate of the infimum (the ratio does not
-    depend on the field's scale, and any nonzero field bounds the infimum
-    from above): the pairing reduces to sum(c_a p_a^2) by the orthogonality
-    of the dual basis, and the squared field norm comes from the local mass
-    matrices.  The fields are drawn from the package's SplitMix64 stream,
-    on counters the lemma suite's triangles never reach, and are drawn and
-    evaluated a block of at most 2^15 draws at a time, so memory does not
-    grow with ``trials``.  The stream is the package's own, so a seeded
-    ``h1_min_ratio`` does not change with the numpy version.  The angle
-    extrema and admissibility come from ``quality_report(mesh)`` and the
-    coefficients from ``mesh.coefficients``.
+    needle's profile has values near 1e14 that cancel to its mean 1.
+
+    h1 asks for beta > 0 with sum(c_a p_a^2) >= beta p^T M p for every flux
+    field p, M the global mass matrix (the pairing reduces to that sum by
+    the orthogonality of the dual basis).  Each triangle takes the share
+    c_a / n_a of the coefficient of each of its edges, n_a = 2 inside and 1
+    on the boundary, so both sides are sums of 3x3 forms over triangles and
+    beta >= min_K lambda_K, the smallest eigenvalue of each triangle's
+    pencil (:func:`_h1_split_bound`), positive on every admissible mesh
+    (I. Babuska, Numer. Math. 16 (1971); D. Chapelle and K. J. Bathe,
+    Comput. Struct. 47 (1993)).  ``h1_certified`` is that minimum times
+    (1 - 1e-12), a margin for round-off.
+
+    All of it is evaluated QUAD_BLOCK triangles at a time, so only the
+    per-triangle results grow with the mesh.  The angle extrema and
+    admissibility come from ``quality_report(mesh)`` and the coefficients
+    from ``mesh.coefficients``.  ``trials`` must be >= 1 and is reported,
+    but no check uses it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -628,17 +619,22 @@ def stability_check(
     if not report.admissible:
         raise ValueError("stability check requires an admissible mesh")
 
+    share = mesh.coefficients / np.where(mesh.edges.neighbor >= 0, 2.0, 1.0)
     energy = np.empty(mesh.num_triangles)
     deviation = np.empty(mesh.num_triangles)
+    h1 = np.empty(mesh.num_triangles)
     for start in range(0, mesh.num_triangles, QUAD_BLOCK):
         block = slice(start, start + QUAD_BLOCK)
-        delta = solve_delta_k(geom[block])
+        tris = geom[block]
+        delta = solve_delta_k(tris)
         values = delta.values_at(QUAD_POINTS)              # |K| delta, (b, nq)
         energy[block] = delta.energy
         deviation[block] = np.abs(values @ QUAD_WEIGHTS - 1.0) / (np.abs(values) @ QUAD_WEIGHTS)
+        h1[block] = _h1_split_bound(tris, share[mesh.tri_edges[block]])
     max_energy = float(energy.max())
     h3_deviation = float(deviation.max())
-    h1_min = _h1_probe(mesh, trials, seed)
+    h1_triangle = int(h1.argmin())
+    h1_certified = (1.0 - 1e-12) * float(h1[h1_triangle])
 
     bound_h1 = 0.4 * float(cot.min() / cot.max())
     bound_h4 = math.sqrt(nu_bound(report.theta_min))
@@ -652,11 +648,12 @@ def stability_check(
         bound_h1=bound_h1,
         bound_h3=1.0,
         bound_h4=bound_h4,
-        h1_min_ratio=h1_min,
+        h1_certified=h1_certified,
+        h1_certified_triangle=h1_triangle,
         h3_max_deviation=h3_deviation,
         h4_max_ratio=math.sqrt(max_energy),
         max_energy=max_energy,
-        passed_h1=bool(h1_min >= bound_h1 - 1e-12) if report.all_acute else None,
+        passed_h1=bool(h1_certified >= bound_h1 - 1e-12) if report.all_acute else None,
         passed_h3=bool(h3_deviation <= 1e-12),
         passed_h4=bool(math.sqrt(max_energy) <= bound_h4),
     )

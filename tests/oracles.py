@@ -3,7 +3,7 @@
 Each one evaluates a quantity the package computes in closed form or in
 batches, but by a different route: quadrature of the basis functions, the
 one-triangle-at-a-time random samplers, the one-draw-at-a-time SplitMix64
-stream in Python ints, the one-trial-at-a-time h1 probe,
+stream in Python ints, the one-field-at-a-time h1 probe,
 the moments of the divergence profile from its coefficients, its
 energy from an exact Gram matrix in many-digit arithmetic,
 edge-flux interpolation by Gauss quadrature, the flux profile g of the dual
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ptgfv.analysis import MIN_SAMPLE_ANGLE, PROBE_COUNTER
+from ptgfv.analysis import MIN_SAMPLE_ANGLE
 from ptgfv.mesh import Mesh, TriangleGeometry
 from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS, local_gram_closed_form
 
@@ -159,11 +159,12 @@ def random_triangle_min_angle(rng: np.random.Generator, theta_star: float) -> Tr
 def h1_probe_reference(mesh: Mesh, trials: int, seed: int) -> float:
     """Smallest ratio sum(c_a p_a^2) / p^T M p over ``trials`` flux fields of
     entries uniform on [-1/2, 1/2), drawn and evaluated one field at a time
-    from ``ReferenceStream(seed, PROBE_COUNTER)``, with M assembled from the
-    closed-form local mass matrices by one einsum per field."""
+    from ``ReferenceStream(seed)``, with M assembled from the closed-form
+    local mass matrices by one einsum per field.  Every field bounds the h1
+    constant, the infimum of the ratio, from above."""
     coefficients = mesh.coefficients
     grams = local_gram_closed_form(mesh.geometries)
-    stream = ReferenceStream(seed, PROBE_COUNTER)
+    stream = ReferenceStream(seed)
     h1_min = math.inf
     for _ in range(trials):
         p = stream.uniform((mesh.num_edges,)) - 0.5

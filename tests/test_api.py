@@ -88,9 +88,7 @@ def test_benchmark_bindings_exist():
 def test_the_coefficients_have_one_home():
     # the coupling coefficients are held by the mesh alone: no quality report
     # carries a copy and the stability check takes no report to compare
-    assert list(inspect.signature(analysis.stability_check).parameters) == [
-        "mesh", "trials", "seed"
-    ]
+    assert list(inspect.signature(analysis.stability_check).parameters) == ["mesh", "trials"]
     assert "coefficients" not in {f.name for f in dataclasses.fields(MeshQualityReport)}
 
 

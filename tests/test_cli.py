@@ -370,7 +370,7 @@ def test_verify_with_mesh(rhombus_file, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["stability"]["passed_h3"] is True
-    assert report["stability"]["h1_min_ratio"] >= 0.4
+    assert report["stability"]["h1_certified"] >= 0.4
 
 
 def test_verify_inadmissible_mesh_exit_3(square_file, capsys):
@@ -630,7 +630,7 @@ def test_verify_h1_not_applicable_past_a_right_angle(tmp_path, capsys):
     assert stability["bound_h1"] < 0.0
     assert stability["passed_h1"] is None
     assert stability["all_passed"] is True
-    assert stability["h1_min_ratio"] > 0.0
+    assert stability["h1_certified"] > 0.0
     assert math.degrees(stability["theta_max"]) > 90.0
 
 

@@ -198,11 +198,14 @@ class ConvergenceReport:
     levels: tuple[ConvergenceLevel, ...]
 
     def rates(self, key: str) -> list[float]:
-        """Observed orders between consecutive levels for one error column."""
+        """Observed orders between consecutive levels for one error column;
+        NaN for a pair whose errors are not both positive, such as the zero
+        errors of an exactly solved case, where no order is observed."""
         vals = [getattr(level, key) for level in self.levels]
         hs = [level.h for level in self.levels]
         return [
             math.log(vals[i] / vals[i + 1]) / math.log(hs[i] / hs[i + 1])
+            if vals[i] > 0.0 and vals[i + 1] > 0.0 else math.nan
             for i in range(len(vals) - 1)
         ]
 
@@ -510,13 +513,12 @@ class StabilityReport:
     The h1 bound is <= 0 once an angle reaches a right angle, where every
     value passes it: on a mesh that is not ``all_acute`` ``passed_h1`` is
     None (not applicable), with ``theta_max_triangle`` as the witness, and
-    ``h1_certified`` is still reported.  No check uses ``trials``.
+    ``h1_certified`` is still reported.
     """
 
     theta_min: float
     theta_max: float
     theta_max_triangle: int  # a triangle with the angle theta_max
-    trials: int
     bound_h1: float          # (2/5) cot(theta_max) tan(theta_min)
     bound_h3: float          # exactly 1
     bound_h4: float          # sqrt(nu(theta_min))
@@ -582,7 +584,7 @@ def _h1_split_bound(geom: TriangleGeometry, share: np.ndarray) -> np.ndarray:
     return 1.0 / _largest_eigenvalue(diag, upper)
 
 
-def stability_check(mesh: Mesh, trials: int = 100) -> StabilityReport:
+def stability_check(mesh: Mesh) -> StabilityReport:
     """Evaluate the three computable stability inequalities on a mesh.
 
     The divergence-side ratios weigh a per-triangle quantity by |K| div(p)^2,
@@ -608,11 +610,8 @@ def stability_check(mesh: Mesh, trials: int = 100) -> StabilityReport:
     All of it is evaluated QUAD_BLOCK triangles at a time, so only the
     per-triangle results grow with the mesh.  The angle extrema and
     admissibility come from ``quality_report(mesh)`` and the coefficients
-    from ``mesh.coefficients``.  ``trials`` must be >= 1 and is reported,
-    but no check uses it.
+    from ``mesh.coefficients``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     geom = mesh.geometries
     cot = geom.cot
     report = quality_report(mesh)
@@ -644,7 +643,6 @@ def stability_check(mesh: Mesh, trials: int = 100) -> StabilityReport:
         # the first smallest cotangent in row order lies in the first
         # triangle whose smallest cotangent is the mesh's smallest
         theta_max_triangle=int(cot.argmin()) // 3,
-        trials=trials,
         bound_h1=bound_h1,
         bound_h3=1.0,
         bound_h4=bound_h4,

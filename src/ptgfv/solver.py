@@ -55,26 +55,31 @@ class ConvergenceError(RuntimeError):
     digits to solve for; the message names the floor or the entry."""
 
 
+def _check_length(values: np.ndarray, count: int, field: str, items: str) -> None:
+    """Refuse a field whose length is not the ``count`` of the mesh ``items``
+    it lives on: a length-1 field would broadcast over all of them."""
+    if len(values) != count:
+        raise ValueError(f"{field} length does not match the {items} count")
+
+
 def _trace(mesh: Mesh, bc: np.ndarray | None) -> np.ndarray:
     """The boundary trace ``bc``, one mean per boundary edge in the order of
     ``mesh.boundary_edges``; None is the zero trace of the model problem."""
     if bc is None:
         return np.zeros(len(mesh.boundary_edges))
-    if len(bc) != len(mesh.boundary_edges):
-        raise ValueError("boundary data length does not match the boundary edge count")
+    _check_length(bc, len(mesh.boundary_edges), "boundary data", "boundary edge")
     return bc
 
 
 # The benchmark's binding: perfbench/workloads.py builds its zero trace as
-# ``solver.DirichletData.zero(mesh)`` (pinned by
-# tests/test_api.py::test_benchmark_bindings_exist).  It is no type, and it
-# goes when the benchmark builds the array itself (ROADMAP item 1).
+# ``solver.DirichletData.zero(mesh)`` (tests/test_api.py runs the
+# benchmark's toy workloads).  It is no type, and it goes when the benchmark
+# builds the array itself (ROADMAP item 1).
 DirichletData = SimpleNamespace(zero=lambda mesh: _trace(mesh, None))
 
 
 def _check_cells(mesh: Mesh, values: np.ndarray) -> None:
-    if len(values) != mesh.num_triangles:
-        raise ValueError("scalar field length does not match the triangle count")
+    _check_length(values, mesh.num_triangles, "scalar field", "triangle")
 
 
 def discrete_gradient(
@@ -89,6 +94,7 @@ def discrete_gradient(
     (bc - u_K) / c, with ``bc`` the boundary trace (None: zero).  Requires
     every coefficient to be nonzero.
     """
+    _check_length(coeffs, mesh.num_edges, "coefficient array", "edge")
     _check_cells(mesh, u)
     bc = _trace(mesh, bc)
     zero = np.flatnonzero(np.abs(coeffs) < COEFF_TOL)
@@ -143,6 +149,7 @@ def assemble(
     # never assemble (generate, mesh-info, verify) should not pay
     from scipy.sparse import csr_matrix
 
+    _check_length(coeffs, mesh.num_edges, "coefficient array", "edge")
     _check_cells(mesh, f_t)
     bc = _trace(mesh, bc)
     bad = np.flatnonzero(coeffs < COEFF_TOL)

@@ -247,7 +247,7 @@ def test_criterion_6_flux_profile():
 
 def test_criterion_7_stability_hypotheses():
     mesh = generate_rhombus_equilateral(4)
-    report = stability_check(mesh, trials=100)
+    report = stability_check(mesh)
     assert report.h1_certified >= 0.4 - 1e-12
     assert report.h3_max_deviation <= 1e-12
     assert report.h4_max_ratio <= math.sqrt(nu_bound(math.pi / 3.0))

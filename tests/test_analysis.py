@@ -6,6 +6,8 @@ import pytest
 
 from ptgfv.analysis import (
     CASES,
+    ConvergenceLevel,
+    ConvergenceReport,
     ManufacturedCase,
     SplitMix64,
     _determinant,
@@ -190,6 +192,43 @@ def test_convergence_study_validation():
         convergence_study(CASE, [16, 8])
 
 
+def test_convergence_study_refuses_a_refinement_that_keeps_h():
+    # a generator that ignores n makes the same mesh at every level
+    fixed = dataclasses.replace(CASE, generator=lambda n: generate_rhombus_equilateral(4))
+    with pytest.raises(ValueError, match="refinement did not decrease the mesh size"):
+        convergence_study(fixed, [2, 4])
+
+
+def test_convergence_rates_of_an_exact_solution_are_nan():
+    # u = f = 0 is solved exactly: every error is 0 and no order is observed
+    zero = ManufacturedCase(
+        name="zero", generator=generate_rhombus_equilateral,
+        u=lambda x, y: 0.0, f=lambda x, y: 0.0, grad_u=lambda x, y: (0.0, 0.0),
+    )
+    report = convergence_study(zero, [2, 4])
+    for key in ("eu", "ep", "ediv", "combined", "ecc"):
+        assert getattr(report.levels[1], key) == 0.0
+        assert len(report.rates(key)) == 1 and math.isnan(report.final_rate(key))
+
+
+def test_convergence_rates_need_both_errors_positive():
+    levels = tuple(
+        ConvergenceLevel(n=n, h=1.0 / n, eu=eu, ep=0.5 / n, ediv=1.0, combined=eu, ecc=0.0)
+        for n, eu in ((2, 0.3), (4, 0.0), (8, 0.02), (16, 0.006))
+    )
+    report = ConvergenceReport(case="pairs", levels=levels)
+    rates = report.rates("eu")
+    assert math.isnan(rates[0]) and math.isnan(rates[1])
+    # a pair of positive errors keeps the plain quotient of logarithms, bit for bit
+    assert rates[2] == math.log(0.02 / 0.006) / math.log((1.0 / 8) / (1.0 / 16))
+    assert report.rates("ep") == [
+        math.log((0.5 / a) / (0.5 / b)) / math.log((1.0 / a) / (1.0 / b))
+        for a, b in ((2, 4), (4, 8), (8, 16))
+    ]
+    assert report.rates("ediv") == [0.0, 0.0, 0.0]
+    assert all(math.isnan(r) for r in report.rates("ecc"))
+
+
 def test_convergence_study_two_coarse_levels():
     report = convergence_study(CASE, [4, 8])
     assert report.levels[0].h == pytest.approx(0.25, abs=1e-15)
@@ -337,7 +376,7 @@ def test_mass_matrix_characteristic_polynomial():
 
 
 def test_stability_on_equilateral_rhombus(rhombus4):
-    report = stability_check(rhombus4, trials=100)
+    report = stability_check(rhombus4)
     assert report.bound_h1 == pytest.approx(0.4, rel=1e-12)
     assert report.h1_certified >= 0.4 - 1e-12
     # every triangle's pencil has the eigenvalue 1, and so does the mesh's
@@ -357,9 +396,9 @@ def test_h4_gate_flips_at_its_bound(rhombus4, monkeypatch, margin, passed):
     # nu patched so that bound_h4 sits just below or just above sqrt(max_energy)
     from ptgfv import analysis
 
-    max_energy = stability_check(rhombus4, trials=1).max_energy
+    max_energy = stability_check(rhombus4).max_energy
     monkeypatch.setattr(analysis, "nu_bound", lambda theta: max_energy * (1.0 + margin) ** 2)
-    report = stability_check(rhombus4, trials=1)
+    report = stability_check(rhombus4)
     assert report.bound_h4 == pytest.approx(math.sqrt(max_energy) * (1.0 + margin), rel=1e-14)
     assert report.passed_h4 is passed
     assert report.all_passed is passed
@@ -374,7 +413,7 @@ def test_stability_on_nonuniform_admissible_mesh():
     quality = quality_report(mesh)
     assert quality.all_acute  # keeps the lower-bound constant positive
     assert quality.theta_max > math.pi / 3 > quality.theta_min
-    report = stability_check(mesh, trials=50)
+    report = stability_check(mesh)
     expected_h1 = 0.4 * math.tan(quality.theta_min) / math.tan(quality.theta_max)
     assert report.bound_h1 == pytest.approx(expected_h1, rel=1e-12)
     assert report.all_passed
@@ -388,7 +427,7 @@ def test_stability_check_reads_the_angles_of_its_own_mesh():
 
     mesh = jittered_rhombus(24, seed=1)
     quality = quality_report(mesh)
-    checked = stability_check(mesh, trials=1)
+    checked = stability_check(mesh)
     assert (checked.theta_min, checked.theta_max) == (quality.theta_min, quality.theta_max)
     assert math.degrees(checked.theta_min) == pytest.approx(34.6, abs=0.05)
     assert math.degrees(checked.theta_max) == pytest.approx(91.6, abs=0.05)
@@ -404,7 +443,7 @@ def test_stability_h1_not_applicable_past_a_right_angle():
     mesh = jittered_rhombus(24)
     quality = quality_report(mesh)
     assert quality.admissible and not quality.all_acute
-    report = stability_check(mesh, trials=20)
+    report = stability_check(mesh)
     assert report.bound_h1 < 0.0
     assert report.passed_h1 is None
     cot = mesh.geometries.cot
@@ -428,7 +467,7 @@ def test_stability_h3_h4_are_exact_extrema():
     # h3 measures each mean against the mean of |delta|, the scale of its
     # round-off, so its ratio sums both over the cells
     mesh = jittered_rhombus(24)
-    report = stability_check(mesh, trials=5)
+    report = stability_check(mesh)
     delta = solve_delta_k(mesh.geometries)
     values = delta.values_at(QUAD_POINTS)
     means = values @ QUAD_WEIGHTS
@@ -452,8 +491,8 @@ def test_stability_rejects_inadmissible_mesh():
 
 
 def test_stability_deterministic(rhombus4):
-    a = stability_check(rhombus4, trials=20)
-    b = stability_check(rhombus4, trials=20)
+    a = stability_check(rhombus4)
+    b = stability_check(rhombus4)
     assert a == b
 
 

@@ -1,17 +1,19 @@
 """The package's public surface: what ``ptgfv`` re-exports, where the
-test-only reference implementations live, and the names the benchmark in
-``perfbench/`` binds."""
+test-only reference implementations live, and that the benchmark in
+``perfbench/`` still runs on it."""
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import sys
 import types
 from pathlib import Path
 
 import ptgfv
 import numpy as np
+import pytest
 
 from ptgfv import analysis, solver
 from ptgfv.mesh import Mesh, MeshQualityReport
@@ -19,6 +21,8 @@ from ptgfv.mesh import Mesh, MeshQualityReport
 from conftest import jittered_rhombus
 
 MODULES = ("analysis", "dual", "mesh", "solver", "spaces")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = ["cli-solve", "source-sweep", "verify"]  # perfbench/workloads.py, in order
 
 # reference implementations used only by tests; they live in tests/oracles.py
 ORACLES = (
@@ -65,31 +69,74 @@ def test_no_oracle_is_defined_in_the_package():
     assert not hasattr(Mesh, "geometry")
 
 
-def test_benchmark_bindings_exist():
+@pytest.fixture(scope="module")
+def perfbench():
+    """The benchmark's ``spans`` and ``workloads`` modules, loaded by path
+    with no bytecode written under ``perfbench/``; each is registered in
+    ``sys.modules`` before it runs, as its dataclasses need."""
+    loaded = {}
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        for name in ("spans", "workloads"):
+            spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = module
+            spec.loader.exec_module(module)
+            loaded[name] = module
+    finally:
+        sys.dont_write_bytecode = saved
+    yield types.SimpleNamespace(**loaded)
+    for name in loaded:
+        sys.modules.pop(f"perfbench_{name}", None)
+
+
+def _files(root: Path) -> dict:
+    return {path: path.stat().st_mtime_ns for path in root.rglob("*")}
+
+
+def test_benchmark_bindings_exist(perfbench):
     # the benchmark's own self-test runs outside this suite, so a rename
-    # that breaks what it wraps or reads must fail here
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for module, functions in spans.WRAPPED.items():
+    # that breaks what it wraps must fail here
+    for module, functions in perfbench.spans.WRAPPED.items():
         home = importlib.import_module(f"ptgfv.{module}")
         assert [f for f in functions if not callable(getattr(home, f, None))] == [], module
-    assert "tol" in inspect.signature(solver.solve).parameters
-    fields = {f.name for f in dataclasses.fields(solver.Solution)}
-    assert {"iterations", "residual_history"} <= fields
-    assert callable(solver.DirichletData.zero)
-    # the verify workload checks the trial count of the h1 probe; retiring
-    # the probe's trials is a benchmark change
-    assert "trials" in inspect.signature(analysis.stability_check).parameters
-    assert "trials" in {f.name for f in dataclasses.fields(analysis.StabilityReport)}
+    assert list(perfbench.workloads.WORKLOADS) == WORKLOADS
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_benchmark_toy_workload_passes_its_check(perfbench, tmp_path, name):
+    # one op of each workload at toy size, traced as the benchmark traces it:
+    # a change that breaks what the benchmark runs or reads (the verify record
+    # keys, the solve stdout fields, ManufacturedCase's keywords, the fields
+    # the tracer's counters read) fails here
+    before = _files(PERFBENCH)
+    workload = perfbench.workloads.WORKLOADS[name](perfbench.workloads.SIZES["toy"], 3, tmp_path)
+    tracer = perfbench.spans.Tracer()
+    tracer.install()
+    try:
+        workload.setup()
+        tracer.op, tracer.op_key, tracer.active = 0, workload.input_key(0), True
+        result = workload.run(0)
+        tracer.active = False
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert workload.check(0, result) == []
+    counts = tracer.count_metrics()
+    if name == "verify":
+        assert counts == {"analysis.lemma_suite.samples": perfbench.workloads.SIZES["toy"].samples}
+    else:
+        assert counts == {"solver.iterations": 1, "solver.restarts": 0}
+    assert _files(PERFBENCH) == before
 
 
 def test_the_coefficients_have_one_home():
     # the coupling coefficients are held by the mesh alone: no quality report
     # carries a copy and the stability check takes no report to compare
-    assert list(inspect.signature(analysis.stability_check).parameters) == ["mesh", "trials"]
+    assert list(inspect.signature(analysis.stability_check).parameters) == ["mesh"]
     assert "coefficients" not in {f.name for f in dataclasses.fields(MeshQualityReport)}
+    assert "trials" not in {f.name for f in dataclasses.fields(analysis.StabilityReport)}
 
 
 def test_the_boundary_trace_is_a_plain_array():

@@ -349,11 +349,6 @@ def test_lemma_suite_counts_nan_slack_as_failure(monkeypatch):
     assert report.checks[-1].witness is not None
 
 
-def test_stability_check_needs_a_trial(rhombus4):
-    with pytest.raises(ValueError, match="trials"):
-        stability_check(rhombus4, trials=0)
-
-
 def test_quadrature_points_match_barycentric_sum():
     # the points are formed by a matrix product; against the barycentric sum
     # sum_k lambda_qk V_k they differ only in the order of rounding: at most
@@ -528,7 +523,7 @@ def build_flipped(mesh):
 # block of the h1 certificate's 3x3 eigenvalue, on axes of its entries.
 REDUCTION_COUNTS = {
     "lemma_suite": (lambda mesh, case, sol: lemma_suite(samples=10000, seed=42), 20),
-    "stability_check": (lambda mesh, case, sol: stability_check(mesh, trials=100), 17),
+    "stability_check": (lambda mesh, case, sol: stability_check(mesh), 17),
     "build_mesh": (lambda mesh, case, sol: build_flipped(mesh), 3),
     "divergence": (lambda mesh, case, sol: spaces.divergence(mesh, sol.p), 0),
     "error_norms": (lambda mesh, case, sol: error_norms(mesh, sol, case), 0),

@@ -371,6 +371,8 @@ def test_verify_with_mesh(rhombus_file, capsys):
     report = json.loads(stdout)
     assert report["stability"]["passed_h3"] is True
     assert report["stability"]["h1_certified"] >= 0.4
+    # the library takes no trial count; the CLI echoes its flag
+    assert report["stability"]["trials"] == 20
 
 
 def test_verify_inadmissible_mesh_exit_3(square_file, capsys):

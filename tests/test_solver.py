@@ -76,8 +76,11 @@ def test_gradient_rejects_zero_coefficient():
          "boundary data length"),
         (lambda m, c: flux_balance_check(m, solve(assemble(m, c, np.ones(2))), np.ones(1)),
          "scalar field length"),
+        (lambda m, c: assemble(m, c[:1], np.ones(2)), "coefficient array length"),
+        (lambda m, c: discrete_gradient(m, c[:1], np.ones(2)), "coefficient array length"),
     ],
-    ids=["assemble-f", "assemble-bc", "gradient-u", "gradient-bc", "balance-f"],
+    ids=["assemble-f", "assemble-bc", "gradient-u", "gradient-bc", "balance-f",
+         "assemble-coeffs", "gradient-coeffs"],
 )
 def test_wrong_length_fields_are_rejected(rhombus1, call, message):
     # a length-1 field would otherwise broadcast over the cells

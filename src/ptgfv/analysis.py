@@ -43,6 +43,8 @@ from .spaces import (
     QUAD_BLOCK,
     QUAD_POINTS,
     QUAD_WEIGHTS,
+    _check_cells,
+    _gram_entries,
     interpolate_p0,
     local_fluxes,
     local_gram_closed_form,
@@ -151,6 +153,7 @@ def error_norms(
     The divergence error uses the identity div(grad u) = -f so the exact
     solution never has to be differentiated twice numerically.
     """
+    _check_cells(mesh, solution.u)
     areas = mesh.areas
     w = QUAD_WEIGHTS
     # affine flux per triangle: p(x) = a_t * x - b_t
@@ -420,8 +423,7 @@ def _lemma_slacks(geom: TriangleGeometry) -> tuple[dict[str, np.ndarray], np.nda
     # to r and fix the spectrum above.  Row i of ``diag`` and of ``upper``
     # holds the entries (i, i) and (i, i+1 mod 3) of every matrix
     gram = local_gram_closed_form(geom)
-    diag = gram[..., [0, 1, 2], [0, 1, 2]].T
-    upper = gram[..., [0, 1, 2], [1, 2, 0]].T
+    diag, upper = gram[..., [0, 1, 2], [0, 1, 2]].T, gram[..., [0, 1, 2], [1, 2, 0]].T
     tr_expected = 15.0 * ratio / 4.0
     trace = 1e-10 - np.abs(diag.sum(axis=0) - tr_expected) / tr_expected
     det_expected = ratio / 16.0
@@ -573,15 +575,12 @@ def _h1_split_bound(geom: TriangleGeometry, share: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue lambda_K of the pencil (G_K, M_K) of each
     triangle, G_K = diag(``share``) of its edges, (B, 3), and M_K its local
     mass matrix: 1 / lambda_max of B_K = G_K^(-1/2) M_K G_K^(-1/2), whose
-    entries are cot_i/6 + (3/4) r on the diagonal and cot_(i+2)/6 - (3/4) r
-    at (i, i+1), r = rho^2/|K|, divided by sqrt(g_i g_j).  G_K is diagonal,
-    so the edge signs of the global mass matrix cancel.
+    entries are those of M_K divided by sqrt(g_i g_j).  G_K is diagonal, so
+    the edge signs of the global mass matrix cancel.
     """
-    cot, g = geom.cot.T, share.T                           # (3, B)
-    three_quarters_r = 0.75 * geom.ratio
-    diag = (cot / 6.0 + three_quarters_r) / g
-    upper = (cot[_PREV] / 6.0 - three_quarters_r) / np.sqrt(g * g[_NEXT])
-    return 1.0 / _largest_eigenvalue(diag, upper)
+    diag, upper = _gram_entries(geom)
+    g = share.T                                            # (3, B)
+    return 1.0 / _largest_eigenvalue(diag / g, upper / np.sqrt(g * g[_NEXT]))
 
 
 def stability_check(mesh: Mesh) -> StabilityReport:

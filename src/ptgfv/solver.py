@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .mesh import COEFF_TOL, Mesh
-from .spaces import divergence
+from .spaces import _check_cells, _check_length, divergence
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -55,13 +55,6 @@ class ConvergenceError(RuntimeError):
     digits to solve for; the message names the floor or the entry."""
 
 
-def _check_length(values: np.ndarray, count: int, field: str, items: str) -> None:
-    """Refuse a field whose length is not the ``count`` of the mesh ``items``
-    it lives on: a length-1 field would broadcast over all of them."""
-    if len(values) != count:
-        raise ValueError(f"{field} length does not match the {items} count")
-
-
 def _trace(mesh: Mesh, bc: np.ndarray | None) -> np.ndarray:
     """The boundary trace ``bc``, one mean per boundary edge in the order of
     ``mesh.boundary_edges``; None is the zero trace of the model problem."""
@@ -78,8 +71,16 @@ def _trace(mesh: Mesh, bc: np.ndarray | None) -> np.ndarray:
 DirichletData = SimpleNamespace(zero=lambda mesh: _trace(mesh, None))
 
 
-def _check_cells(mesh: Mesh, values: np.ndarray) -> None:
-    _check_length(values, mesh.num_triangles, "scalar field", "triangle")
+def _check_coefficients(mesh: Mesh, coeffs: np.ndarray) -> None:
+    """Refuse coefficients that are not one finite number >= COEFF_TOL per
+    edge: ``quality_report``'s rule, and no inf, which drops its edge."""
+    _check_length(coeffs, mesh.num_edges, "coefficient array", "edge")
+    bad = np.flatnonzero(~((coeffs >= COEFF_TOL) & np.isfinite(coeffs)))
+    if bad.size:
+        raise ValueError(
+            f"non-positive or non-finite coupling coefficient on edge {int(bad[0])}; "
+            "the mesh fails the angle conditions"
+        )
 
 
 def discrete_gradient(
@@ -91,15 +92,12 @@ def discrete_gradient(
     """Edge fluxes of the discrete gradient of the cell values ``u``.
 
     Internal edge (owner K, neighbor L): (u_L - u_K) / c; boundary edge:
-    (bc - u_K) / c, with ``bc`` the boundary trace (None: zero).  Requires
-    every coefficient to be nonzero.
+    (bc - u_K) / c, with ``bc`` the boundary trace (None: zero).  Refuses
+    the coefficients that ``assemble`` refuses.
     """
-    _check_length(coeffs, mesh.num_edges, "coefficient array", "edge")
+    _check_coefficients(mesh, coeffs)
     _check_cells(mesh, u)
     bc = _trace(mesh, bc)
-    zero = np.flatnonzero(np.abs(coeffs) < COEFF_TOL)
-    if zero.size:
-        raise ValueError(f"zero coupling coefficient on edge {int(zero[0])}")
     far = np.empty(mesh.num_edges)
     internal = mesh.internal_edges
     far[internal] = u[mesh.edges.neighbor[internal]]
@@ -141,7 +139,7 @@ def assemble(
     """Assemble the cell-centered system A u = b for the cell source means
     ``f_t`` and the boundary trace ``bc`` (None: zero).
 
-    Refuses any coupling coefficient below COEFF_TOL (the edges that
+    Refuses a NaN or inf coefficient and any below COEFF_TOL (the edges that
     ``quality_report`` flags), since positivity guarantees a unique solution.
     """
     # scipy is imported by the functions that use it, not by the module:
@@ -149,15 +147,9 @@ def assemble(
     # never assemble (generate, mesh-info, verify) should not pay
     from scipy.sparse import csr_matrix
 
-    _check_length(coeffs, mesh.num_edges, "coefficient array", "edge")
+    _check_coefficients(mesh, coeffs)
     _check_cells(mesh, f_t)
     bc = _trace(mesh, bc)
-    bad = np.flatnonzero(coeffs < COEFF_TOL)
-    if bad.size:
-        raise ValueError(
-            f"non-positive coupling coefficient on edge {int(bad[0])}; "
-            "the mesh fails the angle conditions"
-        )
     nt = mesh.num_triangles
     w = 1.0 / coeffs
     owner, neighbor = mesh.edges.owner, mesh.edges.neighbor

@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .mesh import Mesh, TriangleGeometry, _sum3
+from .mesh import _PREV, Mesh, TriangleGeometry, _sum3
 
 __all__ = [
     "divergence",
@@ -61,15 +61,25 @@ def _dunavant6() -> tuple[np.ndarray, np.ndarray]:
 QUAD_POINTS, QUAD_WEIGHTS = _dunavant6()
 
 
+def _check_length(values: np.ndarray, count: int, field: str, items: str) -> None:
+    """Refuse a field whose length is not the ``count`` of the mesh ``items``
+    it lives on: a length-1 field would broadcast over all of them."""
+    if len(values) != count:
+        raise ValueError(f"{field} length does not match the {items} count")
+
+
+def _check_cells(mesh: Mesh, values: np.ndarray) -> None:
+    _check_length(values, mesh.num_triangles, "scalar field", "triangle")
+
+
 def local_fluxes(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     """Per-triangle outward fluxes, shape (nt, 3): sign * canonical flux."""
+    _check_length(p, mesh.num_edges, "flux field", "edge")
     return mesh.tri_signs * p[mesh.tri_edges]
 
 
 def divergence(mesh: Mesh, p: np.ndarray) -> np.ndarray:
     """Per-triangle divergence of edge fluxes: net outward flux divided by the area."""
-    if len(p) != mesh.num_edges:
-        raise ValueError("flux field length does not match the edge count")
     return _sum3(local_fluxes(mesh, p)) / mesh.areas
 
 
@@ -95,18 +105,17 @@ def interpolate_p0(f, mesh: Mesh) -> np.ndarray:
     return means
 
 
-# Index of the cotangent in each entry of the closed-form local mass matrix:
-# angle i on the diagonal, the third angle k (k not in {i, j}) off it.
-_GRAM_COT = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
-_GRAM_SIGN = 2.0 * np.eye(3) - 1.0
+def _gram_entries(geometry: TriangleGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(diag, upper)`` of the local flux mass matrix, each (3, ...) with
+    the entry index first: (i, i) is cot(theta_i)/6 + (3/4) r and (i, i+1 mod 3)
+    is cot(theta_(i+2))/6 - (3/4) r, theta_(i+2) the third angle, r = rho^2/|K|."""
+    cot = np.moveaxis(geometry.cot, -1, 0)
+    three_quarters_r = 0.75 * geometry.ratio
+    return cot / 6.0 + three_quarters_r, cot[_PREV] / 6.0 - three_quarters_r
 
 
 def local_gram_closed_form(geometry: TriangleGeometry) -> np.ndarray:
-    """Local flux mass matrix from the cotangent/gyration-radius formulas.
-
-    Diagonal: cot(theta_i)/6 + (3/4) rho^2/|K|.  Off-diagonal (i, j): uses
-    the cotangent of the angle at the third vertex k (k not in {i, j}).
-    Shape (3, 3), or (B, 3, 3) for a batch of triangles.
-    """
-    ratio = np.asarray(geometry.ratio)[..., None, None]
-    return geometry.cot[..., _GRAM_COT] / 6.0 + 0.75 * ratio * _GRAM_SIGN
+    """Local flux mass matrix with the entries of :func:`_gram_entries`:
+    shape (3, 3), or (B, 3, 3) for a batch of triangles."""
+    (a, b, c), (d, e, f) = _gram_entries(geometry)
+    return np.stack([a, d, f, d, b, e, f, e, c], axis=-1).reshape(*np.shape(a), 3, 3)

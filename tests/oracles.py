@@ -7,8 +7,8 @@ stream in Python ints, the one-field-at-a-time h1 probe,
 the moments of the divergence profile from its coefficients, its
 energy from an exact Gram matrix in many-digit arithmetic,
 edge-flux interpolation by Gauss quadrature, the flux profile g of the dual
-edge basis, and the triangle geometry by index-list gathers.  Tests compare
-the package against them.
+edge basis, and the triangle geometry and the closed-form local mass matrix
+by index-list gathers.  Tests compare the package against them.
 """
 
 from __future__ import annotations
@@ -73,6 +73,21 @@ def indexed_geometry(vertices) -> dict[str, np.ndarray]:
         "rho2": np.sum(lengths**2, axis=-1) / 36.0,
         "circumcenter": center,
     }
+
+
+# cotangent of each entry of the closed-form local mass matrix, angle i on
+# the diagonal and the angle at the third vertex k (k not in {i, j}) off it,
+# and the sign of its (3/4) r term
+_GRAM_COT = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+_GRAM_SIGN = 2.0 * np.eye(3) - 1.0
+
+
+def local_gram_indexed(geometry: TriangleGeometry) -> np.ndarray:
+    """The closed-form local mass matrix, (3, 3) or (B, 3, 3), gathered
+    whole from index tables; the package writes each entry once and must
+    agree bit for bit."""
+    ratio = np.asarray(geometry.ratio)[..., None, None]
+    return geometry.cot[..., _GRAM_COT] / 6.0 + 0.75 * ratio * _GRAM_SIGN
 
 
 def angles(geometry: TriangleGeometry) -> np.ndarray:

@@ -11,11 +11,12 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 import ptgfv
-from ptgfv.analysis import CASES
+from ptgfv.analysis import CASES, error_norms
 from ptgfv.dual import cotan_coefficients
 from ptgfv.mesh import build_mesh, generate_rhombus_equilateral, quality_report
 from ptgfv.solver import (
     ConvergenceError,
+    Solution,
     assemble,
     discrete_gradient,
     flux_balance_check,
@@ -78,9 +79,13 @@ def test_gradient_rejects_zero_coefficient():
          "scalar field length"),
         (lambda m, c: assemble(m, c[:1], np.ones(2)), "coefficient array length"),
         (lambda m, c: discrete_gradient(m, c[:1], np.ones(2)), "coefficient array length"),
+        (lambda m, c: error_norms(m, Solution(np.ones(1), np.zeros(m.num_edges), 0, 0.0),
+                                  CASES["rhombus-sine"]), "scalar field length"),
+        (lambda m, c: error_norms(m, Solution(np.ones(2), np.zeros(m.num_edges + 1), 0, 0.0),
+                                  CASES["rhombus-sine"]), "flux field length"),
     ],
     ids=["assemble-f", "assemble-bc", "gradient-u", "gradient-bc", "balance-f",
-         "assemble-coeffs", "gradient-coeffs"],
+         "assemble-coeffs", "gradient-coeffs", "error-u", "error-p"],
 )
 def test_wrong_length_fields_are_rejected(rhombus1, call, message):
     # a length-1 field would otherwise broadcast over the cells
@@ -150,6 +155,20 @@ def test_assemble_rejects_nonpositive_coefficients():
     assert quality_report(mesh).admissible is False
     with pytest.raises(ValueError, match="non-positive"):
         assemble(mesh, coeffs, np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("call", [assemble, discrete_gradient], ids=["assemble", "gradient"])
+def test_nan_inf_and_negative_coefficients_are_refused(call, value):
+    # a NaN, or an inf on every edge of a triangle, leaves a singular matrix
+    # that SuperLU would report as a bare RuntimeError; the gradient would
+    # divide by a NaN or a negative coefficient
+    mesh = generate_rhombus_equilateral(4)
+    coeffs = np.array(mesh.coefficients)
+    edges = mesh.tri_edges[5]
+    coeffs[edges] = value
+    with pytest.raises(ValueError, match=f"non-positive .* on edge {edges.min()};"):
+        call(mesh, coeffs, np.ones(mesh.num_triangles))
 
 
 def test_solve_single_cell_in_one_iteration():

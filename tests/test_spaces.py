@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ptgfv.analysis import SplitMix64, random_triangles
 from ptgfv.mesh import TriangleGeometry, build_mesh, generate_rhombus_equilateral
 from ptgfv.spaces import (
     QUAD_POINTS,
@@ -20,6 +21,7 @@ from oracles import (
     geometry,
     interpolate_rt,
     interval_rule,
+    local_gram_indexed,
     local_gram_quadrature,
     random_triangle,
 )
@@ -156,6 +158,16 @@ def test_gram_closed_form_equilateral():
     assert np.linalg.det(gram) == pytest.approx(1.0 / (48.0 * SQRT3), rel=1e-12)
 
 
+def test_gram_closed_form_matches_the_index_tables_bit_for_bit():
+    batch = random_triangles(SplitMix64(42), 10000)
+    assert local_gram_closed_form(batch).tobytes() == local_gram_indexed(batch).tobytes()
+    singles = [equilateral_geometry(), *(batch[t] for t in range(0, 10000, 97))]
+    for geom in singles:
+        gram = local_gram_closed_form(geom)
+        assert gram.shape == (3, 3)
+        assert gram.tobytes() == local_gram_indexed(geom).tobytes()
+
+
 def test_gram_quadrature_matches_closed_form():
     rng = np.random.default_rng(17)
     for _ in range(1000):
@@ -232,4 +244,6 @@ def test_field_length_validation(rhombus1):
         divergence(rhombus1, np.zeros(2))
     with pytest.raises(ValueError, match="flux field length"):
         divergence(rhombus1, np.zeros(rhombus1.num_edges + 1))
+    with pytest.raises(ValueError, match="flux field length"):
+        local_fluxes(rhombus1, np.zeros(1))
     assert local_fluxes(rhombus1, np.zeros(rhombus1.num_edges)).shape == (2, 3)

@@ -124,32 +124,6 @@ class TriangleGeometry:
     cot: np.ndarray           # (3,) cotangent of angle i at vertex i
     ratio: float
 
-    @classmethod
-    def from_vertices(cls, vertices) -> "TriangleGeometry":
-        """Build from three 2D points, or from a (B, 3, 2) batch of them,
-        reordering each triangle to counter-clockwise.
-
-        Raises :class:`MeshError` naming the first triangle that has a
-        non-finite corner, is too large, is too small or is degenerate.
-        """
-        v = np.array(vertices, dtype=float)
-        batched = v.ndim == 3
-        v = v.reshape(-1, 3, 2)
-        nonfinite = np.flatnonzero(~np.isfinite(v).all(axis=(1, 2)))
-        if nonfinite.size:
-            where = f" {nonfinite[0]}" if batched else ""
-            raise MeshError(
-                f"triangle{where} has a non-finite corner: vertices {v[nonfinite[0]].tolist()}"
-            )
-        geom, _, degenerate = cls._oriented(v)
-        bad = np.flatnonzero(degenerate)
-        if bad.size:
-            where = f" {bad[0]}" if batched else ""
-            raise MeshError(
-                f"degenerate triangle{where} with vertices {geom.vertices[bad[0]].tolist()}"
-            )
-        return geom if batched else geom[0]
-
     def __getitem__(self, index) -> "TriangleGeometry":
         """The triangles of a batch that ``index`` selects, as a batch."""
         return TriangleGeometry(*(getattr(self, f.name)[index] for f in fields(self)))
@@ -335,20 +309,27 @@ def build_mesh(vertices, triangles) -> Mesh:
     """Build a mesh from vertex coordinates and vertex-index triples.
 
     Triangles given clockwise are reoriented.  Raises :class:`MeshError` for
-    non-finite coordinates, out-of-range indices, triangles too large or too
-    small to measure (see :meth:`TriangleGeometry._oriented`), duplicate or
-    degenerate triangles, non-conforming connectivity (an edge shared by
-    more than two triangles) and folded meshes (two triangles on the same
-    side of their shared edge).  Each error names the lowest-index offender.
+    arrays not of shape (nv, 2) and (nt, 3), non-finite coordinates, indices
+    not whole or out of range, triangles too large or too small to measure
+    (see :meth:`TriangleGeometry._oriented`), duplicate or degenerate ones,
+    non-conforming meshes (an edge of more than two triangles) and folded
+    ones (two on one side of their shared edge), naming the lowest offender.
     """
-    verts = np.array(vertices, dtype=float).reshape(-1, 2)
-    tris = np.array(triangles, dtype=int).reshape(-1, 3)
-    nv, nt = len(verts), len(tris)
+    verts = np.array(vertices, dtype=float)
+    given = np.asarray(triangles)
+    if verts.shape[1:] != (2,) or given.shape[1:] != (3,):
+        raise MeshError(f"vertices and triangles must be (nv, 2) and (nt, 3) arrays, "
+                        f"not of shapes {verts.shape} and {given.shape}")
+    nv, nt = len(verts), len(given)
     if nv < 3:
         raise MeshError("a mesh needs at least 3 vertices")
     bad = np.flatnonzero(~(np.isfinite(verts[:, 0]) & np.isfinite(verts[:, 1])))
     if bad.size:
         raise MeshError(f"vertex {bad[0]} has a non-finite coordinate {verts[bad[0]].tolist()}")
+    with np.errstate(invalid="ignore"):  # a NaN or inf casts to an integer unequal to it
+        tris = np.array(given, dtype=int)  # a copy: clockwise triangles are reordered in place
+    if given.dtype.kind not in "iu" and (bad := np.flatnonzero(_max3(tris != given))).size:
+        raise MeshError(f"triangle {bad[0]} has a vertex index that is not a whole number")
     bad = np.flatnonzero(_max3((tris < 0) | (tris >= nv)))  # any out of range
     if bad.size:
         raise MeshError(f"triangle {bad[0]} has a vertex index out of range 0..{nv - 1}")

@@ -5,9 +5,11 @@ import pytest
 
 from ptgfv.mesh import Mesh, TriangleGeometry, build_mesh, generate_rhombus_equilateral, quality_report
 
+from oracles import corner_geometry
+
 
 def equilateral_geometry(side: float = 1.0) -> TriangleGeometry:
-    return TriangleGeometry.from_vertices(
+    return corner_geometry(
         [(0.0, 0.0), (side, 0.0), (side / 2.0, side * math.sqrt(3.0) / 2.0)]
     )
 

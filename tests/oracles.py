@@ -19,13 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ptgfv.analysis import MIN_SAMPLE_ANGLE
-from ptgfv.mesh import Mesh, TriangleGeometry
+from ptgfv.mesh import Mesh, TriangleGeometry, build_mesh
 from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS, local_gram_closed_form
 
 
 def geometry(mesh: Mesh, t: int) -> TriangleGeometry:
     """Geometry of triangle ``t``: row ``t`` of ``mesh.geometries``."""
     return mesh.geometries[t]
+
+
+def corner_geometry(corners) -> TriangleGeometry:
+    """Geometry of the triangle with corners ``corners`` (3, 2), or the batch
+    of a (B, 3, 2) stack of them: ``build_mesh`` on unshared vertices."""
+    c = np.asarray(corners, dtype=float)
+    batch = build_mesh(c.reshape(-1, 2), np.arange(c.size // 2).reshape(-1, 3)).geometries
+    return batch if c.ndim == 3 else batch[0]
 
 
 # -- triangle geometry by index lists --------------------------------------
@@ -133,7 +141,7 @@ def random_triangle(rng: np.random.Generator, min_angle: float = MIN_SAMPLE_ANGL
     """Uniform-vertex triangle in the unit square with min angle >= min_angle."""
     while True:
         try:
-            geom = TriangleGeometry.from_vertices(rng.uniform(size=(3, 2)))
+            geom = corner_geometry(rng.uniform(size=(3, 2)))
         except ValueError:
             continue
         if angles(geom).min() >= min_angle:
@@ -166,7 +174,7 @@ def random_triangle_min_angle(rng: np.random.Generator, theta_star: float) -> Tr
     cs, sn = math.cos(rot), math.sin(rot)
     rmat = np.array([[cs, -sn], [sn, cs]])
     verts = scale * np.stack([a, b, c]) @ rmat.T + rng.uniform(-1.0, 1.0, size=2)
-    return TriangleGeometry.from_vertices(verts)
+    return corner_geometry(verts)
 
 
 # -- the h1 probe ----------------------------------------------------------

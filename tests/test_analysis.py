@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ptgfv import analysis
 from ptgfv.analysis import (
     CASES,
     ConvergenceLevel,
@@ -25,7 +26,7 @@ from ptgfv.solver import Solution, assemble, solve
 from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS, interpolate_p0, local_gram_closed_form
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
-from oracles import angles, indexed_geometry, interpolate_rt, random_triangle_min_angle
+from oracles import angles, corner_geometry, indexed_geometry, interpolate_rt, random_triangle_min_angle
 
 CASE = CASES["rhombus-sine"]
 SQRT3 = math.sqrt(3.0)
@@ -289,7 +290,7 @@ def _all_slacks_pass(slacks):
 
 def test_lemma_suite_on_given_triangles():
     slacks, energy_ratio = _lemma_slacks(
-        TriangleGeometry.from_vertices(equilateral_geometry().vertices[None])
+        corner_geometry(equilateral_geometry().vertices[None])
     )
     assert _all_slacks_pass(slacks)
     # on the equilateral the energy ratio is (128/3) / nu(pi/3)
@@ -305,9 +306,26 @@ def test_lemma_suite_near_degenerate_triangle():
         (1.0, 0.0),
         (0.5, 0.5 * math.tan(theta)),
     ]  # isosceles with base angles 5.01 degrees
-    slacks, _ = _lemma_slacks(TriangleGeometry.from_vertices([geom.vertices, skinny]))
+    slacks, _ = _lemma_slacks(corner_geometry([geom.vertices, skinny]))
     assert _all_slacks_pass(slacks)
     assert apex > math.pi / 2  # obtuse stress case exercised
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_each_half_of_the_eigenvalue_check_fails_on_its_own(monkeypatch, side):
+    # the check reports the smaller of its two slacks, so a pin on the worst
+    # one sees only one side; here each side in turn is broken by a factor 2
+    # while the other keeps its true value, and loosening the broken side's
+    # constant tenfold would hide the break
+    geom = random_triangles(SplitMix64(42), 64)
+    cot_max = geom.cot.max(axis=-1)
+    lam_lo, lam_hi = 1.0 / (48.0 * cot_max**2), 1.25 * cot_max
+    eig_min, eig_max = _mass_spectrum(geom)
+    assert (_lemma_slacks(geom)[0]["mass-matrix-eigenvalue-bounds"] >= 0.0).all()
+    spectrum = (0.5 * lam_lo, eig_max) if side == "lower" else (eig_min, 2.0 * lam_hi)
+    monkeypatch.setattr(analysis, "_mass_spectrum", lambda g: spectrum)
+    slacks, _ = _lemma_slacks(geom)
+    assert (slacks["mass-matrix-eigenvalue-bounds"] < 0.0).all()
 
 
 def _needles(degrees: float) -> list:
@@ -339,7 +357,7 @@ def test_closed_form_gram_kernels_match_lapack(family):
     # the lemma suite's closed forms against LAPACK, relative to the largest
     # eigenvalue; two eigenvalues meet on the right-isosceles and
     # equilateral families
-    geom = TriangleGeometry.from_vertices(GRAM_FAMILIES[family]())
+    geom = corner_geometry(GRAM_FAMILIES[family]())
     gram = local_gram_closed_form(geom)
     diag = gram[..., [0, 1, 2], [0, 1, 2]].T
     upper = gram[..., [0, 1, 2], [1, 2, 0]].T

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import sys
 import types
 from pathlib import Path
@@ -16,16 +17,18 @@ import numpy as np
 import pytest
 
 from ptgfv import analysis, solver
-from ptgfv.mesh import Mesh, MeshQualityReport
+from ptgfv.mesh import Mesh, MeshQualityReport, TriangleGeometry
 
 from conftest import jittered_rhombus
 
 MODULES = ("analysis", "dual", "mesh", "solver", "spaces")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = PERFBENCH.parent / "README.md"
 WORKLOADS = ["cli-solve", "source-sweep", "verify"]  # perfbench/workloads.py, in order
 
 # reference implementations used only by tests; they live in tests/oracles.py
 ORACLES = (
+    "corner_geometry",
     "random_triangle",
     "random_acute_triangle",
     "random_triangle_min_angle",
@@ -67,6 +70,8 @@ def test_no_oracle_is_defined_in_the_package():
         module = importlib.import_module(f"ptgfv.{name}")
         assert [o for o in ORACLES if hasattr(module, o)] == [], name
     assert not hasattr(Mesh, "geometry")
+    # every geometry comes from build_mesh or the sampler, not from loose corners
+    assert not hasattr(TriangleGeometry, "from_vertices")
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,18 @@ def test_benchmark_toy_workload_passes_its_check(perfbench, tmp_path, name):
     else:
         assert counts == {"solver.iterations": 1, "solver.restarts": 0}
     assert _files(PERFBENCH) == before
+
+
+def test_the_readme_python_examples_run(capsys):
+    # in order and in one namespace, as a reader pastes them: the later
+    # blocks use names that the first one imports
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 4   # the four prints
 
 
 def test_the_coefficients_have_one_home():

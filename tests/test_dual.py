@@ -18,6 +18,7 @@ from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
 from oracles import (
     angles,
+    corner_geometry,
     delta_energy_reference,
     delta_moments,
     g_eval,
@@ -162,7 +163,7 @@ def test_delta_energy_scale_invariance():
         geom = random_triangle(rng)
         base = solve_delta_k(geom).energy
         for s in (1e-3, 1e3):
-            scaled = TriangleGeometry.from_vertices(geom.vertices * s)
+            scaled = corner_geometry(geom.vertices * s)
             assert solve_delta_k(scaled).energy == pytest.approx(base, rel=1e-9)
 
 
@@ -192,7 +193,7 @@ def test_delta_energy_is_invariant_under_similarities_and_relabelling(corners):
     # first, whichever longest edge the frame takes, and at any position,
     # orientation and scale up to 1e+-150
     corners = np.array(corners, dtype=float)
-    base = solve_delta_k(TriangleGeometry.from_vertices(corners)).energy
+    base = solve_delta_k(corner_geometry(corners)).energy
     moved = {
         "roll 1": np.roll(corners, 1, axis=0),
         "roll 2": np.roll(corners, 2, axis=0),
@@ -205,7 +206,7 @@ def test_delta_energy_is_invariant_under_similarities_and_relabelling(corners):
         "all": 1e-150 * (corners[::-1] * np.array([1.0, -1.0]) @ _rotation(0.7).T + 2.0),
     }
     for name, v in moved.items():
-        energy = solve_delta_k(TriangleGeometry.from_vertices(v)).energy
+        energy = solve_delta_k(corner_geometry(v)).energy
         assert energy == pytest.approx(base, rel=1e-13, abs=0), name
 
 
@@ -246,12 +247,12 @@ def test_delta_energy_on_needles_and_slivers(name, corners, energy):
     corners = np.array(corners)
     variants = [corners, np.roll(corners, 1, axis=0), np.roll(corners, 2, axis=0),
                 corners * np.array([-1.0, 1.0])]
-    energies = solve_delta_k(TriangleGeometry.from_vertices(variants)).energy
+    energies = solve_delta_k(corner_geometry(variants)).energy
     assert np.all(energies > 0.0)
     np.testing.assert_allclose(energies, energy, rtol=1e-14, atol=0)
-    assert solve_delta_k(TriangleGeometry.from_vertices(corners)).energy == energies[0]
+    assert solve_delta_k(corner_geometry(corners)).energy == energies[0]
     # the closed form holds no cancelling terms either
-    closed = delta_energy_closed_form(TriangleGeometry.from_vertices(variants))
+    closed = delta_energy_closed_form(corner_geometry(variants))
     np.testing.assert_allclose(closed, energy, rtol=1e-14, atol=0)
 
 

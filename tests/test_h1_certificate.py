@@ -18,11 +18,11 @@ import pytest
 import scipy.linalg
 
 from ptgfv.analysis import _h1_split_bound, stability_check
-from ptgfv.mesh import MeshError, TriangleGeometry, generate_rhombus_equilateral, quality_report, read_mesh
+from ptgfv.mesh import MeshError, generate_rhombus_equilateral, quality_report, read_mesh
 from ptgfv.spaces import local_gram_closed_form
 
 from conftest import jittered_rhombus
-from oracles import h1_probe_reference
+from oracles import corner_geometry, h1_probe_reference
 from test_cli import CORPUS
 
 
@@ -88,7 +88,7 @@ def test_lambda_on_the_24_right_triangles():
     # right angle's cotangent is a signed zero, and with equal shares the
     # pencil's smallest eigenvalue is 1 over the mass matrix's largest
     square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    geom = TriangleGeometry.from_vertices(square[list(itertools.permutations(range(4), 3))])
+    geom = corner_geometry(square[list(itertools.permutations(range(4), 3))])
     assert len(geom.cot) == 24
     rng = np.random.default_rng(3)
     for shares in (np.ones((24, 3)), rng.uniform(0.05, 2.0, size=(24, 3))):

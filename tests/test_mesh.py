@@ -9,7 +9,6 @@ from ptgfv.analysis import _circumcenter
 from ptgfv.mesh import (
     MeshError,
     MeshFormatError,
-    TriangleGeometry,
     build_mesh,
     cotan_coefficients,
     generate_rhombus_equilateral,
@@ -19,7 +18,7 @@ from ptgfv.mesh import (
 )
 
 from conftest import diagonal_square_mesh, equilateral_geometry, jittered_rhombus
-from oracles import angles, geometry, integrate_triangle
+from oracles import angles, corner_geometry, geometry, integrate_triangle
 
 
 def test_single_triangle_mesh():
@@ -123,6 +122,39 @@ def test_build_errors_name_the_lowest_offender():
         )
 
 
+TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+SHAPES = r"^vertices and triangles must be \(nv, 2\) and \(nt, 3\) arrays, not of shapes "
+NOT_WHOLE = r"has a vertex index that is not a whole number$"
+
+
+@pytest.mark.parametrize("vertices, triangles, message", [
+    # four 3-D points would read as six 2-D ones, with a triangle (0, 1, 4)
+    ([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)], [(0, 1, 4)], SHAPES + r"\(4, 3\) and \(1, 3\)$"),
+    # a flat list would read as three vertices
+    ([0, 0, 1, 0, 0, 1], [(0, 1, 2)], SHAPES + r"\(6,\) and \(1, 3\)$"),
+    (TRIANGLE, [0, 1, 2], SHAPES + r"\(3, 2\) and \(3,\)$"),
+    ([(0, 0), (1, 0)], [], SHAPES + r"\(2, 2\) and \(0,\)$"),
+    # indices 1.9 and 2.2 would truncate to 1 and 2
+    (TRIANGLE, [(0, 1.9, 2.2)], r"^triangle 0 " + NOT_WHOLE),
+    (TRIANGLE, [(0, 1, 2), (0, 1, math.nan)], r"^triangle 1 " + NOT_WHOLE),
+    (TRIANGLE, [(0, 1, 2), (-math.inf, 1, 2)], r"^triangle 1 " + NOT_WHOLE),
+    (TRIANGLE, [(0, 1, 2), (0, -0.5, 2)], r"^triangle 1 " + NOT_WHOLE),
+])
+def test_build_mesh_refuses_input_it_would_reshape_or_truncate(vertices, triangles, message):
+    with pytest.raises(MeshError, match=message):
+        build_mesh(vertices, triangles)
+
+
+def test_build_mesh_takes_whole_float_indices_and_keeps_its_own_copy():
+    given = np.array([(0.0, 2.0, 1.0)])       # clockwise, so build_mesh reorders it
+    mesh = build_mesh(TRIANGLE, given)
+    assert mesh.triangles.tolist() == [[0, 1, 2]] and mesh.triangles.dtype == np.int64
+    assert given.tolist() == [[0.0, 2.0, 1.0]]
+    given = np.array([(0, 2, 1)], dtype=np.int32)
+    assert build_mesh(TRIANGLE, given).triangles.dtype == np.int64
+    assert given.tolist() == [[0, 2, 1]]
+
+
 def _reference_edges(mesh):
     """The edge table built one edge at a time from an incidence dict."""
     incidence = {}
@@ -177,7 +209,7 @@ def test_equilateral_geometry_values():
 
 
 def test_right_isosceles_circumcenter():
-    geom = TriangleGeometry.from_vertices([(0, 0), (1, 0), (0, 1)])
+    geom = corner_geometry([(0, 0), (1, 0), (0, 1)])
     assert np.allclose(_circumcenter(geom.vertices), [0.5, 0.5], atol=1e-15)
     assert geom.area == pytest.approx(0.5, abs=1e-15)
 
@@ -187,7 +219,7 @@ def test_gyration_radius_against_quadrature():
     rng = np.random.default_rng(11)
     for _ in range(200):
         try:
-            geom = TriangleGeometry.from_vertices(rng.uniform(size=(3, 2)))
+            geom = corner_geometry(rng.uniform(size=(3, 2)))
         except MeshError:
             continue
         gx, gy = geom.vertices.mean(axis=-2)
@@ -200,7 +232,7 @@ def test_gyration_radius_bounds_random():
     count = 0
     while count < 1000:
         try:
-            geom = TriangleGeometry.from_vertices(rng.uniform(size=(3, 2)))
+            geom = corner_geometry(rng.uniform(size=(3, 2)))
         except MeshError:
             continue
         theta_min = angles(geom).min()

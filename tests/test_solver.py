@@ -284,6 +284,19 @@ def test_discrete_maximum_principle():
         assert solution.u.min() >= -1e-12 * max(1.0, solution.u.max())
 
 
+@pytest.mark.parametrize(
+    "n, seed", [(n, None) for n in (4, 16, 32)] + [(n, s) for n in (4, 8, 16, 24) for s in range(1, 6)]
+)
+def test_unit_source_gives_positive_cells_and_negative_boundary_fluxes(n, seed):
+    # an admissible mesh gives an M-matrix, so a positive source gives a
+    # positive solution, strictly in every cell, and with the zero trace the
+    # flux of the gradient points into the domain on every boundary edge
+    mesh = generate_rhombus_equilateral(n) if seed is None else jittered_rhombus(n, seed=seed)
+    solution = solve(assemble(mesh, mesh.coefficients, np.ones(mesh.num_triangles)))
+    assert solution.u.min() > 0.0
+    assert solution.p[mesh.boundary_edges].max() < 0.0
+
+
 def test_solution_invariant_under_scaling():
     mesh = jittered_rhombus(3, seed=27)
     coeffs = cotan_coefficients(mesh)

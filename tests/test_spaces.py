@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptgfv.analysis import SplitMix64, random_triangles
-from ptgfv.mesh import TriangleGeometry, build_mesh, generate_rhombus_equilateral
+from ptgfv.mesh import build_mesh, generate_rhombus_equilateral
 from ptgfv.spaces import (
     QUAD_POINTS,
     divergence,
@@ -16,6 +16,7 @@ from ptgfv.spaces import (
 from conftest import equilateral_geometry, jittered_rhombus
 from oracles import (
     angles,
+    corner_geometry,
     eval_local_basis,
     eval_rt_field,
     geometry,
@@ -36,7 +37,7 @@ def test_local_basis_vanishes_at_opposite_vertex():
 
 
 def test_local_basis_reference_value():
-    geom = TriangleGeometry.from_vertices([(0, 0), (1, 0), (0, 1)])
+    geom = corner_geometry([(0, 0), (1, 0), (0, 1)])
     np.testing.assert_allclose(eval_local_basis(geom, 0, np.array([1.0, 0.0])), [1.0, 0.0])
 
 
@@ -184,7 +185,7 @@ def test_gram_scale_invariance():
         geom = random_triangle(rng)
         base = local_gram_closed_form(geom)
         for s in (1e-3, 1e3):
-            scaled = TriangleGeometry.from_vertices(geom.vertices * s)
+            scaled = corner_geometry(geom.vertices * s)
             np.testing.assert_allclose(local_gram_closed_form(scaled), base, rtol=1e-11)
 
 

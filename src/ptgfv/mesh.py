@@ -310,10 +310,11 @@ def build_mesh(vertices, triangles) -> Mesh:
 
     Triangles given clockwise are reoriented.  Raises :class:`MeshError` for
     arrays not of shape (nv, 2) and (nt, 3), non-finite coordinates, indices
-    not whole or out of range, triangles too large or too small to measure
-    (see :meth:`TriangleGeometry._oriented`), duplicate or degenerate ones,
-    non-conforming meshes (an edge of more than two triangles) and folded
-    ones (two on one side of their shared edge), naming the lowest offender.
+    neither integers nor floats, not whole or out of range, triangles too
+    large or too small to measure (see :meth:`TriangleGeometry._oriented`),
+    duplicate or degenerate ones, non-conforming meshes (an edge of more
+    than two triangles) and folded ones (two on one side of their shared
+    edge), naming the lowest offender.
     """
     verts = np.array(vertices, dtype=float)
     given = np.asarray(triangles)
@@ -326,13 +327,17 @@ def build_mesh(vertices, triangles) -> Mesh:
     bad = np.flatnonzero(~(np.isfinite(verts[:, 0]) & np.isfinite(verts[:, 1])))
     if bad.size:
         raise MeshError(f"vertex {bad[0]} has a non-finite coordinate {verts[bad[0]].tolist()}")
-    with np.errstate(invalid="ignore"):  # a NaN or inf casts to an integer unequal to it
-        tris = np.array(given, dtype=int)  # a copy: clockwise triangles are reordered in place
-    if given.dtype.kind not in "iu" and (bad := np.flatnonzero(_max3(tris != given))).size:
-        raise MeshError(f"triangle {bad[0]} has a vertex index that is not a whole number")
-    bad = np.flatnonzero(_max3((tris < 0) | (tris >= nv)))  # any out of range
+    if given.dtype.kind not in "iuf":
+        raise MeshError(f"triangle vertex indices must be integers or floats, not {given.dtype}")
+    if given.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # inf and NaN leave a NaN remainder
+            bad = np.flatnonzero(_max3(np.fmod(given, 1.0) != 0.0))
+        if bad.size:
+            raise MeshError(f"triangle {bad[0]} has a vertex index that is not a whole number")
+    bad = np.flatnonzero(_max3((given < 0) | (given >= nv)))  # any out of range
     if bad.size:
         raise MeshError(f"triangle {bad[0]} has a vertex index out of range 0..{nv - 1}")
+    tris = np.array(given, dtype=int)  # a copy: clockwise triangles are reordered in place
     if nt == 0:
         raise MeshError("a mesh needs at least one triangle")
 
@@ -345,14 +350,17 @@ def build_mesh(vertices, triangles) -> Mesh:
 
     # half-edge 3t + m joins vertices m+1 and m+2 of triangle t; a stable
     # sort on the key of its vertex pair groups the (at most two) halves of
-    # each edge, lower triangle first, with edge ids in increasing key order
+    # each edge, lower triangle first, with edge ids in increasing key order.
+    # Each temporary is dropped after its last use, and the edge table is
+    # written field by field into its final array: a lower peak on a large mesh
     start_v = tris[:, _NEXT].ravel()
     end_v = tris[:, _PREV].ravel()
     keys = np.minimum(start_v, end_v) * nv + np.maximum(start_v, end_v)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    del keys
     first = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    counts = np.diff(np.r_[first, len(keys)])
+    counts = np.diff(np.r_[first, len(sorted_keys)])
     bad = np.flatnonzero(counts > 2)
     if bad.size:
         key = divmod(int(sorted_keys[first[bad[0]]]), nv)
@@ -373,22 +381,26 @@ def build_mesh(vertices, triangles) -> Mesh:
             f"folded mesh: triangles {own[e] // 3} and {other[e] // 3} lie on the "
             f"same side of edge {key}"
         )
+    del sorted_keys
 
-    tail = start_v[own]
-    head = end_v[own]
-    tangent = verts[head] - verts[tail]
-    length = geometries.edge_lengths.ravel()[own]  # half-edge own[e] is edge e
-    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
-    neighbor = np.where(shared, other // 3, -1)
-    neighbor_local = np.where(shared, other % 3, -1)
-    edges = np.rec.fromarrays(
-        [tail, head, own // 3, own % 3, neighbor, neighbor_local, normal, length],
-        dtype=_EDGE_DTYPE,
-    )
+    edges = np.recarray(len(first), dtype=_EDGE_DTYPE)
+    edges.tail = start_v[own]
+    edges.head = end_v[own]
+    del start_v, end_v
+    edges.owner, edges.owner_local = np.divmod(own, 3)
+    # a boundary edge has other = -1, whose quotient by 3 is -1
+    edges.neighbor, edges.neighbor_local = np.divmod(other, 3)
+    edges.neighbor_local[~shared] = -1
     tri_edges = np.empty(3 * nt, dtype=int)
     tri_edges[order] = np.repeat(np.arange(len(first)), counts)
+    del order
     tri_signs = np.full(3 * nt, -1, dtype=int)
     tri_signs[own] = 1
+    edges.length = geometries.edge_lengths.ravel()[own]  # half-edge own[e] is edge e
+    # the normal is the tangent head - tail turned clockwise, over its length
+    x, y = verts[:, 0], verts[:, 1]
+    edges.normal[:, 0] = (y[edges.head] - y[edges.tail]) / edges.length
+    edges.normal[:, 1] = -(x[edges.head] - x[edges.tail]) / edges.length
     return Mesh(
         verts, tris, edges, tri_edges.reshape(nt, 3), tri_signs.reshape(nt, 3), geometries
     )
@@ -507,9 +519,10 @@ def _parse_block(rows: list[str], width: int, dtype, valid) -> np.ndarray | None
     return values if values.shape == (len(rows), width) and valid(values) else None
 
 
-def _read_rows(rows: list[str], line: Callable[[int], int]) -> Mesh:
-    """Parse the stripped data rows of a file: the header, the counts, the
-    vertex and the triangle rows, and nothing after them.
+def _read_rows(rows: list[str], line: Callable[[int], int]) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the stripped data rows of a file, the header, the counts, the
+    vertex and the triangle rows and nothing after them, into the vertex
+    and the triangle arrays.
 
     A failed check raises :class:`MeshFormatError` naming ``line(i)``, the
     1-based line of data row i.  A block that fails its bulk parse is checked
@@ -569,10 +582,7 @@ def _read_rows(rows: list[str], line: Callable[[int], int]) -> Mesh:
     end = 2 + nv + nt
     if len(rows) > end:
         raise MeshFormatError("unexpected content after the declared data", line(end))
-    try:
-        return build_mesh(verts, tris)
-    except MeshError as exc:
-        raise MeshError(f"invalid mesh in file: {exc}") from exc
+    return verts, tris
 
 
 def read_mesh(text: str) -> Mesh:
@@ -580,12 +590,12 @@ def read_mesh(text: str) -> Mesh:
 
     Lines end at line feeds only.  Blank lines and lines starting with
     ``#`` are ignored, and numbers are ASCII decimals.  The remaining lines
-    are parsed once, the vertex and the triangle lines each in bulk; the
-    file's lines are numbered only when a check fails, so that the error
-    carries the offending 1-based line number.
+    are parsed once, the vertex and the triangle lines each in bulk, and
+    released before the mesh is built; the file's lines are numbered from
+    ``text`` only when a check fails, so that the error carries the
+    offending 1-based line number.
     """
-    lines = text.split("\n")
-    rows = list(filter(None, map(str.strip, lines)))
+    rows = list(filter(None, map(str.strip, text.split("\n"))))
     if "#" in text:
         rows = [row for row in rows if row[0] != "#"]
     if not rows:
@@ -595,9 +605,14 @@ def read_mesh(text: str) -> Mesh:
         """1-based line of data row ``row``; one past the last data line
         for ``row == len(rows)``."""
         numbers = [
-            lineno for lineno, stripped in enumerate(map(str.strip, lines), start=1)
+            lineno for lineno, stripped in enumerate(map(str.strip, text.split("\n")), start=1)
             if stripped and stripped[0] != "#"
         ]
         return numbers[row] if row < len(numbers) else numbers[-1] + 1
 
-    return _read_rows(rows, line)
+    verts, tris = _read_rows(rows, line)
+    del rows
+    try:
+        return build_mesh(verts, tris)
+    except MeshError as exc:
+        raise MeshError(f"invalid mesh in file: {exc}") from exc

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mesh import COEFF_TOL, Mesh
+from .mesh import COEFF_TOL, Mesh, _sort3, _sum3
 from .spaces import _check_cells, _check_length, divergence
 
 if TYPE_CHECKING:
@@ -145,7 +145,7 @@ def assemble(
     # scipy is imported by the functions that use it, not by the module:
     # loading scipy.sparse costs about 20 MB and 0.2 s, which commands that
     # never assemble (generate, mesh-info, verify) should not pay
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csr_matrix, get_index_dtype
 
     _check_coefficients(mesh, coeffs)
     _check_cells(mesh, f_t)
@@ -158,19 +158,31 @@ def assemble(
     with np.errstate(over="ignore"):
         rhs = mesh.areas * f_t
     np.add.at(rhs, owner[boundary], bc * w[boundary])
-    # the diagonal sums 1/c over each triangle's edges; the owner and
-    # neighbor entries are interleaved in edge order so that every row adds
-    # its terms in the same order as an edge-by-edge loop
-    pairs = np.stack([owner, neighbor], axis=-1).ravel()
-    weights = np.repeat(w, 2)
-    present = pairs >= 0
-    diag = np.bincount(pairs[present], weights[present], minlength=nt)
-    internal = mesh.internal_edges
-    couple = np.stack([owner[internal], neighbor[internal]], axis=-1)
-    rows = np.concatenate([couple.ravel(), np.arange(nt)])
-    cols = np.concatenate([couple[:, ::-1].ravel(), np.arange(nt)])
-    vals = np.concatenate([np.repeat(-w[internal], 2), diag])
-    matrix = csr_matrix((vals, (rows, cols)), shape=(nt, nt))
+    # the CSR arrays are written row by row.  Row t holds the diagonal and
+    # -1/c towards the triangle across each internal edge, in increasing
+    # column order; across local edge i lies owner + neighbor - t, which is
+    # -1 on the boundary, where t owns the edge.  The diagonal adds 1/c over
+    # the triangle's edges in increasing edge id, the order of a loop over
+    # the edges (every 1/c is > 0, so starting the sum from 0 changes no bit)
+    diag = _sum3(w[_sort3(mesh.tri_edges)])
+    cells = np.arange(nt)
+    cols = [owner[e] + neighbor[e] - cells for e in mesh.tri_edges.T] + [cells]
+    count = 1 + (cols[0] >= 0) + (cols[1] >= 0) + (cols[2] >= 0)
+    index = get_index_dtype(maxval=int(count.sum()))  # scipy's own pick for this many entries
+    indptr = np.zeros(nt + 1, dtype=index)
+    np.cumsum(count, out=indptr[1:])
+    del count
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1])
+    # a row's four candidates in increasing column order put the -1 ones
+    # first, so the one of rank r among them goes to slot end - 4 + r
+    end = indptr[1:] - 4
+    for j, col in enumerate(cols):
+        keep = col >= 0
+        slot = (end + sum(other < col for k, other in enumerate(cols) if k != j))[keep]
+        indices[slot] = col[keep]
+        data[slot] = -w[mesh.tri_edges[keep, j]] if j < 3 else diag
+    matrix = csr_matrix((data, indices, indptr), shape=(nt, nt))
     return SparseSystem(matrix=matrix, rhs=rhs, mesh=mesh, coeffs=coeffs, bc=bc)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,27 @@ def mesh_text(vertices, triangles) -> str:
     rows = [f"{x:.17g} {y:.17g}" for x, y in np.asarray(vertices).tolist()]
     rows += [f"{i} {j} {k}" for i, j, k in np.asarray(triangles).tolist()]
     return f"ptg-mesh 1\n{len(vertices)} {len(triangles)}\n" + "\n".join(rows) + "\n"
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def mesh_bytes(mesh: Mesh) -> int:
+    """Bytes of the arrays a mesh holds."""
+    geometries = mesh.geometries
+    return sum(a.nbytes for a in (
+        mesh.vertices, mesh.triangles, mesh.edges, mesh.tri_edges, mesh.tri_signs,
+        mesh.internal_edges, mesh.boundary_edges,
+        *(getattr(geometries, f.name) for f in dataclasses.fields(geometries)),
+    ))
 
 
 @pytest.fixture

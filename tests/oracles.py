@@ -7,8 +7,10 @@ stream in Python ints, the one-field-at-a-time h1 probe,
 the moments of the divergence profile from its coefficients, its
 energy from an exact Gram matrix in many-digit arithmetic,
 edge-flux interpolation by Gauss quadrature, the flux profile g of the dual
-edge basis, and the triangle geometry and the closed-form local mass matrix
-by index-list gathers.  Tests compare the package against them.
+edge basis, the triangle geometry and the closed-form local mass matrix
+by index-list gathers, the edge table one edge at a time and the cell
+system through scipy's COO conversion.  Tests compare the package against
+them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from ptgfv.analysis import MIN_SAMPLE_ANGLE
 from ptgfv.mesh import Mesh, TriangleGeometry, build_mesh
+from ptgfv.solver import _trace
 from ptgfv.spaces import QUAD_POINTS, QUAD_WEIGHTS, local_gram_closed_form
 
 
@@ -102,6 +105,74 @@ def angles(geometry: TriangleGeometry) -> np.ndarray:
     """Angles of a triangle (3,) or of a batch (B, 3) by arctan2, from
     :func:`indexed_geometry`."""
     return indexed_geometry(geometry.vertices)["angles"].reshape(np.shape(geometry.cot))
+
+
+# -- the edge table and the cell system -------------------------------------
+
+def reference_edges(mesh: Mesh) -> np.ndarray:
+    """The edge table built one edge at a time from an incidence dict, one
+    row (tail, head, owner, owner_local, neighbor, neighbor_local, normal x,
+    normal y, length) per edge."""
+    incidence = {}
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for m in range(3):
+            p, q = tri[(m + 1) % 3], tri[(m + 2) % 3]
+            incidence.setdefault((min(p, q), max(p, q)), []).append((t, m))
+    rows = []
+    for key in sorted(incidence):
+        (owner, m), *rest = sorted(incidence[key])
+        tail = mesh.triangles[owner, (m + 1) % 3]
+        head = mesh.triangles[owner, (m + 2) % 3]
+        tangent = mesh.vertices[head] - mesh.vertices[tail]
+        length = float(np.hypot(*tangent))
+        normal = np.array([tangent[1], -tangent[0]]) / length
+        neighbor, ml = rest[0] if rest else (-1, -1)
+        rows.append((tail, head, owner, m, neighbor, ml, *normal, length))
+    return np.array(rows)
+
+
+def edge_table(mesh: Mesh) -> np.ndarray:
+    """``mesh.edges`` as the columns of :func:`reference_edges`."""
+    e = mesh.edges
+    return np.column_stack(
+        [e.tail, e.head, e.owner, e.owner_local, e.neighbor, e.neighbor_local, e.normal, e.length]
+    )
+
+
+def assemble_reference(mesh: Mesh, coeffs: np.ndarray, f_t: np.ndarray, bc=None):
+    """The CSR matrix and right-hand side of ``assemble``, built as
+    (row, column, value) triplets that scipy converts and sorts: the
+    diagonal by a ``bincount`` over the edges' owner and neighbor entries,
+    interleaved in edge order."""
+    from scipy.sparse import csr_matrix
+
+    nt = mesh.num_triangles
+    w = 1.0 / coeffs
+    owner, neighbor = mesh.edges.owner, mesh.edges.neighbor
+    boundary = mesh.boundary_edges
+    with np.errstate(over="ignore"):
+        rhs = mesh.areas * f_t
+    np.add.at(rhs, owner[boundary], _trace(mesh, bc) * w[boundary])
+    pairs = np.stack([owner, neighbor], axis=-1).ravel()
+    weights = np.repeat(w, 2)
+    present = pairs >= 0
+    diag = np.bincount(pairs[present], weights[present], minlength=nt)
+    internal = mesh.internal_edges
+    couple = np.stack([owner[internal], neighbor[internal]], axis=-1)
+    rows = np.concatenate([couple.ravel(), np.arange(nt)])
+    cols = np.concatenate([couple[:, ::-1].ravel(), np.arange(nt)])
+    vals = np.concatenate([np.repeat(-w[internal], 2), diag])
+    return csr_matrix((vals, (rows, cols)), shape=(nt, nt)), rhs
+
+
+def assert_system_is_reference(system, mesh: Mesh, coeffs, f_t, bc=None) -> None:
+    """``system``'s CSR arrays and right-hand side equal
+    :func:`assemble_reference`'s byte for byte, index dtype included."""
+    matrix, rhs = assemble_reference(mesh, coeffs, f_t, bc)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(system.matrix, name), getattr(matrix, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+    assert system.rhs.tobytes() == rhs.tobytes()
 
 
 # -- the random stream -----------------------------------------------------

@@ -46,6 +46,10 @@ ORACLES = (
     "interpolate_rt",
     "local_gram_quadrature",
     "h1_probe_reference",
+    "reference_edges",
+    "edge_table",
+    "assemble_reference",
+    "assert_system_is_reference",
     "splitmix64",
     "ReferenceStream",
 )

@@ -5,7 +5,6 @@ import cProfile
 import itertools
 import math
 import pstats
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +48,7 @@ from ptgfv.spaces import (
     local_gram_closed_form,
 )
 
-from conftest import equilateral_geometry, jittered_rhombus
+from conftest import equilateral_geometry, jittered_rhombus, traced_peak
 from oracles import ReferenceStream, angles, corner_geometry, indexed_geometry, random_triangle
 
 GEOMETRY_FIELDS = ("vertices", "area", "edge_lengths", "cot", "ratio")
@@ -317,17 +316,11 @@ def test_too_small_triangle_is_named_apart_from_degeneracy(scale, small):
     equilateral = scale * np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.5 * math.sqrt(3.0))])
     collinear = scale * np.array([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)])
     with pytest.raises(MeshError, match=r"triangle 0 is degenerate"):
-        corner_geometry(collinear[None])
-    with pytest.raises(MeshError, match=r"triangle 0 is degenerate"):
         build_mesh(collinear, [(0, 1, 2)])
     if small:
-        message = r"triangle 0 is too small: its area underflows to 0"
-        with pytest.raises(MeshError, match=message):
-            corner_geometry(equilateral)
-        with pytest.raises(MeshError, match=message):
+        with pytest.raises(MeshError, match=r"triangle 0 is too small: its area underflows to 0"):
             build_mesh(equilateral, [(0, 1, 2)])
     else:
-        assert corner_geometry(equilateral).area > 0.0
         assert build_mesh(equilateral, [(0, 1, 2)]).areas[0] > 0.0
 
 
@@ -407,12 +400,7 @@ def test_stability_check_memory_is_bounded_at_n256():
     # computed beforehand, as the CLI's admissibility check does
     mesh = generate_rhombus_equilateral(256)
     mesh.coefficients
-    tracemalloc.start()
-    try:
-        stability_check(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: stability_check(mesh))
     assert peak <= 9e6
 
 

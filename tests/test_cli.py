@@ -723,6 +723,25 @@ def test_no_command_raises_and_all_agree_on_admissibility(tmp_path, capsys, name
             }
 
 
+def test_unit_source_is_positive_on_every_admissible_corpus_mesh():
+    # an admissible mesh gives an M-matrix: f = 1 gives u > 0 in every cell
+    # and, with the zero trace, an inward flux on every boundary edge.  The
+    # smallest u, 6.25e-22, is on the 1e-10 sliver
+    admissible = []
+    for name, text in sorted(CORPUS.items()):
+        try:
+            mesh = read_mesh(text)
+        except MeshError:
+            continue
+        if not quality_report(mesh).admissible:
+            continue
+        solution = solve(assemble(mesh, mesh.coefficients, np.ones(mesh.num_triangles)))
+        assert solution.u.min() > 0.0, name
+        assert solution.p[mesh.boundary_edges].max() < 0.0, name
+        admissible.append(name)
+    assert len(admissible) == 13
+
+
 def test_band_mesh_is_inadmissible_for_every_command(tmp_path, capsys):
     # its diagonal coefficient 7.5e-13 is below COEFF_TOL; the opposite
     # angles sum to less than pi - 1e-12

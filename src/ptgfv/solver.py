@@ -145,7 +145,7 @@ def assemble(
     # scipy is imported by the functions that use it, not by the module:
     # loading scipy.sparse costs about 20 MB and 0.2 s, which commands that
     # never assemble (generate, mesh-info, verify) should not pay
-    from scipy.sparse import csr_matrix, get_index_dtype
+    from scipy.sparse import csr_matrix
 
     _check_coefficients(mesh, coeffs)
     _check_cells(mesh, f_t)
@@ -168,7 +168,7 @@ def assemble(
     cells = np.arange(nt)
     cols = [owner[e] + neighbor[e] - cells for e in mesh.tri_edges.T] + [cells]
     count = 1 + (cols[0] >= 0) + (cols[1] >= 0) + (cols[2] >= 0)
-    index = get_index_dtype(maxval=int(count.sum()))  # scipy's own pick for this many entries
+    index = np.int32 if count.sum() <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(nt + 1, dtype=index)
     np.cumsum(count, out=indptr[1:])
     del count
